@@ -9,7 +9,6 @@ lattices, locates the Husimi peak with a deterministic multi-scale
 grid search, and cross-checks everything against closed forms.
 """
 
-from ._kernels import backend
 from .analytic import (
     FockNonclassicality,
     PacParams,
@@ -84,7 +83,6 @@ __all__ = [
     "WindowError",
     "add_photons",
     "antinormal_correlation",
-    "backend",
     "coherent_overlap",
     "displace",
     "dq_numeric",

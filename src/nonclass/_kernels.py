@@ -1,46 +1,24 @@
 """Hot numeric kernels: coherent-overlap batches and displaced-parity Wigner.
 
-Two implementations exist for each kernel: a numba @njit version and a
-pure-numpy vectorized fallback.  The fallback is selected by setting the
-environment variable NONCLASS_NO_NUMBA to 1, true or yes (ignoring case
-and surrounding whitespace); it is also used automatically when numba is
-not importable.  Both paths are deterministic; they agree
-to float rounding but not bit-for-bit, since the summation orders differ.
+Each kernel has one vectorized numpy implementation.  Both are
+deterministic: the same inputs give bit-identical outputs.
 """
 
 import math
-import os
 
 import numpy as np
-
-ENV_FLAG = "NONCLASS_NO_NUMBA"
-
-_want_numba = os.environ.get(ENV_FLAG, "").strip().lower() not in ("1", "true", "yes")
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _want_numba = False
-
-if not _want_numba:  # pragma: no cover
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend():
-    """Name of the active kernel path: 'numba' or 'numpy'."""
-    return "numba" if _want_numba else "numpy"
 
 
 # ---------------------------------------------------------------------------
 # coherent overlaps  <beta|psi> = e^{-|b|^2/2} sum_n c_n conj(b)^n / sqrt(n!)
 # ---------------------------------------------------------------------------
 
-def _overlaps_numpy(amps, betas):
+def coherent_overlaps(amps, betas):
+    """Batch <beta|psi> for a complex amplitude vector and beta array."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    betas = np.ascontiguousarray(betas, dtype=np.complex128)
+    if betas.size == 0:
+        return np.empty(0, np.complex128)
     n_amp = amps.shape[0]
     bc = np.conj(betas)
     term = np.exp(-0.5 * (betas.real**2 + betas.imag**2)).astype(np.complex128)
@@ -49,56 +27,6 @@ def _overlaps_numpy(amps, betas):
         term = term * bc / math.sqrt(n)
         acc = acc + amps[n] * term
     return acc
-
-
-@njit(cache=True)
-def _overlaps_numba(amps, betas):  # pragma: no cover - exercised via dispatch
-    # component arrays + batched inner loop keep the hot path branch-free
-    # and vectorizable; the n-dependent constants are hoisted per term
-    n_amp = amps.shape[0]
-    npts = betas.shape[0]
-    tr = np.empty(npts, np.float64)
-    ti = np.empty(npts, np.float64)
-    br = np.empty(npts, np.float64)
-    bi = np.empty(npts, np.float64)
-    ar = np.empty(npts, np.float64)
-    ai = np.empty(npts, np.float64)
-    a0 = amps[0]
-    for i in range(npts):
-        b = betas[i]
-        e = math.exp(-0.5 * (b.real * b.real + b.imag * b.imag))
-        tr[i] = e
-        ti[i] = 0.0
-        br[i] = b.real
-        bi[i] = -b.imag
-        ar[i] = a0.real * e
-        ai[i] = a0.imag * e
-    for n in range(1, n_amp):
-        inv = 1.0 / math.sqrt(n)
-        cr = amps[n].real
-        ci = amps[n].imag
-        for i in range(npts):
-            nr = (tr[i] * br[i] - ti[i] * bi[i]) * inv
-            ni = (tr[i] * bi[i] + ti[i] * br[i]) * inv
-            tr[i] = nr
-            ti[i] = ni
-            ar[i] += cr * nr - ci * ni
-            ai[i] += cr * ni + ci * nr
-    out = np.empty(npts, np.complex128)
-    for i in range(npts):
-        out[i] = complex(ar[i], ai[i])
-    return out
-
-
-def coherent_overlaps(amps, betas):
-    """Batch <beta|psi> for a complex amplitude vector and beta array."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    betas = np.ascontiguousarray(betas, dtype=np.complex128)
-    if betas.size == 0:
-        return np.empty(0, np.complex128)
-    if _want_numba:
-        return _overlaps_numba(amps, betas)
-    return _overlaps_numpy(amps, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +56,7 @@ _SEED_FLOOR = -640.0
 _UNWIND_AT = 1e20
 
 
-def _wigner_numpy(amps, betas):
+def _wigner_diagonals(amps, betas):
     n_amp = amps.shape[0]
     npts = betas.shape[0]
     out = np.empty(npts, np.float64)
@@ -187,135 +115,6 @@ def _wigner_numpy(amps, betas):
     return out
 
 
-@njit(cache=True)
-def _wigner_numba(amps, betas):  # pragma: no cover - exercised via dispatch
-    # same diagonal expansion as the numpy path, but with the per-(k, n)
-    # recurrence coefficients and amplitude pair products hoisted out of
-    # the point loop, which is kept branch-free unless a chain on this
-    # batch actually runs in the underflow-scaled regime
-    n_amp = amps.shape[0]
-    npts = betas.shape[0]
-    x = np.empty(npts, np.float64)
-    lx = np.empty(npts, np.float64)
-    ur = np.empty(npts, np.float64)
-    ui = np.empty(npts, np.float64)
-    phr = np.empty(npts, np.float64)
-    phi = np.empty(npts, np.float64)
-    total = np.zeros(npts, np.float64)
-    for i in range(npts):
-        gr = 2.0 * betas[i].real
-        gi = 2.0 * betas[i].imag
-        xi = gr * gr + gi * gi
-        x[i] = xi
-        if xi > 0.0:
-            inv = 1.0 / math.sqrt(xi)
-            ur[i] = gr * inv
-            ui[i] = gi * inv
-            lx[i] = math.log(xi)
-        else:
-            ur[i] = 1.0
-            ui[i] = 0.0
-            lx[i] = 0.0
-        phr[i] = 1.0
-        phi[i] = 0.0
-
-    b_cur = np.empty(npts, np.float64)
-    b_prev = np.empty(npts, np.float64)
-    acc_r = np.empty(npts, np.float64)
-    acc_i = np.empty(npts, np.float64)
-    js = np.empty(npts, np.int64)
-    c_lin = np.empty(n_amp, np.float64)
-    c_x = np.empty(n_amp, np.float64)
-    c_b = np.empty(n_amp, np.float64)
-    p_r = np.empty(n_amp, np.float64)
-    p_i = np.empty(n_amp, np.float64)
-
-    for k in range(n_amp):
-        lgk = math.lgamma(k + 1.0)
-        rows = n_amp - k
-        sign = 1.0
-        for n in range(rows):
-            inv_a = 1.0 / math.sqrt((n + 1.0) * (n + k + 1.0))
-            c_lin[n] = (2.0 * n + k + 1.0) * inv_a
-            c_x[n] = inv_a
-            c_b[n] = math.sqrt(n * (n + k)) * inv_a
-            hi = amps[n + k]
-            lo = amps[n]
-            p_r[n] = sign * (hi.real * lo.real + hi.imag * lo.imag)
-            p_i[n] = sign * (hi.real * lo.imag - hi.imag * lo.real)
-            sign = -sign
-        any_scaled = False
-        for i in range(npts):
-            if k == 0:
-                seed = -0.5 * x[i]
-            else:
-                seed = 0.5 * (k * lx[i] - lgk) - 0.5 * x[i]
-            ji = 0
-            if seed < _SEED_FLOOR:
-                ji = int((_SEED_FLOOR - seed) / _SCALE_LOG) + 1
-                seed += _SCALE_LOG * ji
-                any_scaled = True
-            b = math.exp(seed)
-            if k > 0 and x[i] <= 0.0:
-                b = 0.0
-            b_cur[i] = b
-            b_prev[i] = 0.0
-            acc_r[i] = 0.0
-            acc_i[i] = 0.0
-            js[i] = ji
-        if not any_scaled:
-            for n in range(rows):
-                cl = c_lin[n]
-                cx = c_x[n]
-                cb = c_b[n]
-                pr = p_r[n]
-                pi = p_i[n]
-                for i in range(npts):
-                    b = b_cur[i]
-                    acc_r[i] += pr * b
-                    acc_i[i] += pi * b
-                    nxt = (cl - x[i] * cx) * b - cb * b_prev[i]
-                    b_prev[i] = b
-                    b_cur[i] = nxt
-        else:
-            for n in range(rows):
-                cl = c_lin[n]
-                cx = c_x[n]
-                cb = c_b[n]
-                pr = p_r[n]
-                pi = p_i[n]
-                for i in range(npts):
-                    b = b_cur[i]
-                    if js[i] == 0:
-                        acc_r[i] += pr * b
-                        acc_i[i] += pi * b
-                    nxt = (cl - x[i] * cx) * b - cb * b_prev[i]
-                    b_prev[i] = b
-                    b_cur[i] = nxt
-                    if js[i] > 0:
-                        big = abs(nxt)
-                        if abs(b) > big:
-                            big = abs(b)
-                        if big > _UNWIND_AT:
-                            b_cur[i] = nxt * _SCALE_DOWN
-                            b_prev[i] = b * _SCALE_DOWN
-                            js[i] -= 1
-        if k == 0:
-            for i in range(npts):
-                total[i] += acc_r[i]
-        else:
-            for i in range(npts):
-                nr = phr[i] * ur[i] - phi[i] * ui[i]
-                ni = phr[i] * ui[i] + phi[i] * ur[i]
-                phr[i] = nr
-                phi[i] = ni
-                total[i] += 2.0 * (nr * acc_r[i] - ni * acc_i[i])
-    out = np.empty(npts, np.float64)
-    for i in range(npts):
-        out[i] = (2.0 / math.pi) * total[i]
-    return out
-
-
 def wigner_values(amps, betas):
     """Batch W(beta) for a complex amplitude vector and beta array.
 
@@ -335,6 +134,4 @@ def wigner_values(amps, betas):
         if inside.any():
             out[inside] = wigner_values(amps, betas[inside])
         return out
-    if _want_numba:
-        return _wigner_numba(amps, betas)
-    return _wigner_numpy(amps, betas)
+    return _wigner_diagonals(amps, betas)

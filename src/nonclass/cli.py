@@ -152,13 +152,10 @@ def build_state(spec):
         base = states.make_coherent(alpha, cutoff_override=spec.cutoff_override)
     elif spec.family == "svs":
         r, phi = spec.params["r"], spec.params["phi"]
-        cutoff = spec.cutoff_override
-        if cutoff is None and spec.added_photons > 0 and r > 0.0:
-            # photon addition weights the tail; grow the cutoff to keep
-            # the weighted tail negligible too
-            base = states.make_squeezed_vacuum(r, phi)
-            cutoff = max(base.cutoff, states.svs_cutoff_for_moment(r, spec.added_photons))
-        base = states.make_squeezed_vacuum(r, phi, cutoff_override=cutoff)
+        if spec.cutoff_override is None:
+            base = states.make_squeezed_vacuum_for_addition(r, phi, spec.added_photons)
+        else:
+            base = states.make_squeezed_vacuum(r, phi, cutoff_override=spec.cutoff_override)
     elif spec.family == "fock":
         n = spec.params["n"]
         base = states.make_fock(n)

@@ -9,7 +9,7 @@ maximizer sets of Fock states gracefully.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class NonclassReport:
     q_max: float
     dq: float
     final_step: float
-    boundary_hit: bool
     analytic_dq: float | None = None
     analytic_source: str | None = None
 
@@ -144,7 +143,6 @@ def maximize_q(state, opts=None):
         q_max=best_q,
         dq=dq,
         final_step=step,
-        boundary_hit=False,
     )
 
 
@@ -161,13 +159,5 @@ def dq_numeric(state, opts=None, spec=None):
         ref = analytic.reference_dq(spec.family, spec.params, spec.added_photons)
         if ref is not None:
             dq_ref, source = ref
-            report = NonclassReport(
-                beta_max=report.beta_max,
-                q_max=report.q_max,
-                dq=report.dq,
-                final_step=report.final_step,
-                boundary_hit=report.boundary_hit,
-                analytic_dq=dq_ref,
-                analytic_source=source,
-            )
+            report = replace(report, analytic_dq=dq_ref, analytic_source=source)
     return report

@@ -213,6 +213,21 @@ def svs_cutoff_for_moment(r, p):
             raise CutoffError(f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_AUTO_CUTOFF}")
 
 
+def make_squeezed_vacuum_for_addition(r, phi, p):
+    """Squeezed vacuum with its cutoff grown for adding p photons.
+
+    Photon addition weights the tail by (n+1)...(n+p), so the cutoff is
+    raised to svs_cutoff_for_moment(r, p) when that exceeds the automatic
+    one.  For p == 0 or r == 0 this is make_squeezed_vacuum(r, phi).
+    """
+    base = make_squeezed_vacuum(r, phi)
+    if p > 0:
+        cutoff = svs_cutoff_for_moment(r, p)  # 0 when r == 0
+        if cutoff > base.cutoff:
+            base = make_squeezed_vacuum(r, phi, cutoff_override=cutoff)
+    return base
+
+
 def make_fock(p):
     """Fock state |p>; exact at cutoff p."""
     if p < 0 or p != int(p):

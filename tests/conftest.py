@@ -5,5 +5,5 @@ from nonclass import verify
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # warm up the active kernel path once so timed tests measure math, not jit
+    # make the first kernel calls here, so timed tests do not pay first-call costs
     verify.warm_up()

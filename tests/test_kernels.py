@@ -1,23 +1,12 @@
-"""Numerical kernels: both backends, frozen high-precision oracles."""
+"""Numerical kernels against closed forms and frozen high-precision oracles."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from nonclass import _kernels, states
-from nonclass._kernels import (
-    _overlaps_numba,
-    _overlaps_numpy,
-    _wigner_numba,
-    _wigner_numpy,
-    backend,
-    coherent_overlaps,
-    wigner_values,
-)
+from nonclass import states
+from nonclass._kernels import _wigner_diagonals, coherent_overlaps, wigner_values
 
 # W values for the r=1, phi=0 squeezed vacuum truncated at its automatic
 # cutoff (96 rows), computed with a 60-digit run of the same recurrence.
@@ -38,38 +27,20 @@ def _deep_svs(r):
     return states.make_squeezed_vacuum(r, 0.0, cutoff_override=base.cutoff + 2 * extra)
 
 
-def test_backend_reports_active_path():
-    # numba runs only if it imports and the flag is unset; else numpy is used
-    flag = os.environ.get("NONCLASS_NO_NUMBA", "").strip().lower()
-    try:
-        import numba  # noqa: F401
-        numba_ok = True
-    except ImportError:
-        numba_ok = False
-    want = "numba" if numba_ok and flag not in ("1", "true", "yes") else "numpy"
-    assert backend() == want
-
-
-def test_numpy_fallback_selected_by_env_flag():
-    env = dict(os.environ, NONCLASS_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from nonclass._kernels import backend; print(backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 class TestOverlapKernels:
-    def test_paths_agree(self):
-        st = states.make_squeezed_vacuum(1.0, 0.4)
+    def test_svs_closed_form(self):
+        # <beta|psi> = (cosh r)^{-1/2} exp(-|b|^2/2 + e^{i phi} tanh(r) conj(b)^2/2)
+        r, phi = 1.0, 0.4
+        st = states.make_squeezed_vacuum(r, phi)
+        assert st.cutoff == 96
         rng = np.random.default_rng(6)
         betas = rng.normal(0, 2, 60) + 1j * rng.normal(0, 2, 60)
-        a = _overlaps_numpy(st.amplitudes, betas)
-        b = _overlaps_numba(st.amplitudes, betas)
-        assert np.max(np.abs(a - b)) <= 1e-13
+        want = np.exp(
+            -0.5 * np.abs(betas) ** 2
+            + 0.5 * np.exp(1j * phi) * math.tanh(r) * np.conj(betas) ** 2
+        ) / math.sqrt(math.cosh(r))
+        got = coherent_overlaps(st.amplitudes, betas)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_deterministic(self):
         st = states.make_coherent(1.5 + 0.5j)
@@ -124,14 +95,6 @@ class TestWignerKernels:
             else:
                 assert val == pytest.approx(want, abs=1e-15), beta
 
-    def test_paths_agree(self):
-        st = states.make_squeezed_vacuum(1.0, 0.0)
-        rng = np.random.default_rng(12)
-        betas = rng.normal(0, 2.5, 50) + 1j * rng.normal(0, 2.5, 50)
-        a = _wigner_numpy(st.amplitudes, betas)
-        b = _wigner_numba(st.amplitudes, betas)
-        assert np.max(np.abs(a - b)) <= 1e-13
-
     def test_support_clamp_is_exact_zero(self):
         st = states.make_fock(2)
         far = math.sqrt(st.cutoff) + 7.0
@@ -144,9 +107,8 @@ class TestWignerKernels:
         st = _deep_svs(1.5)
         betas = np.array([18.0 + 0.0j, 17.9 + 0.3j])
         want = np.array([2.1003120667042844e-15, 2.425403916268809e-15])
-        for fn in (_wigner_numpy, _wigner_numba):
-            got = fn(st.amplitudes, betas)
-            assert np.max(np.abs(got - want) / want) <= 1e-9
+        got = _wigner_diagonals(st.amplitudes, betas)
+        assert np.max(np.abs(got - want) / want) <= 1e-9
 
     def test_deterministic(self):
         st = states.make_fock(3)

@@ -133,6 +133,15 @@ class TestSqueezedVacuum:
         want = analytic.svs_antinormal(p, r)
         assert got == pytest.approx(want, rel=1e-10)
 
+    def test_addition_cutoff(self):
+        plain = make_squeezed_vacuum(1.0, 0.3)
+        same = states.make_squeezed_vacuum_for_addition(1.0, 0.3, 0)
+        assert np.array_equal(same.amplitudes, plain.amplitudes)
+        assert same.tail_bound == plain.tail_bound
+        assert states.make_squeezed_vacuum_for_addition(0.0, 0.3, 4).cutoff == 0
+        grown = states.make_squeezed_vacuum_for_addition(1.0, 0.3, 5)
+        assert grown.cutoff == max(plain.cutoff, svs_cutoff_for_moment(1.0, 5)) > plain.cutoff
+
     def test_extreme_squeezing_refused(self):
         with pytest.raises(CutoffError):
             make_squeezed_vacuum(8.0, 0.0)
