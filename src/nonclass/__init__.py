@@ -34,7 +34,7 @@ from .errors import (
     SpecParseError,
     WindowError,
 )
-from .optimizer import NonclassReport, OptOptions, dq_numeric, maximize_q
+from .optimizer import NonclassReport, OptOptions, maximize_q
 from .quasiprob import (
     QGrid,
     grid_quadrature,
@@ -45,7 +45,6 @@ from .quasiprob import (
     wigner_value,
 )
 from .states import (
-    AdditionRecord,
     FockState,
     PhasePoint,
     add_photons,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "AdditionRecord",
     "ConvergenceError",
     "CutoffError",
     "DomainError",
@@ -85,7 +83,6 @@ __all__ = [
     "antinormal_correlation",
     "coherent_overlap",
     "displace",
-    "dq_numeric",
     "dq_pac",
     "fock_nonclassicality",
     "grid_quadrature",

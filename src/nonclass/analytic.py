@@ -214,7 +214,7 @@ def reference_dq(family, params, added_photons):
     """Analytic degree for a (family, params, added photons) description.
 
     Returns (dq, source_tag) or None when no closed form covers the
-    combination.  Used to fill NonclassReport.analytic_dq.
+    combination.  The dq subcommand prints it beside the numeric degree.
     """
     p = int(added_photons)
     if family == "coherent":

@@ -157,20 +157,11 @@ def build_state(spec):
         else:
             base = states.make_squeezed_vacuum(r, phi, cutoff_override=spec.cutoff_override)
     elif spec.family == "fock":
-        n = spec.params["n"]
-        base = states.make_fock(n)
-        if spec.cutoff_override is not None:
-            if spec.cutoff_override < n:
-                raise DomainError("cutoff_override below the photon number")
-            amps = np.zeros(spec.cutoff_override + 1, dtype=np.complex128)
-            amps[n] = 1.0
-            base = states.FockState(
-                amplitudes=amps, cutoff=spec.cutoff_override, tail_bound=0.0
-            )
+        base = states.make_fock(spec.params["n"], cutoff_override=spec.cutoff_override)
     else:
         raise DomainError(f"unknown family {spec.family!r}")
     if spec.added_photons:
-        base = states.add_photons(base, spec.added_photons)[0]
+        base = states.add_photons(base, spec.added_photons)
     return base
 
 
@@ -220,13 +211,17 @@ def cmd_dq(args):
     if args.cutoff is not None:
         spec = StateSpec(spec.family, spec.params, spec.added_photons, args.cutoff)
     state = build_state(spec)
-    report = optimizer.dq_numeric(state, _opt_options(args), spec=spec)
+    report = optimizer.maximize_q(state, _opt_options(args))
+    # every family the grammar accepts has a closed form
+    analytic_dq, analytic_source = analytic.reference_dq(
+        spec.family, spec.params, spec.added_photons
+    )
     if args.json:
         payload = {
             "state_spec": render_state_spec(spec),
             "dq_numeric": report.dq,
-            "analytic_dq": report.analytic_dq,
-            "analytic_source": report.analytic_source,
+            "analytic_dq": analytic_dq,
+            "analytic_source": analytic_source,
             "q_max": report.q_max,
             "beta_max": [report.beta_max.re, report.beta_max.im],
             "final_step": report.final_step,
@@ -234,9 +229,8 @@ def cmd_dq(args):
         print(json.dumps(payload))
     else:
         print(f"dq_numeric = {report.dq:.12f}")
-        if report.analytic_dq is not None:
-            print(f"analytic_dq = {report.analytic_dq:.12f} [{report.analytic_source}]")
-            print(f"difference = {abs(report.dq - report.analytic_dq):.3e}")
+        print(f"analytic_dq = {analytic_dq:.12f} [{analytic_source}]")
+        print(f"difference = {abs(report.dq - analytic_dq):.3e}")
     return 0
 
 
@@ -248,8 +242,7 @@ def cmd_grid(args):
     if args.window is not None:
         window = tuple(args.window)
     else:
-        radius = 2.0 * math.sqrt(max(states.mean_photon(state), 0.0)) + 5.0
-        window = (-radius, radius, -radius, radius)
+        window = quasiprob.display_window(state)
     if args.what == "q":
         grid = quasiprob.q_grid(state, window, args.res)
     else:
@@ -259,10 +252,15 @@ def cmd_grid(args):
 
 
 def _sweep_spec(args):
-    p_list = tuple(int(tok) for tok in args.p_list.split(",") if tok != "")
+    p_list = []
+    pos = 0
+    for tok in args.p_list.split(","):
+        if tok:
+            p_list.append(_parse_int(tok, pos))
+        pos += len(tok) + 1
     spec = SweepSpec(
         family=args.family,
-        p_list=p_list,
+        p_list=tuple(p_list),
         x_variable=_SWEEP_X[args.family],
         x_min=args.x_min,
         x_max=args.x_max,

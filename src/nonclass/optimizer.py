@@ -9,12 +9,12 @@ maximizer sets of Fock states gracefully.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, analytic
 from .errors import ConvergenceError, DomainError, WindowError
+from .quasiprob import _husimi, _row_major
 from .states import PhasePoint, mean_photon
 
 _MAX_RECENTERS_PER_LEVEL = 8
@@ -53,23 +53,20 @@ class OptOptions:
 class NonclassReport:
     """Result of a Q maximization.
 
-    dq = 1 - pi * q_max clipped to [0, 1]; analytic_dq/analytic_source
-    are filled when the state's family has a closed form.
+    beta_max is the best lattice point, q_max the Husimi density there,
+    dq = 1 - pi * q_max clipped to [0, 1], and final_step the lattice
+    step of the last zoom level.  The closed-form value, where a family
+    has one, comes from analytic.reference_dq.
     """
 
     beta_max: PhasePoint
     q_max: float
     dq: float
     final_step: float
-    analytic_dq: float | None = None
-    analytic_source: str | None = None
 
 
 def _q_on_lattice(amps, xs, ys):
-    betas = (xs[None, :] + 1j * ys[:, None]).ravel()
-    ov = _kernels.coherent_overlaps(amps, betas)
-    vals = (ov.real**2 + ov.imag**2) / math.pi
-    return vals.reshape(ys.size, xs.size)
+    return _husimi(amps, _row_major(xs, ys)).reshape(ys.size, xs.size)
 
 
 def _argbest(values):
@@ -144,20 +141,3 @@ def maximize_q(state, opts=None):
         dq=dq,
         final_step=step,
     )
-
-
-def dq_numeric(state, opts=None, spec=None):
-    """Numeric non-classicality degree, with the analytic value attached.
-
-    `spec` is an optional parsed state description (family, params,
-    added_photons attributes, see nonclass.cli.StateSpec); when given and
-    the family has a closed form, analytic_dq and analytic_source are
-    filled for comparison.
-    """
-    report = maximize_q(state, opts)
-    if spec is not None:
-        ref = analytic.reference_dq(spec.family, spec.params, spec.added_photons)
-        if ref is not None:
-            dq_ref, source = ref
-            report = replace(report, analytic_dq=dq_ref, analytic_source=source)
-    return report

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .states import PhasePoint, _as_complex
+from .states import PhasePoint, _as_complex, mean_photon
 
 WIGNER_GUARD = 30.0
 
@@ -49,11 +49,30 @@ class QGrid:
         return self.y_min + dy * (np.arange(self.resolution) + 0.5)
 
 
+def _row_major(xs, ys):
+    """Points x + iy of the lattice xs by ys, x varying fastest."""
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
+def _husimi(amps, betas):
+    """Q = |<beta|psi>|^2 / pi at each of betas."""
+    ov = _kernels.coherent_overlaps(amps, betas)
+    return (ov.real**2 + ov.imag**2) / math.pi
+
+
+def display_window(state):
+    """Default window (x_min, x_max, y_min, y_max) for tabulating Q or W.
+
+    A square about the origin of half-width 2 sqrt(<n>) + 5.
+    """
+    radius = 2.0 * math.sqrt(max(mean_photon(state), 0.0)) + 5.0
+    return (-radius, radius, -radius, radius)
+
+
 def q_value(state, beta):
     """Husimi density at one point."""
     beta = _as_complex(beta)
-    amp = _kernels.coherent_overlaps(state.amplitudes, np.array([beta]))[0]
-    return float((amp.real**2 + amp.imag**2) / math.pi)
+    return float(_husimi(state.amplitudes, np.array([beta]))[0])
 
 
 def _check_window(window, resolution):
@@ -70,7 +89,7 @@ def _center_lattice(x_min, x_max, y_min, y_max, res):
     dy = (y_max - y_min) / res
     xs = x_min + dx * (np.arange(res) + 0.5)
     ys = y_min + dy * (np.arange(res) + 0.5)
-    return (xs[None, :] + 1j * ys[:, None]).ravel(), xs, ys
+    return _row_major(xs, ys)
 
 
 def q_grid(state, window, resolution):
@@ -79,9 +98,8 @@ def q_grid(state, window, resolution):
     window is (x_min, x_max, y_min, y_max).
     """
     x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
-    betas, _, _ = _center_lattice(x_min, x_max, y_min, y_max, res)
-    amps = _kernels.coherent_overlaps(state.amplitudes, betas)
-    vals = (amps.real**2 + amps.imag**2) / math.pi
+    betas = _center_lattice(x_min, x_max, y_min, y_max, res)
+    vals = _husimi(state.amplitudes, betas)
     return QGrid(x_min, x_max, y_min, y_max, res, "q", vals.reshape(res, res))
 
 
@@ -98,7 +116,7 @@ def wigner_grid(state, window, resolution):
     x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
     if max(abs(x_min), abs(x_max)) ** 2 + max(abs(y_min), abs(y_max)) ** 2 > WIGNER_GUARD**2:
         raise DomainError("window corner exceeds the Wigner guard radius")
-    betas, _, _ = _center_lattice(x_min, x_max, y_min, y_max, res)
+    betas = _center_lattice(x_min, x_max, y_min, y_max, res)
     vals = _kernels.wigner_values(state.amplitudes, betas)
     return QGrid(x_min, x_max, y_min, y_max, res, "wigner", vals.reshape(res, res))
 
@@ -127,7 +145,7 @@ def wigner_min_scan(state, window, resolution, zoom_factor=10):
     sub = int(4 * zoom_factor) + 1
     fine_x = cx + np.linspace(-2.0 * dx, 2.0 * dx, sub)
     fine_y = cy + np.linspace(-2.0 * dy, 2.0 * dy, sub)
-    betas = (fine_x[None, :] + 1j * fine_y[:, None]).ravel()
+    betas = _row_major(fine_x, fine_y)
     vals = _kernels.wigner_values(state.amplitudes, betas)
     j = int(np.argmin(vals))
     if vals[j] < best_val:

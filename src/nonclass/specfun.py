@@ -6,7 +6,6 @@ stays usable for photon numbers up to at least 10^4.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -17,14 +16,6 @@ _EXACT_LIMIT = 256
 _LOG_FACT_TABLE = [0.0] * (_EXACT_LIMIT + 1)
 for _k in range(2, _EXACT_LIMIT + 1):
     _LOG_FACT_TABLE[_k] = _LOG_FACT_TABLE[_k - 1] + math.log(_k)
-
-
-@dataclass(frozen=True)
-class PolyEval:
-    """A polynomial evaluation bundled with the degree that was summed."""
-
-    value: float
-    degree: int
 
 
 def log_factorial(n):
@@ -45,44 +36,8 @@ def log_factorial(n):
     return n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n) + series
 
 
-def laguerre(p, u):
-    """Laguerre polynomial L_p(u) via the three-term recurrence.
-
-    (k+1) L_{k+1}(u) = (2k+1-u) L_k(u) - k L_{k-1}(u)
-    """
-    if p < 0 or p != int(p):
-        raise DomainError(f"laguerre requires integer order p >= 0, got {p}")
-    p = int(p)
-    if p == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 - u
-    for k in range(1, p):
-        prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
-    return cur
-
-
-def assoc_laguerre(n, k, u):
-    """Associated Laguerre polynomial L_n^(k)(u) via the stable recurrence.
-
-    (n+1) L_{n+1}^(k) = (2n+k+1-u) L_n^(k) - (n+k) L_{n-1}^(k)
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"assoc_laguerre requires integer n >= 0, got {n}")
-    if k < 0 or k != int(k):
-        raise DomainError(f"assoc_laguerre requires integer k >= 0, got {k}")
-    n, k = int(n), int(k)
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + k - u
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + k + 1 - u) * cur - (j + k) * prev) / (j + 1)
-    return cur
-
-
-def hyp2f1_photon_poly(p, x):
-    """Terminating Gauss series 2F1(-p/2, -(p-1)/2; 1; x) with its degree.
+def hyp2f1_photon(p, x):
+    """Value of the terminating Gauss series 2F1(-p/2, -(p-1)/2; 1; x).
 
     For integer p >= 0 one of the two numerator parameters is a
     non-positive integer or half-integer whose Pochhammer symbol hits
@@ -96,15 +51,9 @@ def hyp2f1_photon_poly(p, x):
     p = int(p)
     a = -0.5 * p
     b = -0.5 * (p - 1)
-    kmax = p // 2
     term = 1.0
     total = 1.0
-    for k in range(kmax):
+    for k in range(p // 2):
         term *= (a + k) * (b + k) * x / ((k + 1.0) * (k + 1.0))
         total += term
-    return PolyEval(value=total, degree=kmax)
-
-
-def hyp2f1_photon(p, x):
-    """Value of the terminating series 2F1(-p/2, -(p-1)/2; 1; x)."""
-    return hyp2f1_photon_poly(p, x).value
+    return total

@@ -67,18 +67,6 @@ class FockState:
         return float(np.sum(a.real**2 + a.imag**2))
 
 
-@dataclass(frozen=True)
-class AdditionRecord:
-    """Bookkeeping for a photon addition: (a^dag)^p with normalization.
-
-    norm_sq_inv is <(a)^p (a^dag)^p> on the input state, i.e. the inverse
-    squared normalization constant of the raised state.
-    """
-
-    p: int
-    norm_sq_inv: float
-
-
 def make_coherent(alpha, cutoff_override=None):
     """Coherent state |alpha> truncated with a certified Poisson tail.
 
@@ -228,41 +216,50 @@ def make_squeezed_vacuum_for_addition(r, phi, p):
     return base
 
 
-def make_fock(p):
-    """Fock state |p>; exact at cutoff p."""
+def make_fock(p, cutoff_override=None):
+    """Fock state |p>; exact at cutoff p, or zero-padded to cutoff_override.
+
+    A cutoff_override below p raises DomainError.
+    """
     if p < 0 or p != int(p):
         raise DomainError(f"Fock index must be a nonnegative integer, got {p}")
     p = int(p)
-    amps = np.zeros(p + 1, dtype=np.complex128)
+    cutoff = p if cutoff_override is None else _check_override(cutoff_override)
+    if cutoff < p:
+        raise DomainError("cutoff_override below the photon number")
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[p] = 1.0
-    return FockState(amplitudes=amps, cutoff=p, tail_bound=0.0)
+    return FockState(amplitudes=amps, cutoff=cutoff, tail_bound=0.0)
+
+
+def _addition_weights(state, p):
+    """(n+1)...(n+p) for n = 0..cutoff, the weights (a^dag)^p puts on |c_n|^2."""
+    n = np.arange(state.cutoff + 1, dtype=np.float64)
+    weight = np.ones_like(n)
+    for k in range(1, p + 1):
+        weight *= n + k
+    return weight
 
 
 def add_photons(state, p):
-    """Apply (a^dag)^p and renormalize; returns (state, AdditionRecord).
+    """Apply (a^dag)^p and renormalize; returns the raised state.
 
     Amplitudes map as c_{n+p} = c_n sqrt((n+p)!/n!) / sqrt(S) with
-    S = sum_n |c_n|^2 (n+1)...(n+p) computed on the truncated input; for
-    heavy-tailed inputs pick the input cutoff with the moment in mind
+    S = antinormal_correlation(state, p) computed on the truncated input;
+    for heavy-tailed inputs pick the input cutoff with the moment in mind
     (see svs_cutoff_for_moment).
     """
     if p < 0 or p != int(p):
         raise DomainError(f"photon count must be a nonnegative integer, got {p}")
     p = int(p)
     if p == 0:
-        return state, AdditionRecord(p=0, norm_sq_inv=1.0)
-    n = np.arange(state.cutoff + 1, dtype=np.float64)
-    weight = np.ones_like(n)
-    for k in range(1, p + 1):
-        weight *= n + k
+        return state
+    weight = _addition_weights(state, p)
     c = state.amplitudes
     norm_sq_inv = float(np.sum((c.real**2 + c.imag**2) * weight))
     out = np.zeros(state.cutoff + p + 1, dtype=np.complex128)
     out[p:] = c * np.sqrt(weight) / math.sqrt(norm_sq_inv)
-    new_state = FockState(
-        amplitudes=out, cutoff=state.cutoff + p, tail_bound=state.tail_bound
-    )
-    return new_state, AdditionRecord(p=p, norm_sq_inv=norm_sq_inv)
+    return FockState(amplitudes=out, cutoff=state.cutoff + p, tail_bound=state.tail_bound)
 
 
 def displace(state, lam):
@@ -339,13 +336,8 @@ def antinormal_correlation(state, p):
     """<a^p (a^dag)^p> = sum_n |c_n|^2 (n+1)...(n+p) on the truncated state."""
     if p < 0 or p != int(p):
         raise DomainError(f"p must be a nonnegative integer, got {p}")
-    p = int(p)
-    n = np.arange(state.cutoff + 1, dtype=np.float64)
-    weight = np.ones_like(n)
-    for k in range(1, p + 1):
-        weight *= n + k
     c = state.amplitudes
-    return float(np.sum((c.real**2 + c.imag**2) * weight))
+    return float(np.sum((c.real**2 + c.imag**2) * _addition_weights(state, int(p))))
 
 
 def mean_photon(state):

@@ -26,12 +26,12 @@ _REPORTS = {}
 
 def _pac_state(p, alpha):
     base = states.make_coherent(alpha)
-    return states.add_photons(base, p)[0]
+    return states.add_photons(base, p)
 
 
 def _pasv_state(p, r, phi=0.0):
     base = states.make_squeezed_vacuum_for_addition(r, phi, p)
-    return states.add_photons(base, p)[0]
+    return states.add_photons(base, p)
 
 
 def _pasv_report(p, r, phi=0.6):
@@ -55,7 +55,7 @@ def warm_up():
 
 # --- Fock degrees, numeric vs closed form --------------------------------
 
-def check_fock_dq_numeric():
+def check_fock_numeric():
     """Numeric degree of |p>, p=1..10, against the closed form (1e-6 absolute)."""
     start = time.perf_counter()
     worst = 0.0
@@ -179,7 +179,7 @@ def check_pasv_maximizer():
         for r in _PASV_GRID_R:
             rep = _pasv_report(p, r)
             b = rep.beta_max.as_complex()
-            target = p * math.exp(r) * math.cosh(r)
+            target = analytic.pasv_qmax(analytic.PasvParams(p=p, r=r)).beta_max_modulus_sq
             worst_mod = max(worst_mod, abs(abs(b) ** 2 - target) / target)
             worst_arg = max(worst_arg, _angle_dist_mod_pi(np.angle(b), 0.3))
     ok = worst_mod <= 1e-3 and worst_arg <= 1e-3
@@ -314,11 +314,6 @@ def check_invariance_rotations():
 
 # --- Wigner negativity detection -----------------------------------------
 
-def _min_window(st):
-    radius = 2.0 * math.sqrt(max(states.mean_photon(st), 0.0)) + 5.0
-    return (-radius, radius, -radius, radius)
-
-
 def _svs_deep(r, phi):
     # Squeezed vacuum with the cutoff pushed ~1e4 below the usual mass
     # target.  A state truncated at the 1e-12 level is very slightly
@@ -337,7 +332,7 @@ def check_wigner_negativity():
     details = []
     for p in (1, 2, 3):
         st = states.make_fock(p)
-        _, val = quasiprob.wigner_min_scan(st, _min_window(st), 101)
+        _, val = quasiprob.wigner_min_scan(st, quasiprob.display_window(st), 101)
         ok = ok and val < -1e-3
         if p == 1:
             pin = abs(val - (-2.0 / math.pi))
@@ -345,12 +340,12 @@ def check_wigner_negativity():
             details.append(f"fock(1) min diff from -2/pi: {pin:.2e}")
     for p in (1, 2):
         st = _pac_state(p, 1.0)
-        _, val = quasiprob.wigner_min_scan(st, _min_window(st), 101)
+        _, val = quasiprob.wigner_min_scan(st, quasiprob.display_window(st), 101)
         ok = ok and val < -1e-3
     gauss_min = 0.0
     for st in (states.make_coherent(1.2 + 0.5j), _svs_deep(1.0, 0.0),
                _svs_deep(0.8, 0.3), _svs_deep(1.5, 2.0)):
-        _, val = quasiprob.wigner_min_scan(st, _min_window(st), 75)
+        _, val = quasiprob.wigner_min_scan(st, quasiprob.display_window(st), 75)
         gauss_min = min(gauss_min, val)
         ok = ok and val >= -1e-8
     details.append(f"worst Gaussian min: {gauss_min:.2e}")
@@ -373,7 +368,7 @@ def check_quadrature_q():
     """Midpoint quadrature of Q is 1 within 1e-3 for every family."""
     worst = 0.0
     for label, st, res in _quadrature_states():
-        window = _min_window(st)
+        window = quasiprob.display_window(st)
         total = quasiprob.grid_quadrature(quasiprob.q_grid(st, window, max(res, 101)))
         worst = max(worst, abs(total - 1.0))
     ok = worst <= 1e-3
@@ -384,7 +379,7 @@ def check_quadrature_wigner():
     """Midpoint quadrature of W is 1 within 1e-2 for every family."""
     worst = 0.0
     for label, st, res in _quadrature_states():
-        window = _min_window(st)
+        window = quasiprob.display_window(st)
         total = quasiprob.grid_quadrature(quasiprob.wigner_grid(st, window, res))
         worst = max(worst, abs(total - 1.0))
     ok = worst <= 1e-2
@@ -418,7 +413,7 @@ def check_svs_q_closed_form(mutate=None):
 
 
 ALL_CHECKS = (
-    check_fock_dq_numeric,
+    check_fock_numeric,
     check_pac_numeric,
     check_pac_dq_monotone_analytic,
     check_svs_antinormal,

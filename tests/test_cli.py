@@ -175,6 +175,13 @@ class TestGridCommand:
         assert min(vals.values()) == vals[(0.0, 0.0)]
         assert vals[(0.0, 0.0)] == pytest.approx(-2.0 / math.pi, rel=1e-12)
 
+    def test_default_window(self, tmp_path, capsys):
+        # no --window: radius 2 sqrt(<n>) + 5 = 9 for |4>, so 3 cells are 6 wide
+        out = tmp_path / "d.csv"
+        assert cli.main(["grid", "--state", "fock:n=4", "--res", "3", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows[:3]] == [-6.0, 0.0, 6.0]
+
     def test_unwritable_path_exit_code(self, capsys):
         code = cli.main(["grid", "--state", "fock:n=1", "--out",
                          "/nonexistent/dir/x.csv"])
@@ -240,6 +247,15 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert [r[1] for r in rows].count("1") == 3
         assert [r[1] for r in rows].count("3") == 3
+
+
+    def test_bad_p_list_token(self, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        code = cli.main(["sweep", "--family", "pac", "--p-list", "1,a",
+                         "--x-min", "0", "--x-max", "1", "--steps", "3",
+                         "--out", str(out)])
+        assert code == 64
+        assert "position 2" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

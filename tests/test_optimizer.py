@@ -6,9 +6,8 @@ import pytest
 
 from nonclass import states
 from nonclass.analytic import PacParams, dq_pac, fock_nonclassicality
-from nonclass.cli import StateSpec
 from nonclass.errors import ConvergenceError, DomainError, WindowError
-from nonclass.optimizer import NonclassReport, OptOptions, dq_numeric, maximize_q
+from nonclass.optimizer import OptOptions, maximize_q
 from nonclass.states import add_photons, make_coherent, make_fock
 
 
@@ -34,7 +33,7 @@ class TestMaximizeQ:
         assert abs(rep.beta_max.as_complex()) == pytest.approx(1.0, abs=1e-4)
 
     def test_pac_matches_closed_form(self):
-        st, _ = add_photons(make_coherent(math.sqrt(0.9)), 2)
+        st = add_photons(make_coherent(math.sqrt(0.9)), 2)
         rep = maximize_q(st)
         want = dq_pac(PacParams(p=2, alpha_sq=0.9))
         assert abs(rep.dq - want) <= 1e-6
@@ -46,7 +45,7 @@ class TestMaximizeQ:
         assert a == b  # frozen dataclass, field-wise equality
 
     def test_coarse_resolution_insensitive(self):
-        for st in (make_fock(2), add_photons(make_coherent(1.0), 1)[0]):
+        for st in (make_fock(2), add_photons(make_coherent(1.0), 1)):
             a = maximize_q(st, OptOptions(coarse_resolution=101))
             b = maximize_q(st, OptOptions(coarse_resolution=201))
             assert abs(a.q_max - b.q_max) <= 1e-8
@@ -63,25 +62,6 @@ class TestMaximizeQ:
         rep = maximize_q(make_coherent(0.0))
         with pytest.raises(AttributeError):
             rep.q_max = 0.0
-
-
-class TestDqNumeric:
-    def test_without_spec_no_analytic(self):
-        rep = dq_numeric(make_fock(1))
-        assert rep.analytic_dq is None
-        assert rep.analytic_source is None
-
-    def test_spec_attaches_analytic(self):
-        spec = StateSpec(family="fock", params={"n": 1})
-        rep = dq_numeric(make_fock(1), spec=spec)
-        assert rep.analytic_source == "fock(p=1)"
-        assert rep.analytic_dq == pytest.approx(1.0 - 1.0 / math.e, rel=1e-15)
-        assert abs(rep.dq - rep.analytic_dq) <= 1e-6
-
-    def test_unknown_family_left_empty(self):
-        spec = StateSpec(family="mystery", params={})
-        rep = dq_numeric(make_coherent(0.0), spec=spec)
-        assert rep.analytic_dq is None
 
 
 class TestOptOptions:
