@@ -48,6 +48,13 @@ def coherent_overlaps(amps, betas):
 # A chain whose seed underflows is carried scaled up by e^{644 j} and
 # unwound as it grows back; while j > 0 the true values are below ~e^-620
 # and are correctly dropped from the sum.
+# The chains depend on a point only through x; the angle enters only
+# through the phase e^{ikt}.  Each chain therefore runs once per distinct
+# x (exact values, no rounding) and its sums go back to the points by the
+# inverse index, so a point's value is bit-identical to a call on that
+# point alone.  A diagonal whose pair products conj(c_{n+k}) c_n are all
+# exactly zero (odd k of a squeezed vacuum, photons added or not; k > 0
+# of a Fock state) would add exact zeros, and is skipped.
 # ---------------------------------------------------------------------------
 
 _SCALE_LOG = 644.0
@@ -58,61 +65,60 @@ _UNWIND_AT = 1e20
 
 def _wigner_diagonals(amps, betas):
     n_amp = amps.shape[0]
-    npts = betas.shape[0]
-    out = np.empty(npts, np.float64)
-    chunk = 16384
-    for start in range(0, npts, chunk):
-        g = 2.0 * betas[start:start + chunk]
-        pts = g.shape[0]
-        x = g.real**2 + g.imag**2
-        pos = x > 0.0
-        safe = np.where(pos, x, 1.0)
-        u = np.where(pos, g / np.sqrt(safe), 1.0 + 0.0j)
-        lx = np.log(safe)
-        total = np.zeros(pts, np.float64)
-        ph = np.ones(pts, np.complex128)
-        for k in range(n_amp):
-            if k == 0:
-                seed = -0.5 * x
+    g = 2.0 * betas
+    x_pt = g.real**2 + g.imag**2
+    pos_pt = x_pt > 0.0
+    u = np.where(pos_pt, g / np.sqrt(np.where(pos_pt, x_pt, 1.0)), 1.0 + 0.0j)
+    x, inv = np.unique(x_pt, return_inverse=True)
+    n_x = x.shape[0]
+    pos = x > 0.0
+    lx = np.log(np.where(pos, x, 1.0))
+    total = np.zeros(betas.shape[0], np.float64)
+    ph = np.ones(betas.shape[0], np.complex128)
+    for k in range(n_amp):
+        if k > 0:
+            ph = ph * u
+        pairs = [(-1.0 if n % 2 else 1.0) * (np.conj(amps[n + k]) * amps[n])
+                 for n in range(n_amp - k)]
+        if not any(pairs):
+            continue  # the diagonal adds exact zeros
+        if k == 0:
+            seed = -0.5 * x
+        else:
+            seed = 0.5 * (k * lx - math.lgamma(k + 1.0)) - 0.5 * x
+        j = np.zeros(n_x, np.int64)
+        low = seed < _SEED_FLOOR
+        if low.any():
+            j = np.where(low, ((_SEED_FLOOR - seed) // _SCALE_LOG).astype(np.int64) + 1, 0)
+            seed = seed + _SCALE_LOG * j
+        b_cur = np.exp(seed)
+        if k > 0:
+            b_cur = np.where(pos, b_cur, 0.0)
+        b_prev = np.zeros(n_x, np.float64)
+        acc = np.zeros(n_x, np.complex128)
+        any_scaled = bool((j > 0).any())
+        for n, pair in enumerate(pairs):
+            if any_scaled:
+                acc = acc + pair * np.where(j == 0, b_cur, 0.0)
             else:
-                ph = ph * u
-                seed = 0.5 * (k * lx - math.lgamma(k + 1.0)) - 0.5 * x
-            j = np.zeros(pts, np.int64)
-            low = seed < _SEED_FLOOR
-            if low.any():
-                j = np.where(low, ((_SEED_FLOOR - seed) // _SCALE_LOG).astype(np.int64) + 1, 0)
-                seed = seed + _SCALE_LOG * j
-            b_cur = np.exp(seed)
-            if k > 0:
-                b_cur = np.where(pos, b_cur, 0.0)
-            b_prev = np.zeros(pts, np.float64)
-            acc = np.zeros(pts, np.complex128)
-            any_scaled = bool((j > 0).any())
-            sign = 1.0
-            for n in range(n_amp - k):
-                pair = sign * (np.conj(amps[n + k]) * amps[n])
-                if any_scaled:
-                    acc = acc + pair * np.where(j == 0, b_cur, 0.0)
-                else:
-                    acc = acc + pair * b_cur
-                ca = (2.0 * n + k + 1.0 - x) / math.sqrt((n + 1.0) * (n + k + 1.0))
-                cb = math.sqrt(n * (n + k) / ((n + 1.0) * (n + k + 1.0)))
-                b_prev, b_cur = b_cur, ca * b_cur - cb * b_prev
-                if any_scaled:
-                    grown = (j > 0) & (np.maximum(np.abs(b_cur), np.abs(b_prev)) > _UNWIND_AT)
-                    if grown.any():
-                        shrink = np.where(grown, _SCALE_DOWN, 1.0)
-                        b_cur = b_cur * shrink
-                        b_prev = b_prev * shrink
-                        j = j - grown
-                        any_scaled = bool((j > 0).any())
-                sign = -sign
-            if k == 0:
-                total += acc.real
-            else:
-                total += 2.0 * (ph * acc).real
-        out[start:start + chunk] = (2.0 / math.pi) * total
-    return out
+                acc = acc + pair * b_cur
+            ca = (2.0 * n + k + 1.0 - x) / math.sqrt((n + 1.0) * (n + k + 1.0))
+            cb = math.sqrt(n * (n + k) / ((n + 1.0) * (n + k + 1.0)))
+            b_prev, b_cur = b_cur, ca * b_cur - cb * b_prev
+            if any_scaled:
+                grown = (j > 0) & (np.maximum(np.abs(b_cur), np.abs(b_prev)) > _UNWIND_AT)
+                if grown.any():
+                    shrink = np.where(grown, _SCALE_DOWN, 1.0)
+                    b_cur = b_cur * shrink
+                    b_prev = b_prev * shrink
+                    j = j - grown
+                    any_scaled = bool((j > 0).any())
+        acc = acc[inv]
+        if k == 0:
+            total += acc.real
+        else:
+            total += 2.0 * (ph * acc).real
+    return (2.0 / math.pi) * total
 
 
 def wigner_values(amps, betas):

@@ -58,7 +58,7 @@ class FockState:
             raise ValueError("tail_bound must be nonnegative")
         total = float(np.sum(amps.real**2 + amps.imag**2))
         if not (1.0 - self.tail_bound - 5e-15 <= total <= 1.0 + 1e-12 + 5e-15):
-            raise ValueError(
+            raise AccuracyError(
                 f"squared norm {total} outside [1-tail_bound, 1+1e-12]"
             )
 

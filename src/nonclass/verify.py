@@ -328,6 +328,7 @@ def _svs_deep(r, phi):
 
 def check_wigner_negativity():
     """Negativity for non-Gaussian states, none for Gaussian ones."""
+    start = time.perf_counter()
     ok = True
     details = []
     for p in (1, 2, 3):
@@ -349,7 +350,10 @@ def check_wigner_negativity():
         gauss_min = min(gauss_min, val)
         ok = ok and val >= -1e-8
     details.append(f"worst Gaussian min: {gauss_min:.2e}")
-    return CheckResult("wigner_negativity_detection", ok, "; ".join(details))
+    elapsed = time.perf_counter() - start
+    return CheckResult(
+        "wigner_negativity_detection", ok, "; ".join(details) + f", {elapsed:.2f}s"
+    )
 
 
 # --- quadrature normalization --------------------------------------------
@@ -377,13 +381,17 @@ def check_quadrature_q():
 
 def check_quadrature_wigner():
     """Midpoint quadrature of W is 1 within 1e-2 for every family."""
+    start = time.perf_counter()
     worst = 0.0
     for label, st, res in _quadrature_states():
         window = quasiprob.display_window(st)
         total = quasiprob.grid_quadrature(quasiprob.wigner_grid(st, window, res))
         worst = max(worst, abs(total - 1.0))
+    elapsed = time.perf_counter() - start
     ok = worst <= 1e-2
-    return CheckResult("wigner_quadrature_normalized", ok, f"max |1-integral|={worst:.2e}")
+    return CheckResult(
+        "wigner_quadrature_normalized", ok, f"max |1-integral|={worst:.2e}, {elapsed:.2f}s"
+    )
 
 
 # --- squeezed-vacuum closed-form cross-check -------------------------------

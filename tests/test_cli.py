@@ -111,6 +111,12 @@ class TestDqCommand:
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["dq", "--state", "svs:r=-1,phi=0"]) == 64
 
+    def test_norm_check_failure_exit_code(self, capsys):
+        # the overlap seed e^{-|alpha|^2/2} underflows and the squared norm
+        # misses 1 by 9e-11: an accuracy failure, reported without a traceback
+        assert cli.main(["dq", "--state", "coherent:re=38,im=0"]) == 2
+        assert "error: squared norm" in capsys.readouterr().err
+
 
 class TestGridCommand:
     def test_header_shape_and_order(self, tmp_path, capsys):

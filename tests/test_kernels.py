@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
 from nonclass import states
 from nonclass._kernels import _wigner_diagonals, coherent_overlaps, wigner_values
@@ -64,14 +65,15 @@ class TestWignerKernels:
         got = wigner_values(st.amplitudes, np.array([0.0j]))[0]
         assert got == pytest.approx(2.0 / math.pi, rel=1e-15)
 
-    def test_fock1_closed_form(self):
-        # W(beta) = (2/pi)(4|beta|^2 - 1) exp(-2|beta|^2)
-        st = states.make_fock(1)
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_fock_closed_form(self, n):
+        # W(beta) = (2/pi)(-1)^n L_n(4|beta|^2) exp(-2|beta|^2); only the
+        # k = 0 diagonal is nonzero
+        st = states.make_fock(n)
         rng = np.random.default_rng(9)
         betas = rng.normal(0, 1.5, 40) + 1j * rng.normal(0, 1.5, 40)
-        want = (2.0 / math.pi) * (4.0 * np.abs(betas) ** 2 - 1.0) * np.exp(
-            -2.0 * np.abs(betas) ** 2
-        )
+        x = 4.0 * np.abs(betas) ** 2
+        want = (2.0 / math.pi) * (-1.0) ** n * eval_laguerre(n, x) * np.exp(-0.5 * x)
         got = wigner_values(st.amplitudes, betas)
         assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -109,6 +111,20 @@ class TestWignerKernels:
         want = np.array([2.1003120667042844e-15, 2.425403916268809e-15])
         got = _wigner_diagonals(st.amplitudes, betas)
         assert np.max(np.abs(got - want) / want) <= 1e-9
+
+    def test_batch_independent(self):
+        # a point's value must not depend on the other points in its call:
+        # repeated radii (signs flipped, parts swapped) share their chains
+        st = _deep_svs(1.5)
+        base = np.array([0.7 + 0.2j, 1.3 - 2.1j, 3.0 + 0.5j])
+        mirrored = np.concatenate(
+            [base, -base, np.conj(base), -np.conj(base), 1j * np.conj(base), -1j * base]
+        )
+        scaled = [18.0 + 0.0j, 18.0j, -18.0 + 0.0j, 17.9 + 0.3j]  # seeds below the ledge
+        betas = np.concatenate([mirrored, scaled])
+        batch = wigner_values(st.amplitudes, betas)
+        single = np.array([wigner_values(st.amplitudes, np.array([b]))[0] for b in betas])
+        assert np.array_equal(batch, single)
 
     def test_deterministic(self):
         st = states.make_fock(3)

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_laguerre
 
 from nonclass import analytic, states
-from nonclass.errors import CutoffError, DomainError
+from nonclass.errors import AccuracyError, CutoffError, DomainError
 from nonclass.states import (
     FockState,
     PhasePoint,
@@ -222,7 +222,7 @@ class TestFockStateValidation:
     def test_norm_leak_beyond_tail_rejected(self):
         amps = np.zeros(5, dtype=complex)
         amps[0] = 0.9
-        with pytest.raises(ValueError):
+        with pytest.raises(AccuracyError, match="squared norm"):
             FockState(amplitudes=amps, cutoff=4, tail_bound=1e-12)
 
     def test_length_mismatch_rejected(self):
