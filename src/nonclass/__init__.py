@@ -5,8 +5,8 @@ its Husimi density peak falls below the coherent-state ceiling 1/pi:
 dq = 1 - pi * max_beta Q(beta).  The package builds truncated
 Fock-basis states (coherent, squeezed vacuum, number states, and their
 photon-added versions), evaluates Husimi and Wigner densities on
-lattices, locates the Husimi peak with a deterministic multi-scale
-grid search, and cross-checks everything against closed forms.
+lattices, locates the Husimi peak with a coarse lattice search and a
+polar Newton polish, and cross-checks everything against closed forms.
 """
 
 from .analytic import (

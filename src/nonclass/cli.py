@@ -18,7 +18,7 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -182,36 +182,33 @@ def _atomic_write(path, payload):
         raise
 
 
-def _g17(value):
-    return format(float(value), ".17g")
+_g17 = "{:.17g}".format
 
 
 def _grid_csv(grid):
-    xs = grid.x_centers()
-    ys = grid.y_centers()
+    xs = list(map(_g17, grid.x_centers().tolist()))
     lines = ["x,y,value"]
-    for iy in range(ys.size):
-        y = _g17(ys[iy])
-        row = grid.values[iy]
-        for ix in range(xs.size):
-            lines.append(f"{_g17(xs[ix])},{y},{_g17(row[ix])}")
+    for y, row in zip(grid.y_centers().tolist(), grid.values):
+        y = _g17(y)
+        lines += [f"{x},{y},{v}" for x, v in zip(xs, map(_g17, row.tolist()))]
     return "\n".join(lines) + "\n"
 
 
 # --- subcommands -------------------------------------------------------------
 
-def _opt_options(args):
-    if getattr(args, "tol", None) is not None:
-        return optimizer.OptOptions(target_step=args.tol)
-    return None
+def _state_spec(args):
+    """The --state spec with the --cutoff override attached."""
+    spec = parse_state_spec(args.state)
+    if args.cutoff is not None:
+        spec = replace(spec, cutoff_override=args.cutoff)
+    return spec
 
 
 def cmd_dq(args):
-    spec = parse_state_spec(args.state)
-    if args.cutoff is not None:
-        spec = StateSpec(spec.family, spec.params, spec.added_photons, args.cutoff)
+    spec = _state_spec(args)
     state = build_state(spec)
-    report = optimizer.maximize_q(state, _opt_options(args))
+    opts = None if args.tol is None else optimizer.OptOptions(target_step=args.tol)
+    report = optimizer.maximize_q(state, opts)
     # every family the grammar accepts has a closed form
     analytic_dq, analytic_source = analytic.reference_dq(
         spec.family, spec.params, spec.added_photons
@@ -235,10 +232,7 @@ def cmd_dq(args):
 
 
 def cmd_grid(args):
-    spec = parse_state_spec(args.state)
-    if args.cutoff is not None:
-        spec = StateSpec(spec.family, spec.params, spec.added_photons, args.cutoff)
-    state = build_state(spec)
+    state = build_state(_state_spec(args))
     if args.window is not None:
         window = tuple(args.window)
     else:
@@ -358,7 +352,7 @@ def _build_parser():
 
     p_dq = sub.add_parser("dq", help="non-classicality degree of one state")
     add_state_flags(p_dq)
-    p_dq.add_argument("--tol", type=float, default=None, help="optimizer target lattice step")
+    p_dq.add_argument("--tol", type=float, default=None, help="bound on the optimizer's last step")
     p_dq.add_argument("--json", action="store_true", help="emit the JSON report")
     p_dq.set_defaults(func=cmd_dq)
 

@@ -25,7 +25,7 @@ class WindowError(NonclassError):
 
 
 class ConvergenceError(NonclassError):
-    """Zoom budget exhausted before the target lattice step was reached."""
+    """The optimizer's Newton polish ran out of steps before it stopped."""
 
 
 class SpecParseError(NonclassError, ValueError):

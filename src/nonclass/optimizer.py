@@ -1,23 +1,26 @@
 """Deterministic maximization of the Husimi density over the phase plane.
 
-A multi-scale zoom grid search: sample Q on a coarse lattice covering the
-square that bounds the search disk, then repeatedly re-grid a window of
-two coarse steps around the best cell at a finer spacing until the
-lattice step reaches the target.  Grid search (rather than gradient
-ascent) keeps the result deterministic and handles the ring-shaped
-maximizer sets of Fock states gracefully.
+A coarse lattice over the square that bounds the search disk picks the
+start, and Newton's method on ln Q in polar coordinates beta = rho e^{i theta}
+polishes it.  Polar steps follow the ring-shaped ridge of a nearly Fock
+state, along which a Cartesian step only crawls.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConvergenceError, DomainError, WindowError
 from .quasiprob import _husimi, _row_major
 from .states import PhasePoint, mean_photon
 
-_MAX_RECENTERS_PER_LEVEL = 8
+# even, so the origin, where polar coordinates are singular, is never a
+# lattice point
+_COARSE_RESOLUTION = 100
+_MAX_NEWTON_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -25,38 +28,28 @@ class OptOptions:
     """Search controls.
 
     window_radius defaults to 3*sqrt(<n>)+5, generous for any state whose
-    support the cutoff certifies.  Each zoom level shrinks the lattice
-    step by zoom_factor while keeping the previous best point on the new
-    lattice, so the best value can only improve.
+    support the cutoff certifies; target_step bounds the last Newton step.
     """
 
     window_radius: float | None = None
-    coarse_resolution: int = 101
-    zoom_factor: float = 10.0
     target_step: float = 1e-7
-    max_zoom_levels: int = 10
 
     def __post_init__(self):
         if self.window_radius is not None and not self.window_radius > 0.0:
             raise DomainError("window_radius must be positive")
-        if self.coarse_resolution < 3:
-            raise DomainError("coarse_resolution must be at least 3")
-        if not self.zoom_factor > 1.0:
-            raise DomainError("zoom_factor must exceed 1")
         if not self.target_step > 0.0:
             raise DomainError("target_step must be positive")
-        if self.max_zoom_levels < 0:
-            raise DomainError("max_zoom_levels must be nonnegative")
 
 
 @dataclass(frozen=True)
 class NonclassReport:
     """Result of a Q maximization.
 
-    beta_max is the best lattice point, q_max the Husimi density there,
-    dq = 1 - pi * q_max clipped to [0, 1], and final_step the lattice
-    step of the last zoom level.  The closed-form value, where a family
-    has one, comes from analytic.reference_dq.
+    beta_max is where the Newton polish stopped, q_max the Husimi density
+    there, dq = 1 - pi * q_max clipped to [0, 1], and final_step (at most
+    target_step) the length of the last accepted Newton step, or of the
+    shortest trial when none raised Q.  analytic.reference_dq gives the
+    closed form, where a family has one.
     """
 
     beta_max: PhasePoint
@@ -65,21 +58,47 @@ class NonclassReport:
     final_step: float
 
 
-def _q_on_lattice(amps, xs, ys):
-    return _husimi(amps, _row_major(xs, ys)).reshape(ys.size, xs.size)
+def _ladder(amps):
+    """Amplitudes of psi, a psi and a^2 psi; (a psi)_n = sqrt(n+1) c_{n+1}."""
+    c = np.concatenate([amps, np.zeros(2)])
+    root = np.sqrt(np.arange(1.0, c.size))
+    a1 = root * c[1:]
+    return amps, a1, root[:-1] * a1[1:]
 
 
-def _argbest(values):
-    flat = int(np.argmax(values))  # first occurrence = smallest (row, col)
-    return divmod(flat, values.shape[1])
+def _polar_newton_step(ladder, rho, theta):
+    """Ascent step (d_rho, d_theta) for ln Q at rho e^{i theta}.
+
+    Q = e^{-|beta|^2} |f(z)|^2 / pi with z = conj(beta) and f the Bargmann
+    function, so f, f' and f'' at z, which are e^{|beta|^2/2} times the
+    coherent overlaps g_k = <beta|a^k psi>, fix the derivatives.  With
+    h = g1/g0, w = h z and v = (g2/g0) z^2 - w^2, ln Q has gradient
+    (-2 rho + 2 Re w/rho, 2 Im w) and Hessian
+    [[-2 + 2 Re v/rho^2, 2 Im(v+w)/rho], [2 Im(v+w)/rho, -2 Re(v+w)]].
+    The powers of rho are divided out of w and v by hand, so rho = 0 is
+    an ordinary point.  The step is Newton's along each concave
+    eigendirection of the Hessian and the gradient along the others.
+    """
+    beta = np.array([rho * cmath.exp(1j * theta)])
+    g0, g1, g2 = (_kernels.coherent_overlaps(a, beta)[0] for a in ladder)
+    h = g1 / g0
+    e = cmath.exp(-1j * theta)
+    w1 = h * e  # w / rho
+    v2 = (g2 / g0 - h * h) * e * e  # v / rho^2
+    cross = 2.0 * (v2 * rho + w1).imag
+    grad = np.array([-2.0 * rho + 2.0 * w1.real, 2.0 * rho * w1.imag])
+    hess = np.array([[-2.0 + 2.0 * v2.real, cross],
+                     [cross, -2.0 * rho * (v2 * rho + w1).real]])
+    lam, vec = np.linalg.eigh(hess)
+    return vec @ [c / -l if l < 0.0 else c for c, l in zip(vec.T @ grad, lam)]
 
 
 def maximize_q(state, opts=None):
     """Locate the peak Husimi density of a truncated state.
 
     Raises WindowError when the coarse optimum lands on the outer window
-    boundary (enlarge window_radius) and ConvergenceError when the zoom
-    budget runs out before the lattice step reaches target_step.
+    boundary (enlarge window_radius) and ConvergenceError when the
+    Newton polish has not stopped after _MAX_NEWTON_STEPS steps.
     """
     if opts is None:
         opts = OptOptions()
@@ -87,57 +106,42 @@ def maximize_q(state, opts=None):
     if radius is None:
         radius = 3.0 * math.sqrt(max(mean_photon(state), 0.0)) + 5.0
     amps = state.amplitudes
-    res = int(opts.coarse_resolution)
+    res = _COARSE_RESOLUTION
     xs = np.linspace(-radius, radius, res)
-    ys = np.linspace(-radius, radius, res)
-    values = _q_on_lattice(amps, xs, ys)
-    iy, ix = _argbest(values)
+    values = _husimi(amps, _row_major(xs, xs))
+    iy, ix = divmod(int(np.argmax(values)), res)  # first occurrence
     if iy in (0, res - 1) or ix in (0, res - 1):
         raise WindowError(
             f"Q optimum sits on the search boundary at radius {radius:.4g}; "
             "increase window_radius"
         )
-    best_q = float(values[iy, ix])
-    best_x, best_y = float(xs[ix]), float(ys[iy])
-    step = float(xs[1] - xs[0])
-
-    shrinks = 0
-    recenters = 0
-    while step > opts.target_step:
-        if shrinks >= opts.max_zoom_levels:
-            raise ConvergenceError(
-                f"step {step:.3e} above target {opts.target_step:.3e} after "
-                f"{opts.max_zoom_levels} zoom levels"
-            )
-        sub = 4 * int(math.ceil(opts.zoom_factor)) + 1
-        offs = np.linspace(-2.0 * step, 2.0 * step, sub)
-        fine_step = float(offs[1] - offs[0])
-        fx = best_x + offs
-        fy = best_y + offs
-        vals = _q_on_lattice(amps, fx, fy)
-        jy, jx = _argbest(vals)
-        cand = float(vals[jy, jx])
-        improved = cand > best_q
-        if improved:
-            best_q = cand
-            best_x, best_y = float(fx[jx]), float(fy[jy])
-        on_edge = jy in (0, sub - 1) or jx in (0, sub - 1)
-        if on_edge and improved and recenters < _MAX_RECENTERS_PER_LEVEL:
-            # The peak leaked out of the refinement window: re-grid at the
-            # same scale around the new best before shrinking.  The cap
-            # keeps degenerate ridge maxima (Fock rings, where float noise
-            # makes argmax wander the ring) from stalling the zoom; value
-            # error from cutting the walk short is at noise level.
-            recenters += 1
-            continue
-        step = fine_step
-        shrinks += 1
-        recenters = 0
-
-    dq = min(1.0, max(0.0, 1.0 - math.pi * best_q))
-    return NonclassReport(
-        beta_max=PhasePoint(best_x, best_y),
-        q_max=best_q,
-        dq=dq,
-        final_step=step,
-    )
+    q, beta = float(values[iy * res + ix]), complex(xs[ix], xs[iy])
+    rho, theta = cmath.polar(beta)
+    cell = float(xs[1] - xs[0])
+    ladder = _ladder(amps)
+    for _ in range(_MAX_NEWTON_STEPS):
+        d_rho, d_theta = _polar_newton_step(ladder, rho, theta)
+        length = math.hypot(d_rho, rho * d_theta)
+        if length > cell:
+            d_rho, d_theta, length = d_rho * cell / length, d_theta * cell / length, cell
+        s = [1.0]
+        while length * s[-1] > opts.target_step:
+            s.append(0.5 * s[-1])
+        s = np.array(s)
+        trials = (rho + s * d_rho) * np.exp(1j * (theta + s * d_theta))
+        q_trial = _husimi(amps, trials)
+        rises = np.flatnonzero(q_trial > q)
+        if rises.size == 0:
+            step = length * s[-1]
+            break
+        i = int(rises[0])
+        rho, theta = rho + s[i] * d_rho, theta + s[i] * d_theta
+        q, beta = float(q_trial[i]), complex(trials[i])
+        step = length * s[i]
+        if step <= opts.target_step:
+            break
+    else:
+        raise ConvergenceError(f"Newton step {step:.3e} still above target "
+                               f"{opts.target_step:.3e} after {_MAX_NEWTON_STEPS} steps")
+    dq = min(1.0, max(0.0, 1.0 - math.pi * q))
+    return NonclassReport(PhasePoint(beta.real, beta.imag), q, dq, float(step))

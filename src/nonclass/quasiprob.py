@@ -17,6 +17,7 @@ from .errors import DomainError
 from .states import PhasePoint, _as_complex, mean_photon
 
 WIGNER_GUARD = 30.0
+_MIN_SCAN_ZOOM = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +127,11 @@ def grid_quadrature(grid):
     return float(np.sum(grid.values) * grid.cell_area())
 
 
-def wigner_min_scan(state, window, resolution, zoom_factor=10):
+def wigner_min_scan(state, window, resolution):
     """Locate the minimum of W on a window: coarse scan plus one zoom.
 
     Returns (PhasePoint, value).  The refinement re-grids a window of two
-    coarse cells around the best cell at `zoom_factor` finer spacing.
+    coarse cells around the best cell, _MIN_SCAN_ZOOM times finer.
     """
     grid = wigner_grid(state, window, resolution)
     flat = int(np.argmin(grid.values))
@@ -142,7 +143,7 @@ def wigner_min_scan(state, window, resolution, zoom_factor=10):
 
     dx = (grid.x_max - grid.x_min) / grid.resolution
     dy = (grid.y_max - grid.y_min) / grid.resolution
-    sub = int(4 * zoom_factor) + 1
+    sub = 4 * _MIN_SCAN_ZOOM + 1
     fine_x = cx + np.linspace(-2.0 * dx, 2.0 * dx, sub)
     fine_y = cy + np.linspace(-2.0 * dy, 2.0 * dy, sub)
     betas = _row_major(fine_x, fine_y)

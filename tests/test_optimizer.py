@@ -1,11 +1,14 @@
-"""Zoom grid search: accuracy, determinism, failure modes."""
+"""Coarse lattice plus polar Newton polish: accuracy, determinism, failure modes."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
-from nonclass import states
+from nonclass import _kernels, analytic, cli, optimizer, states
 from nonclass.analytic import PacParams, dq_pac, fock_nonclassicality
+from nonclass.cli import StateSpec
 from nonclass.errors import ConvergenceError, DomainError, WindowError
 from nonclass.optimizer import OptOptions, maximize_q
 from nonclass.states import add_photons, make_coherent, make_fock
@@ -44,19 +47,14 @@ class TestMaximizeQ:
         b = maximize_q(st)
         assert a == b  # frozen dataclass, field-wise equality
 
-    def test_coarse_resolution_insensitive(self):
-        for st in (make_fock(2), add_photons(make_coherent(1.0), 1)):
-            a = maximize_q(st, OptOptions(coarse_resolution=101))
-            b = maximize_q(st, OptOptions(coarse_resolution=201))
-            assert abs(a.q_max - b.q_max) <= 1e-8
-
     def test_tight_window_raises(self):
         with pytest.raises(WindowError):
             maximize_q(make_coherent(2.0), OptOptions(window_radius=0.5))
 
-    def test_exhausted_zoom_budget_raises(self):
+    def test_exhausted_newton_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_MAX_NEWTON_STEPS", 1)
         with pytest.raises(ConvergenceError):
-            maximize_q(make_coherent(1.0), OptOptions(max_zoom_levels=1))
+            maximize_q(make_coherent(1.0))
 
     def test_report_is_frozen(self):
         rep = maximize_q(make_coherent(0.0))
@@ -69,15 +67,81 @@ class TestOptOptions:
         with pytest.raises(DomainError):
             OptOptions(window_radius=0.0)
         with pytest.raises(DomainError):
-            OptOptions(coarse_resolution=2)
-        with pytest.raises(DomainError):
-            OptOptions(zoom_factor=1.0)
-        with pytest.raises(DomainError):
             OptOptions(target_step=-1e-7)
-        with pytest.raises(DomainError):
-            OptOptions(max_zoom_levels=-1)
 
     def test_defaults_accepted(self):
         opts = OptOptions()
         assert opts.window_radius is None
-        assert opts.coarse_resolution == 101
+        assert opts.target_step == 1e-7
+
+
+def _rel_qmax_error(spec, q_max):
+    dq_ref, _ = analytic.reference_dq(spec.family, spec.params, spec.added_photons)
+    q_ref = (1.0 - dq_ref) / math.pi
+    return abs(q_max - q_ref) / q_ref
+
+
+_NEAR_FOCK = [
+    StateSpec("svs", {"r": r, "phi": 0.7}, p)
+    for r in (1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 1.2e-3, 3e-3, 1e-2)
+    for p in (1, 2, 3, 5, 9, 10)
+] + [
+    StateSpec("coherent", {"re": math.sqrt(u) * math.cos(1.0), "im": math.sqrt(u) * math.sin(1.0)},
+              p)
+    for u in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 2e-5, 1e-4, 1e-3)
+    for p in (1, 2, 3, 5, 10)
+]
+
+
+class TestNearFock:
+    """Close to the Fock limit the peak is a thin ridge along a ring; the
+    polish must reach the top of it, not stop wherever it lands."""
+
+    @pytest.mark.parametrize("spec", _NEAR_FOCK, ids=cli.render_state_spec)
+    def test_matches_closed_form(self, spec):
+        rep = maximize_q(cli.build_state(spec))
+        assert _rel_qmax_error(spec, rep.q_max) <= 1e-6
+        assert rep.final_step <= OptOptions().target_step
+
+    @pytest.mark.parametrize(
+        "text", ["svs:r=0.001204,phi=2.992263+add=9", "svs:r=2.394305e-05,phi=3.657521+add=6"]
+    )
+    def test_cli_inputs(self, text, capsys):
+        assert cli.main(["dq", "--state", text, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert _rel_qmax_error(cli.parse_state_spec(text), payload["q_max"]) <= 1e-6
+
+
+class TestOrigin:
+    """Peaks at or next to beta = 0, where polar coordinates are singular."""
+
+    @pytest.mark.parametrize(
+        "state, q_ref",
+        [
+            (make_coherent(0.0), 1.0 / math.pi),
+            (states.make_squeezed_vacuum(1e-8, 1.0), analytic.svs_qmax(1e-8)),
+            (make_coherent(1e-6), 1.0 / math.pi),
+        ],
+        ids=["vacuum", "svs", "coherent"],
+    )
+    def test_peak_value_and_final_step(self, state, q_ref):
+        rep = maximize_q(state)
+        assert abs(rep.q_max - q_ref) <= 1e-12
+        assert rep.final_step <= OptOptions().target_step
+
+
+def test_kernel_calls_go_through_module_attribute(monkeypatch):
+    # perfbench's tracer counts overlap-kernel work by replacing
+    # _kernels.coherent_overlaps; a caller that bound the function at import
+    # would bypass it and leave the Newton polish out of the counts
+    sizes = []
+    original = _kernels.coherent_overlaps
+
+    def counting(amps, betas):
+        sizes.append(np.size(betas))
+        return original(amps, betas)
+
+    monkeypatch.setattr(_kernels, "coherent_overlaps", counting)
+    maximize_q(add_photons(make_coherent(1.0), 1))
+    assert len(sizes) >= 2
+    assert sizes[0] == 100 * 100
