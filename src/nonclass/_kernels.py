@@ -1,6 +1,6 @@
-"""Hot numeric kernels: coherent-overlap batches and displaced-parity Wigner.
+"""Hot numeric kernels: coherent overlaps, Bargmann weights, displaced-parity Wigner.
 
-Each kernel has one vectorized numpy implementation.  Both are
+Each kernel has one vectorized numpy implementation.  All are
 deterministic: the same inputs give bit-identical outputs.
 """
 
@@ -14,7 +14,13 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def coherent_overlaps(amps, betas):
-    """Batch <beta|psi> for a complex amplitude vector and beta array."""
+    """Batch <beta|psi> for a complex amplitude vector and beta array.
+
+    Serves quasiprob.q_grid (and q_value, wigner_min_scan),
+    states.coherent_overlap and verify; the optimizer uses
+    bargmann_weights instead.  The seed e^{-|b|^2/2} underflows past
+    |b| ~ 38.6, where every overlap comes back as 0.
+    """
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
     betas = np.ascontiguousarray(betas, dtype=np.complex128)
     if betas.size == 0:
@@ -27,6 +33,27 @@ def coherent_overlaps(amps, betas):
         term = term * bc / math.sqrt(n)
         acc = acc + amps[n] * term
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Bargmann weights: with beta = rho e^{i theta},
+#   <beta|psi> = sum_n c_n w_n(rho) e^{-i n theta},
+#   w_n(rho) = rho^n e^{-rho^2/2} / sqrt(n!) = sqrt(Poisson(n; rho^2)) <= 1,
+# built in the log domain, so no weight underflows before its term is
+# negligible, at any radius.
+# ---------------------------------------------------------------------------
+
+def bargmann_weights(n_amp, rho):
+    """w_n(rho) for n < n_amp at one radius rho >= 0 (ValueError below 0).
+
+    At rho = 0 the log of rho^n is 0 for n = 0 and -inf above, so the
+    origin gives w = (1, 0, 0, ...) like any other point.
+    """
+    log_rho = math.log(rho) if rho != 0.0 else -math.inf
+    log_w = np.zeros(n_amp)
+    k = np.arange(1.0, n_amp)
+    log_w[1:] = k * log_rho - np.cumsum(0.5 * np.log(k))
+    return np.exp(log_w - 0.5 * rho * rho)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from typing import NamedTuple
 from .errors import DomainError
 from .specfun import hyp2f1_photon, log_factorial
 
-# The pac peak density has square-root behavior in alpha_sq near zero, so
-# the closed form is replaced by its Fock limit below this threshold; the
-# two branches differ by about 2*sqrt(p*alpha_sq) relative at the switch.
-PAC_FOCK_THRESHOLD = 1e-9
+# The pac closed form divides by alpha_sq, so its Fock limit stands in
+# below this threshold.  The peak density has square-root behavior in
+# alpha_sq near zero: the two branches differ by about 2*sqrt(p*alpha_sq)
+# relative at the switch, below rounding here, while the closed form
+# stays accurate to ~1e-13 down to it.
+PAC_FOCK_THRESHOLD = 1e-200
 
 
 @dataclass(frozen=True)

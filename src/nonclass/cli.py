@@ -6,8 +6,9 @@ State specs use a compact grammar:
     svs:r=1,phi=0.5               squeezed vacuum
     fock:n=3                      number state
 
-Exit codes: 0 success, 1 verification failure, 2 computation error,
-3 I/O error, 64 usage error.
+Exit codes: 0 success, 1 verification failure, 2 computation error
+(a numeric dq that disagrees with its closed form included), 3 I/O
+error, 64 usage error.
 """
 
 import argparse
@@ -38,6 +39,10 @@ _FAMILY_KEYS = {
     "svs": ("r", "phi"),
     "fock": ("n",),
 }
+
+# relative gap between the numeric and the closed-form q_max past which
+# dq fails: the tolerance of verify's q_max checks and the benchmark's answer checks
+_AGREEMENT_REL_TOL = 1e-6
 
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _INT_RE = re.compile(r"[+-]?\d+")
@@ -213,6 +218,16 @@ def cmd_dq(args):
     analytic_dq, analytic_source = analytic.reference_dq(
         spec.family, spec.params, spec.added_photons
     )
+    q_ref = (1.0 - analytic_dq) / math.pi
+    rel = abs(report.q_max - q_ref) / q_ref
+    if not rel <= _AGREEMENT_REL_TOL:
+        raise AccuracyError(
+            f"numeric and closed form disagree: dq_numeric = {report.dq!r}, "
+            f"analytic_dq = {analytic_dq!r} [{analytic_source}]; q_max {report.q_max!r} "
+            f"vs {q_ref!r}, {rel:.2e} relative, above {_AGREEMENT_REL_TOL:g}\n"
+            "hint: retry with a larger --cutoff or a smaller --tol; a gap that "
+            "stays is a fault in the numeric search or in the closed form"
+        )
     if args.json:
         payload = {
             "state_spec": render_state_spec(spec),

@@ -1,8 +1,13 @@
 """Deterministic maximization of the Husimi density over the phase plane.
 
-A coarse lattice over the square that bounds the search disk picks the
-start, and Newton's method on ln Q in polar coordinates beta = rho e^{i theta}
-polishes it.  Polar steps follow the ring-shaped ridge of a nearly Fock
+With beta = rho e^{i theta}, <beta|psi> = sum_n c_n w_n(rho) e^{-i n theta},
+where w_n are the log-domain Bargmann weights of
+_kernels.bargmann_weights, so Q = |<beta|psi>|^2 / pi at any radius.
+A coarse search over _RINGS concentric rings of the search disk picks the
+start: on a ring of _ANGLES equally spaced angles the sum is one FFT of
+the terms c_n w_n folded by n mod _ANGLES.  Newton's method on ln Q in
+polar coordinates polishes it, evaluating every point with the same
+weights.  Polar steps follow the ring-shaped ridge of a nearly Fock
 state, along which a Cartesian step only crawls.
 """
 
@@ -14,12 +19,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, DomainError, WindowError
-from .quasiprob import _husimi, _row_major
 from .states import PhasePoint, mean_photon
 
-# even, so the origin, where polar coordinates are singular, is never a
-# lattice point
-_COARSE_RESOLUTION = 100
+# rings at R (j + 1/2) / (_RINGS - 1/2), j < _RINGS, are R / 49.5 apart,
+# the outermost at R; the arc 2 pi R / _ANGLES between angles on it is
+# shorter than that spacing
+_RINGS = 50
+_ANGLES = 320
 _MAX_NEWTON_STEPS = 20
 
 
@@ -27,8 +33,9 @@ _MAX_NEWTON_STEPS = 20
 class OptOptions:
     """Search controls.
 
-    window_radius defaults to 3*sqrt(<n>)+5, generous for any state whose
-    support the cutoff certifies; target_step bounds the last Newton step.
+    window_radius is the radius of the search disk about the origin,
+    by default 3*sqrt(<n>)+5, generous for any state whose support the
+    cutoff certifies; target_step bounds the last Newton step.
     """
 
     window_radius: float | None = None
@@ -59,11 +66,16 @@ class NonclassReport:
 
 
 def _ladder(amps):
-    """Amplitudes of psi, a psi and a^2 psi; (a psi)_n = sqrt(n+1) c_{n+1}."""
+    """Rows: amplitudes of psi, a psi and a^2 psi; (a psi)_n = sqrt(n+1) c_{n+1}."""
     c = np.concatenate([amps, np.zeros(2)])
     root = np.sqrt(np.arange(1.0, c.size))
     a1 = root * c[1:]
-    return amps, a1, root[:-1] * a1[1:]
+    return np.stack([amps, a1[:-1], root[:-1] * a1[1:]])
+
+
+def _bargmann_row(n_amp, rho, theta):
+    """w_n(rho) e^{-i n theta}, so that <beta|psi> = amps @ row at rho e^{i theta}."""
+    return _kernels.bargmann_weights(n_amp, rho) * np.exp(-1j * theta * np.arange(n_amp))
 
 
 def _polar_newton_step(ladder, rho, theta):
@@ -79,8 +91,7 @@ def _polar_newton_step(ladder, rho, theta):
     an ordinary point.  The step is Newton's along each concave
     eigendirection of the Hessian and the gradient along the others.
     """
-    beta = np.array([rho * cmath.exp(1j * theta)])
-    g0, g1, g2 = (_kernels.coherent_overlaps(a, beta)[0] for a in ladder)
+    g0, g1, g2 = ladder @ _bargmann_row(ladder.shape[1], rho, theta)
     h = g1 / g0
     e = cmath.exp(-1j * theta)
     w1 = h * e  # w / rho
@@ -93,12 +104,24 @@ def _polar_newton_step(ladder, rho, theta):
     return vec @ [c / -l if l < 0.0 else c for c, l in zip(vec.T @ grad, lam)]
 
 
+def _ring_values(amps, rings):
+    """pi Q on _ANGLES equally spaced angles of each ring, one row per ring."""
+    n_amp = amps.shape[0]
+    terms = np.zeros(math.ceil(n_amp / _ANGLES) * _ANGLES, np.complex128)
+    folded = np.empty((rings.size, _ANGLES), np.complex128)
+    for j, rho in enumerate(rings):
+        np.multiply(amps, _kernels.bargmann_weights(n_amp, rho), out=terms[:n_amp])
+        terms.reshape(-1, _ANGLES).sum(axis=0, out=folded[j])
+    ov = np.fft.fft(folded, axis=1)
+    return ov.real**2 + ov.imag**2
+
+
 def maximize_q(state, opts=None):
     """Locate the peak Husimi density of a truncated state.
 
-    Raises WindowError when the coarse optimum lands on the outer window
-    boundary (enlarge window_radius) and ConvergenceError when the
-    Newton polish has not stopped after _MAX_NEWTON_STEPS steps.
+    Raises WindowError when the best coarse point lies on the outermost
+    ring (enlarge window_radius) and ConvergenceError when the Newton
+    polish has not stopped after _MAX_NEWTON_STEPS steps.
     """
     if opts is None:
         opts = OptOptions()
@@ -106,42 +129,43 @@ def maximize_q(state, opts=None):
     if radius is None:
         radius = 3.0 * math.sqrt(max(mean_photon(state), 0.0)) + 5.0
     amps = state.amplitudes
-    res = _COARSE_RESOLUTION
-    xs = np.linspace(-radius, radius, res)
-    values = _husimi(amps, _row_major(xs, xs))
-    iy, ix = divmod(int(np.argmax(values)), res)  # first occurrence
-    if iy in (0, res - 1) or ix in (0, res - 1):
+    n_amp = amps.shape[0]
+    rings = radius * (np.arange(_RINGS) + 0.5) / (_RINGS - 0.5)
+    values = _ring_values(amps, rings)
+    j, m = divmod(int(np.argmax(values)), _ANGLES)  # first occurrence
+    if j == _RINGS - 1:
         raise WindowError(
             f"Q optimum sits on the search boundary at radius {radius:.4g}; "
             "increase window_radius"
         )
-    q, beta = float(values[iy * res + ix]), complex(xs[ix], xs[iy])
-    rho, theta = cmath.polar(beta)
-    cell = float(xs[1] - xs[0])
+    q = float(values[j, m]) / math.pi
+    rho, theta = float(rings[j]), 2.0 * math.pi * m / _ANGLES
+    cell = float(rings[1] - rings[0])
     ladder = _ladder(amps)
     for _ in range(_MAX_NEWTON_STEPS):
         d_rho, d_theta = _polar_newton_step(ladder, rho, theta)
         length = math.hypot(d_rho, rho * d_theta)
         if length > cell:
             d_rho, d_theta, length = d_rho * cell / length, d_theta * cell / length, cell
-        s = [1.0]
-        while length * s[-1] > opts.target_step:
-            s.append(0.5 * s[-1])
-        s = np.array(s)
-        trials = (rho + s * d_rho) * np.exp(1j * (theta + s * d_theta))
-        q_trial = _husimi(amps, trials)
-        rises = np.flatnonzero(q_trial > q)
-        if rises.size == 0:
-            step = length * s[-1]
-            break
-        i = int(rises[0])
-        rho, theta = rho + s[i] * d_rho, theta + s[i] * d_theta
-        q, beta = float(q_trial[i]), complex(trials[i])
-        step = length * s[i]
+        # halve the step until Q rises or the step is down to target_step
+        s = 1.0
+        while True:
+            r, t = rho + s * d_rho, theta + s * d_theta
+            if r < 0.0:
+                r, t = -r, t + math.pi
+            ov = amps @ _bargmann_row(n_amp, r, t)
+            q_trial = float(ov.real**2 + ov.imag**2) / math.pi
+            if q_trial > q or length * s <= opts.target_step:
+                break
+            s *= 0.5
+        step = length * s
+        if q_trial > q:
+            rho, theta, q = r, t, q_trial
         if step <= opts.target_step:
             break
     else:
         raise ConvergenceError(f"Newton step {step:.3e} still above target "
                                f"{opts.target_step:.3e} after {_MAX_NEWTON_STEPS} steps")
+    beta = cmath.rect(rho, theta)
     dq = min(1.0, max(0.0, 1.0 - math.pi * q))
     return NonclassReport(PhasePoint(beta.real, beta.imag), q, dq, float(step))

@@ -71,7 +71,7 @@ def _pac_q_along_real_axis(p, u):
 
 class TestPac:
     @pytest.mark.parametrize("p", [1, 2, 5, 10])
-    @pytest.mark.parametrize("u", [0.1, 0.9, 3.0, 10.0])
+    @pytest.mark.parametrize("u", [1e-13, 0.1, 0.9, 3.0, 10.0])
     def test_against_numeric_oracle(self, p, u):
         want = _pac_q_along_real_axis(p, u)
         got = qmax_pac(PacParams(p=p, alpha_sq=u))

@@ -6,10 +6,11 @@ import math
 
 import pytest
 
-from nonclass import cli, verify
+from nonclass import cli, optimizer, verify
 from nonclass.analytic import PacParams, PasvParams, pasv_dq, qmax_pac
 from nonclass.cli import StateSpec, parse_state_spec, render_state_spec
 from nonclass.errors import DomainError, SpecParseError
+from nonclass.states import PhasePoint
 
 
 def read_csv(path):
@@ -110,6 +111,24 @@ class TestDqCommand:
 
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["dq", "--state", "svs:r=-1,phi=0"]) == 64
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("rel, code", [(1e-5, 2), (1e-7, 0)])
+    def test_disagreement_with_closed_form_exit_code(self, monkeypatch, capsys, flags, rel, code):
+        # |1> peaks at q = 1/(pi e); a numeric q_max more than 1e-6 relative
+        # off it is an error, with both values and a hint on stderr
+        q = (1.0 + rel) / (math.pi * math.e)
+        report = optimizer.NonclassReport(PhasePoint(1.0, 0.0), q, 1.0 - math.pi * q, 0.0)
+        monkeypatch.setattr(optimizer, "maximize_q", lambda state, opts=None: report)
+        assert cli.main(["dq", "--state", "fock:n=1"] + flags) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert repr(q) in captured.err
+            assert repr(1.0 - 1.0 / math.e) in captured.err
+            assert "hint:" in captured.err
+        else:
+            assert captured.err == ""
 
     def test_norm_check_failure_exit_code(self, capsys):
         # the overlap seed e^{-|alpha|^2/2} underflows and the squared norm

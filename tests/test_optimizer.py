@@ -1,17 +1,19 @@
-"""Coarse lattice plus polar Newton polish: accuracy, determinism, failure modes."""
+"""Coarse rings plus polar Newton polish: accuracy, determinism, failure modes."""
 
 import json
 import math
 
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from nonclass import _kernels, analytic, cli, optimizer, states
 from nonclass.analytic import PacParams, dq_pac, fock_nonclassicality
 from nonclass.cli import StateSpec
 from nonclass.errors import ConvergenceError, DomainError, WindowError
 from nonclass.optimizer import OptOptions, maximize_q
-from nonclass.states import add_photons, make_coherent, make_fock
+from nonclass.states import add_photons, make_coherent, make_fock, mean_photon
 
 
 class TestMaximizeQ:
@@ -130,18 +132,102 @@ class TestOrigin:
         assert rep.final_step <= OptOptions().target_step
 
 
+# |beta| past which the Cartesian overlap seed e^{-|beta|^2/2} underflows
+_CARTESIAN_UNDERFLOW = 38.6
+
+
+class TestRingStage:
+    def test_matches_cartesian_overlaps(self):
+        # the optimizer's own rings for pasv r=2, p=5, up to the underflow
+        # radius: the fold-and-FFT ring values and the Newton polish's
+        # single-point sums against the Cartesian kernel at the same points
+        st = cli.build_state(StateSpec("svs", {"r": 2.0, "phi": 0.0}, 5))
+        amps = st.amplitudes
+        radius = 3.0 * math.sqrt(mean_photon(st)) + 5.0
+        k = optimizer._RINGS
+        rings = radius * (np.arange(k) + 0.5) / (k - 0.5)
+        rings = rings[rings < _CARTESIAN_UNDERFLOW]
+        angles = 2.0 * math.pi * np.arange(optimizer._ANGLES) / optimizer._ANGLES
+        points = rings[:, None] * np.exp(1j * angles)
+        ov = _kernels.coherent_overlaps(amps, points.ravel()).reshape(points.shape)
+        want = ov.real**2 + ov.imag**2
+        peak = want.max()
+        assert np.max(np.abs(optimizer._ring_values(amps, rings) - want)) <= 1e-12 * peak
+        for j in range(0, rings.size, 5):
+            for m in (0, 37, 160):
+                got = amps @ optimizer._bargmann_row(amps.size, rings[j], angles[m])
+                assert abs(got - ov[j, m]) <= 1e-12 * math.sqrt(peak)
+
+    @pytest.mark.parametrize("rho", [40.0, 45.0, 60.0])
+    def test_finite_past_cartesian_underflow(self, rho):
+        # |2025> peaks on the ring |beta| = 45, where the Cartesian kernel
+        # returns 0; pi Q = e^{-rho^2} rho^{2n} / n! on every angle
+        n = 2025
+        amps = make_fock(n).amplitudes
+        want = math.exp(2.0 * n * math.log(rho) - rho * rho - math.lgamma(n + 1.0))
+        got = optimizer._ring_values(amps, np.array([rho]))
+        assert np.all(got > 0.0)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+        ov = amps @ optimizer._bargmann_row(amps.size, rho, 0.3)
+        assert abs(abs(ov) ** 2 / want - 1.0) <= 1e-10
+
+    def test_peak_past_cartesian_underflow(self, capsys):
+        # the peak sits at |beta| ~ 45; a Cartesian search lands near 38.6
+        text = "svs:r=3,phi=0+add=10"
+        assert cli.main(["dq", "--state", text, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec = cli.parse_state_spec(text)
+        dq_ref, _ = analytic.reference_dq(spec.family, spec.params, spec.added_photons)
+        assert abs(payload["dq_numeric"] - dq_ref) <= 1e-6
+        assert _rel_qmax_error(spec, payload["q_max"]) <= 1e-6
+
+
 def test_kernel_calls_go_through_module_attribute(monkeypatch):
-    # perfbench's tracer counts overlap-kernel work by replacing
-    # _kernels.coherent_overlaps; a caller that bound the function at import
-    # would bypass it and leave the Newton polish out of the counts
-    sizes = []
-    original = _kernels.coherent_overlaps
+    # perfbench's tracer wraps kernels by replacing module attributes; a
+    # caller that bound _kernels.bargmann_weights at import would bypass it
+    radii = []
+    original = _kernels.bargmann_weights
 
-    def counting(amps, betas):
-        sizes.append(np.size(betas))
-        return original(amps, betas)
+    def counting(n_amp, rho):
+        radii.append(rho)
+        return original(n_amp, rho)
 
-    monkeypatch.setattr(_kernels, "coherent_overlaps", counting)
-    maximize_q(add_photons(make_coherent(1.0), 1))
-    assert len(sizes) >= 2
-    assert sizes[0] == 100 * 100
+    def cartesian(amps, betas):
+        raise AssertionError("the optimizer called coherent_overlaps")
+
+    monkeypatch.setattr(_kernels, "bargmann_weights", counting)
+    monkeypatch.setattr(_kernels, "coherent_overlaps", cartesian)
+    state = add_photons(make_coherent(1.0), 1)
+    maximize_q(state)
+    k = optimizer._RINGS
+    radius = 3.0 * math.sqrt(mean_photon(state)) + 5.0
+    # the ring stage first, one call per ring, then the Newton polish
+    assert radii[:k] == pytest.approx(radius * (np.arange(k) + 0.5) / (k - 0.5), rel=1e-15)
+    assert len(radii) > k
+
+
+# the dq_mix domain; derandomized, so every run draws the same examples
+_DQ_MIX = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+class TestAgreesWithClosedForm:
+    """Numeric q_max within 1e-6 relative of the closed form."""
+
+    @_DQ_MIX
+    @given(u=hs.floats(0.0, 3.0), arg=hs.floats(0.0, 2.0 * math.pi), p=hs.integers(0, 10))
+    def test_pac(self, u, arg, p):
+        a = math.sqrt(u)
+        spec = StateSpec("coherent", {"re": a * math.cos(arg), "im": a * math.sin(arg)}, p)
+        assert _rel_qmax_error(spec, maximize_q(cli.build_state(spec)).q_max) <= 1e-6
+
+    @_DQ_MIX
+    @given(r=hs.floats(0.0, 2.5), phi=hs.floats(0.0, 2.0 * math.pi), p=hs.integers(0, 10))
+    def test_pasv(self, r, phi, p):
+        spec = StateSpec("svs", {"r": r, "phi": phi}, p)
+        assert _rel_qmax_error(spec, maximize_q(cli.build_state(spec)).q_max) <= 1e-6
+
+    @_DQ_MIX
+    @given(n=hs.integers(0, 20))
+    def test_fock(self, n):
+        spec = StateSpec("fock", {"n": n}, 0)
+        assert _rel_qmax_error(spec, maximize_q(cli.build_state(spec)).q_max) <= 1e-6
