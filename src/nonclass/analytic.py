@@ -3,7 +3,8 @@
 Covers photon-added coherent states (pac), Fock states, squeezed vacuum
 (svs), photon-added squeezed vacuum (pasv), and the strong-squeezing
 limits of the pasv enhancement ratio.  Factorial-sized prefactors are
-assembled in log space so the formulas stay healthy up to p ~ 1e4.
+assembled in log space, ln n! as math.lgamma(n + 1), so the formulas
+stay healthy up to p ~ 1e4.
 """
 
 import math
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
-from .specfun import hyp2f1_photon, log_factorial
 
 # The pac closed form divides by alpha_sq, so its Fock limit stands in
 # below this threshold.  The peak density has square-root behavior in
@@ -37,23 +37,20 @@ class PacParams:
 
 @dataclass(frozen=True)
 class PasvParams:
-    """Photon-added squeezed vacuum: p added photons on squeeze (r, phi).
+    """Photon-added squeezed vacuum: p added photons on squeeze modulus r.
 
-    phi only rotates the maximizer (arg beta_max = phi/2); the peak value
-    depends on p and r alone.
+    The squeeze angle phi only rotates the maximizer (arg beta_max =
+    phi/2); the peak value depends on p and r alone.
     """
 
     p: int
     r: float
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.p < 0 or self.p != int(self.p):
             raise DomainError(f"p must be a nonnegative integer, got {self.p}")
         if not (math.isfinite(self.r) and self.r >= 0.0):
             raise DomainError(f"r must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.phi):
-            raise DomainError("phi must be finite")
 
 
 class FockNonclassicality(NamedTuple):
@@ -107,7 +104,7 @@ def fock_nonclassicality(p):
     if p < 1 or p != int(p):
         raise DomainError(f"Fock degree needs integer p >= 1, got {p}")
     p = int(p)
-    qmax = math.exp(p * math.log(p) - p - log_factorial(p)) / math.pi
+    qmax = math.exp(p * math.log(p) - p - math.lgamma(p + 1)) / math.pi
     dq = 1.0 - math.pi * qmax
     return FockNonclassicality(
         qmax=qmax, dq=dq, dq_asymptotic=1.0 - 1.0 / math.sqrt(2.0 * math.pi * p)
@@ -132,7 +129,7 @@ def qmax_pac(params):
     log_q = (
         p * log_peak_sq
         - exponent
-        - log_factorial(p)
+        - math.lgamma(p + 1)
         - _log_laguerre_at_neg(p, u)
         - math.log(math.pi)
     )
@@ -151,6 +148,29 @@ def svs_qmax(r):
     return math.exp(-_log_cosh(r)) / math.pi
 
 
+def hyp2f1_photon(p, x):
+    """Value of the terminating Gauss series 2F1(-p/2, -(p-1)/2; 1; x).
+
+    For integer p >= 0 one of the two numerator parameters is a
+    non-positive integer or half-integer whose Pochhammer symbol hits
+    zero, so the series is a polynomial of degree floor(p/2) in x.  All
+    terms are nonnegative for x in [0, 1], hence no cancellation.
+    """
+    if p < 0 or p != int(p):
+        raise DomainError(f"hyp2f1_photon requires integer p >= 0, got {p}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"hyp2f1_photon requires 0 <= x <= 1, got {x}")
+    p = int(p)
+    a = -0.5 * p
+    b = -0.5 * (p - 1)
+    term = 1.0
+    total = 1.0
+    for k in range(p // 2):
+        term *= (a + k) * (b + k) * x / ((k + 1.0) * (k + 1.0))
+        total += term
+    return total
+
+
 def svs_antinormal(p, r):
     """<a^p (a^dag)^p> on squeezed vacuum.
 
@@ -164,7 +184,7 @@ def svs_antinormal(p, r):
     if p == 0:
         return 1.0
     t2 = min(math.tanh(r) ** 2, 1.0)
-    log_val = log_factorial(p) + 2.0 * p * _log_cosh(r)
+    log_val = math.lgamma(p + 1) + 2.0 * p * _log_cosh(r)
     return math.exp(log_val) * hyp2f1_photon(p, t2)
 
 
@@ -180,7 +200,7 @@ def pasv_qmax(params):
     t2 = min(math.tanh(r) ** 2, 1.0)
     log_ratio = (
         p * (math.log(p) + r - 1.0 - _log_cosh(r))
-        - log_factorial(p)
+        - math.lgamma(p + 1)
         - math.log(hyp2f1_photon(p, t2))
     )
     qmax = svs_qmax(r) * math.exp(log_ratio)
@@ -216,7 +236,8 @@ def reference_dq(family, params, added_photons):
     """Analytic degree for a (family, params, added photons) description.
 
     Returns (dq, source_tag) or None when no closed form covers the
-    combination.  The dq subcommand prints it beside the numeric degree.
+    combination.  The CLI's dq and sweep subcommands both take their
+    closed-form value from here and check a numeric degree against it.
     """
     p = int(added_photons)
     if family == "coherent":
@@ -228,10 +249,7 @@ def reference_dq(family, params, added_photons):
         r = float(params["r"])
         if p == 0:
             return 1.0 - math.pi * svs_qmax(r), f"svs(r={r!r})"
-        return (
-            pasv_dq(PasvParams(p=p, r=r, phi=float(params.get("phi", 0.0)))),
-            f"pasv(p={p}, r={r!r})",
-        )
+        return pasv_dq(PasvParams(p=p, r=r)), f"pasv(p={p}, r={r!r})"
     if family == "fock":
         n_total = int(params["n"]) + p
         if n_total == 0:

@@ -56,16 +56,6 @@ class StateSpec:
     cutoff_override: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    family: str
-    p_list: tuple
-    x_variable: str
-    x_min: float
-    x_max: float
-    steps: int
-
-
 _SWEEP_X = {"pac": "alpha_sq", "pasv": "mean_occupancy", "fock": "p"}
 
 
@@ -209,25 +199,39 @@ def _state_spec(args):
     return spec
 
 
-def cmd_dq(args):
-    spec = _state_spec(args)
-    state = build_state(spec)
-    opts = None if args.tol is None else optimizer.OptOptions(target_step=args.tol)
-    report = optimizer.maximize_q(state, opts)
-    # every family the grammar accepts has a closed form
+def _checked_dq(spec, numeric, opts=None):
+    """(analytic_dq, analytic_source, report) for a StateSpec.
+
+    The closed form always comes from analytic.reference_dq, which covers
+    every family the grammar accepts.  With numeric, the state is built
+    and searched first, and a q_max more than _AGREEMENT_REL_TOL relative
+    off the closed form raises AccuracyError; without it, report is None
+    and no state is built.
+    """
+    report = optimizer.maximize_q(build_state(spec), opts) if numeric else None
     analytic_dq, analytic_source = analytic.reference_dq(
         spec.family, spec.params, spec.added_photons
     )
+    if not numeric:
+        return analytic_dq, analytic_source, None
     q_ref = (1.0 - analytic_dq) / math.pi
     rel = abs(report.q_max - q_ref) / q_ref
     if not rel <= _AGREEMENT_REL_TOL:
         raise AccuracyError(
-            f"numeric and closed form disagree: dq_numeric = {report.dq!r}, "
-            f"analytic_dq = {analytic_dq!r} [{analytic_source}]; q_max {report.q_max!r} "
-            f"vs {q_ref!r}, {rel:.2e} relative, above {_AGREEMENT_REL_TOL:g}\n"
-            "hint: retry with a larger --cutoff or a smaller --tol; a gap that "
+            f"numeric and closed form disagree for {render_state_spec(spec)}: "
+            f"dq_numeric = {report.dq!r}, analytic_dq = {analytic_dq!r} "
+            f"[{analytic_source}]; q_max {report.q_max!r} vs {q_ref!r}, "
+            f"{rel:.2e} relative, above {_AGREEMENT_REL_TOL:g}\n"
+            "hint: retry dq with a larger --cutoff or a smaller --tol; a gap that "
             "stays is a fault in the numeric search or in the closed form"
         )
+    return analytic_dq, analytic_source, report
+
+
+def cmd_dq(args):
+    spec = _state_spec(args)
+    opts = None if args.tol is None else optimizer.OptOptions(target_step=args.tol)
+    analytic_dq, analytic_source, report = _checked_dq(spec, True, opts)
     if args.json:
         payload = {
             "state_spec": render_state_spec(spec),
@@ -260,72 +264,46 @@ def cmd_grid(args):
     return 0
 
 
-def _sweep_spec(args):
+def _sweep_points(args):
+    """The sweep's rows as (x, p, StateSpec), checked against its domain."""
     p_list = []
     pos = 0
     for tok in args.p_list.split(","):
         if tok:
             p_list.append(_parse_int(tok, pos))
         pos += len(tok) + 1
-    spec = SweepSpec(
-        family=args.family,
-        p_list=tuple(p_list),
-        x_variable=_SWEEP_X[args.family],
-        x_min=args.x_min,
-        x_max=args.x_max,
-        steps=args.steps,
-    )
-    if spec.steps < 2:
+    family = args.family
+    if args.steps < 2:
         raise DomainError("sweep needs at least 2 steps")
-    if spec.x_min > spec.x_max:
+    if args.x_min > args.x_max:
         raise DomainError("x_min must not exceed x_max")
-    if spec.family in ("pac", "pasv") and not spec.p_list:
+    if family in ("pac", "pasv") and not p_list:
         raise DomainError("p_list must be non-empty for pac/pasv sweeps")
-    if any(p < 0 for p in spec.p_list):
+    if any(p < 0 for p in p_list):
         raise DomainError("added photon counts must be >= 0")
-    if spec.family in ("pac", "pasv") and spec.x_min < 0.0:
-        raise DomainError(f"{spec.x_variable} must be >= 0")
-    return spec
-
-
-def _sweep_rows(spec, numeric):
-    xs = np.linspace(spec.x_min, spec.x_max, spec.steps)
-    rows = []
-    if spec.family == "fock":
+    if family in ("pac", "pasv") and args.x_min < 0.0:
+        raise DomainError(f"{_SWEEP_X[family]} must be >= 0")
+    xs = [float(x) for x in np.linspace(args.x_min, args.x_max, args.steps)]
+    if family == "fock":
+        points = []
         for x in xs:
-            p = int(round(float(x)))
-            if abs(x - p) > 1e-9 or p < 0:
+            n = int(round(x))
+            if abs(x - n) > 1e-9 or n < 0:
                 raise DomainError("fock sweeps need a non-negative integer x grid")
-            if p == 0:
-                ana = 0.0
-            else:
-                ana = analytic.fock_nonclassicality(p).dq
-            num = None
-            if numeric:
-                num = optimizer.maximize_q(states.make_fock(p)).dq
-            rows.append((float(x), p, ana, num))
-        return rows
-    for p in spec.p_list:
-        for x in xs:
-            x = float(x)
-            if spec.family == "pac":
-                ana = analytic.dq_pac(analytic.PacParams(p=p, alpha_sq=x))
-                st_spec = StateSpec("coherent", {"re": math.sqrt(x), "im": 0.0}, p)
-            else:
-                r = math.asinh(math.sqrt(x))
-                ana = analytic.pasv_dq(analytic.PasvParams(p=p, r=r))
-                st_spec = StateSpec("svs", {"r": r, "phi": 0.0}, p)
-            num = optimizer.maximize_q(build_state(st_spec)).dq if numeric else None
-            rows.append((x, p, ana, num))
-    return rows
+            points.append((x, n, StateSpec("fock", {"n": n})))
+        return points
+    if family == "pac":
+        return [(x, p, StateSpec("coherent", {"re": math.sqrt(x), "im": 0.0}, p))
+                for p in p_list for x in xs]
+    return [(x, p, StateSpec("svs", {"r": math.asinh(math.sqrt(x)), "phi": 0.0}, p))
+            for p in p_list for x in xs]
 
 
 def cmd_sweep(args):
-    spec = _sweep_spec(args)
-    rows = _sweep_rows(spec, args.numeric)
     lines = ["x,p,dq_analytic,dq_numeric"]
-    for x, p, ana, num in rows:
-        tail = _g17(num) if num is not None else ""
+    for x, p, spec in _sweep_points(args):
+        ana, _, report = _checked_dq(spec, args.numeric)
+        tail = _g17(report.dq) if report is not None else ""
         lines.append(f"{_g17(x)},{p},{_g17(ana)},{tail}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0

@@ -33,21 +33,27 @@ class QGrid:
     y_min: float
     y_max: float
     resolution: int
-    what: str
     values: np.ndarray
 
+    def cell_widths(self):
+        """(dx, dy), the sides of one cell."""
+        res = self.resolution
+        return (self.x_max - self.x_min) / res, (self.y_max - self.y_min) / res
+
     def cell_area(self):
-        dx = (self.x_max - self.x_min) / self.resolution
-        dy = (self.y_max - self.y_min) / self.resolution
+        dx, dy = self.cell_widths()
         return dx * dy
 
     def x_centers(self):
-        dx = (self.x_max - self.x_min) / self.resolution
-        return self.x_min + dx * (np.arange(self.resolution) + 0.5)
+        return _cell_centers(self.x_min, self.x_max, self.resolution)
 
     def y_centers(self):
-        dy = (self.y_max - self.y_min) / self.resolution
-        return self.y_min + dy * (np.arange(self.resolution) + 0.5)
+        return _cell_centers(self.y_min, self.y_max, self.resolution)
+
+
+def _cell_centers(lo, hi, res):
+    """Midpoints lo + (hi - lo)/res * (j + 1/2), j = 0..res-1, of res equal cells."""
+    return lo + (hi - lo) / res * (np.arange(res) + 0.5)
 
 
 def _row_major(xs, ys):
@@ -86,11 +92,7 @@ def _check_window(window, resolution):
 
 
 def _center_lattice(x_min, x_max, y_min, y_max, res):
-    dx = (x_max - x_min) / res
-    dy = (y_max - y_min) / res
-    xs = x_min + dx * (np.arange(res) + 0.5)
-    ys = y_min + dy * (np.arange(res) + 0.5)
-    return _row_major(xs, ys)
+    return _row_major(_cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res))
 
 
 def q_grid(state, window, resolution):
@@ -101,7 +103,7 @@ def q_grid(state, window, resolution):
     x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
     betas = _center_lattice(x_min, x_max, y_min, y_max, res)
     vals = _husimi(state.amplitudes, betas)
-    return QGrid(x_min, x_max, y_min, y_max, res, "q", vals.reshape(res, res))
+    return QGrid(x_min, x_max, y_min, y_max, res, vals.reshape(res, res))
 
 
 def wigner_value(state, beta):
@@ -119,7 +121,7 @@ def wigner_grid(state, window, resolution):
         raise DomainError("window corner exceeds the Wigner guard radius")
     betas = _center_lattice(x_min, x_max, y_min, y_max, res)
     vals = _kernels.wigner_values(state.amplitudes, betas)
-    return QGrid(x_min, x_max, y_min, y_max, res, "wigner", vals.reshape(res, res))
+    return QGrid(x_min, x_max, y_min, y_max, res, vals.reshape(res, res))
 
 
 def grid_quadrature(grid):
@@ -141,8 +143,7 @@ def wigner_min_scan(state, window, resolution):
     best_val = float(grid.values[iy, ix])
     best_pt = (cx, cy)
 
-    dx = (grid.x_max - grid.x_min) / grid.resolution
-    dy = (grid.y_max - grid.y_min) / grid.resolution
+    dx, dy = grid.cell_widths()
     sub = 4 * _MIN_SCAN_ZOOM + 1
     fine_x = cx + np.linspace(-2.0 * dx, 2.0 * dx, sub)
     fine_y = cy + np.linspace(-2.0 * dy, 2.0 * dy, sub)

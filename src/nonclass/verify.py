@@ -162,7 +162,7 @@ def check_pasv_numeric():
     for p in _PASV_GRID_P:
         for r in _PASV_GRID_R:
             rep = _pasv_report(p, r)
-            ana = analytic.pasv_qmax(analytic.PasvParams(p=p, r=r, phi=0.6)).qmax
+            ana = analytic.pasv_qmax(analytic.PasvParams(p=p, r=r)).qmax
             worst = max(worst, abs(rep.q_max - ana) / ana)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6

@@ -140,7 +140,7 @@ def test_criterion_04_photon_added_svs():
     for p in (1, 2, 5, 10):
         for r in (0.3, 0.55, 1.0, 2.0):
             rep = optimizer.maximize_q(_pasv_state(p, r, phi))
-            ref = pasv_qmax(PasvParams(p=p, r=r, phi=phi))
+            ref = pasv_qmax(PasvParams(p=p, r=r))
             worst_q = max(worst_q, abs(rep.q_max - ref.qmax) / ref.qmax)
             bsq = rep.beta_max.re**2 + rep.beta_max.im**2
             worst_bsq = max(

@@ -190,8 +190,6 @@ class TestPasv:
             PasvParams(p=1, r=-1.0)
         with pytest.raises(DomainError):
             PasvParams(p=-2, r=1.0)
-        with pytest.raises(DomainError):
-            PasvParams(p=1, r=1.0, phi=math.nan)
 
 
 class TestStrongSqueezing:

@@ -112,23 +112,42 @@ class TestDqCommand:
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["dq", "--state", "svs:r=-1,phi=0"]) == 64
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dq", "--state", "fock:n=1"],
+            ["dq", "--state", "fock:n=1", "--json"],
+            # both rows are |1>
+            ["sweep", "--family", "fock", "--x-min", "1", "--x-max", "1", "--steps", "2",
+             "--numeric"],
+        ],
+        ids=["text", "json", "sweep"],
+    )
     @pytest.mark.parametrize("rel, code", [(1e-5, 2), (1e-7, 0)])
-    def test_disagreement_with_closed_form_exit_code(self, monkeypatch, capsys, flags, rel, code):
+    def test_disagreement_with_closed_form_exit_code(
+        self, monkeypatch, capsys, tmp_path, argv, rel, code
+    ):
         # |1> peaks at q = 1/(pi e); a numeric q_max more than 1e-6 relative
         # off it is an error, with both values and a hint on stderr
         q = (1.0 + rel) / (math.pi * math.e)
         report = optimizer.NonclassReport(PhasePoint(1.0, 0.0), q, 1.0 - math.pi * q, 0.0)
         monkeypatch.setattr(optimizer, "maximize_q", lambda state, opts=None: report)
-        assert cli.main(["dq", "--state", "fock:n=1"] + flags) == code
+        out = tmp_path / "sweep.csv"
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(out)]
+        assert cli.main(argv) == code
         captured = capsys.readouterr()
         if code == 2:
             assert captured.out == ""
             assert repr(q) in captured.err
             assert repr(1.0 - 1.0 / math.e) in captured.err
             assert "hint:" in captured.err
+            assert list(tmp_path.iterdir()) == []
         else:
             assert captured.err == ""
+            if argv[0] == "sweep":
+                _, rows = read_csv(out)
+                assert [float(r[3]) for r in rows] == [1.0 - math.pi * q] * 2
 
     def test_norm_check_failure_exit_code(self, capsys):
         # the overlap seed e^{-|alpha|^2/2} underflows and the squared norm

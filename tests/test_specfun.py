@@ -1,4 +1,4 @@
-"""Special-function layer against frozen values and scipy."""
+"""Special functions of the closed forms against frozen values and scipy."""
 
 import math
 
@@ -6,35 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre, gammaln
 
-from nonclass.analytic import _log_laguerre_at_neg
+from nonclass.analytic import _log_laguerre_at_neg, hyp2f1_photon
 from nonclass.errors import DomainError
-from nonclass.specfun import hyp2f1_photon, log_factorial
 
 
 def laguerre_at_neg(p, u):
     """L_p(-u) from the log-domain recurrence analytic uses."""
     return math.exp(_log_laguerre_at_neg(p, u))
-
-
-class TestLogFactorial:
-    def test_small_values_exact(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-        assert math.isclose(log_factorial(5), math.log(120.0), rel_tol=1e-15)
-
-    def test_against_lgamma(self):
-        for n in list(range(0, 300, 7)) + [256, 257, 1000, 5000, 100000]:
-            ref = math.lgamma(n + 1)
-            if ref == 0.0:
-                assert log_factorial(n) == 0.0
-            else:
-                assert abs(log_factorial(n) - ref) / ref <= 1e-13
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            log_factorial(-1)
-        with pytest.raises(DomainError):
-            log_factorial(2.5)
 
 
 class TestLaguerre:
