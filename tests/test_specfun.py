@@ -2,17 +2,58 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre, gammaln
 
-from nonclass.analytic import _log_laguerre_at_neg, hyp2f1_photon
+from nonclass.analytic import (
+    _log_laguerre_at_neg,
+    fock_nonclassicality,
+    hyp2f1_photon,
+    svs_antinormal,
+)
 from nonclass.errors import DomainError
 
 
 def laguerre_at_neg(p, u):
     """L_p(-u) from the log-domain recurrence analytic uses."""
     return math.exp(_log_laguerre_at_neg(p, u))
+
+
+class TestLogFactorial:
+    # ln n! is math.lgamma(n + 1) throughout the package.  svs_antinormal
+    # at r = 0 is p! itself (cosh 0 = 1 and the Gauss series is 1 at x = 0),
+    # so it reads the factorial back through the closed forms.
+    def test_small_values_exact(self):
+        assert svs_antinormal(0, 0.0) == 1.0
+        assert svs_antinormal(1, 0.0) == 1.0
+        assert math.isclose(svs_antinormal(5, 0.0), 120.0, rel_tol=1e-15)
+
+    def test_against_lgamma(self):
+        # the 40-digit ln Gamma(n + 1) of mpmath as the reference
+        with mpmath.workdps(40):
+            for n in list(range(0, 300, 7)) + [256, 257, 1000, 5000, 100000]:
+                ref = float(mpmath.loggamma(n + 1))
+                got = [math.lgamma(n + 1)]
+                if n <= 170:
+                    got.append(math.log(svs_antinormal(n, 0.0)))
+                for value in got:
+                    if ref == 0.0:
+                        assert value == 0.0
+                    else:
+                        assert abs(value - ref) / ref <= 1e-13
+
+    def test_rejects_bad_input(self):
+        # math.lgamma would take 2.5 + 1 silently, so the callers check p
+        with pytest.raises(DomainError):
+            svs_antinormal(-1, 0.0)
+        with pytest.raises(DomainError):
+            svs_antinormal(2.5, 0.0)
+        with pytest.raises(DomainError):
+            fock_nonclassicality(-1)
+        with pytest.raises(DomainError):
+            fock_nonclassicality(2.5)
 
 
 class TestLaguerre:
