@@ -16,10 +16,10 @@ import numpy as np
 def coherent_overlaps(amps, betas):
     """Batch <beta|psi> for a complex amplitude vector and beta array.
 
-    Serves quasiprob.q_grid (and q_value, wigner_min_scan),
-    states.coherent_overlap and verify; the optimizer uses
-    bargmann_weights instead.  The seed e^{-|b|^2/2} underflows past
-    |b| ~ 38.6, where every overlap comes back as 0.
+    Serves quasiprob.q_grid (and q_value), states.coherent_overlap and
+    verify; the optimizer uses bargmann_weights instead.  The seed
+    e^{-|b|^2/2} underflows past |b| ~ 38.6, where every overlap comes
+    back as 0.
     """
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
     betas = np.ascontiguousarray(betas, dtype=np.complex128)
@@ -43,17 +43,37 @@ def coherent_overlaps(amps, betas):
 # negligible, at any radius.
 # ---------------------------------------------------------------------------
 
-def bargmann_weights(n_amp, rho):
-    """w_n(rho) for n < n_amp at one radius rho >= 0 (ValueError below 0).
+def half_log_factorials(n_amp):
+    """1/2 ln n! for n < n_amp, one cumulative sum of 1/2 ln k.
 
-    At rho = 0 the log of rho^n is 0 for n = 0 and -inf above, so the
-    origin gives w = (1, 0, 0, ...) like any other point.
+    bargmann_weights takes this table in place of a length, so a caller
+    that needs weights at many radii builds it once.
     """
-    log_rho = math.log(rho) if rho != 0.0 else -math.inf
-    log_w = np.zeros(n_amp)
-    k = np.arange(1.0, n_amp)
-    log_w[1:] = k * log_rho - np.cumsum(0.5 * np.log(k))
-    return np.exp(log_w - 0.5 * rho * rho)
+    half_lf = np.zeros(n_amp)
+    half_lf[1:] = np.cumsum(0.5 * np.log(np.arange(1.0, n_amp)))
+    return half_lf
+
+
+def bargmann_weights(half_lf, rho):
+    """w_n(rho) for n < len(half_lf), given half_log_factorials(len(half_lf)).
+
+    rho is one radius, giving one row of weights, or a column of radii
+    (shape (k, 1)), giving k rows; each row is bit-identical to the call
+    on its radius alone.  A radius below 0 raises ValueError.  At rho = 0
+    the log of rho^n is 0 for n = 0 and -inf above, so the origin gives
+    w = (1, 0, 0, ...) like any other point.
+    """
+    n_amp = half_lf.shape[0]
+    if np.ndim(rho):
+        log_rho = np.array([[math.log(r) if r != 0.0 else -math.inf] for r in rho[:, 0]])
+    else:
+        log_rho = math.log(rho) if rho != 0.0 else -math.inf
+    log_w = np.empty(np.shape(rho)[:1] + (n_amp,))
+    log_w[..., 0] = 0.0
+    np.multiply(np.arange(1.0, n_amp), log_rho, out=log_w[..., 1:])
+    log_w -= half_lf
+    log_w -= 0.5 * rho * rho
+    return np.exp(log_w, out=log_w)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ error, 64 usage error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -335,7 +336,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process.
+
+    parse_args leaves no state in it: every call fills a fresh namespace.
+    """
     parser = _Parser(prog="nonclass", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,8 +7,9 @@ A coarse search over _RINGS concentric rings of the search disk picks the
 start: on a ring of _ANGLES equally spaced angles the sum is one FFT of
 the terms c_n w_n folded by n mod _ANGLES.  Newton's method on ln Q in
 polar coordinates polishes it, evaluating every point with the same
-weights.  Polar steps follow the ring-shaped ridge of a nearly Fock
-state, along which a Cartesian step only crawls.
+weights; every weight of one search comes from one table of 1/2 ln n!
+(_kernels.half_log_factorials).  Polar steps follow the ring-shaped
+ridge of a nearly Fock state, along which a Cartesian step only crawls.
 """
 
 import cmath
@@ -27,6 +28,8 @@ from .states import PhasePoint, mean_photon
 _RINGS = 50
 _ANGLES = 320
 _MAX_NEWTON_STEPS = 20
+# terms of ring weights built at once, so peak working memory does not grow with N
+_BLOCK_TERMS = 2**15
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,13 @@ def _ladder(amps):
     return np.stack([amps, a1[:-1], root[:-1] * a1[1:]])
 
 
-def _bargmann_row(n_amp, rho, theta):
+def _bargmann_row(half_lf, rho, theta):
     """w_n(rho) e^{-i n theta}, so that <beta|psi> = amps @ row at rho e^{i theta}."""
-    return _kernels.bargmann_weights(n_amp, rho) * np.exp(-1j * theta * np.arange(n_amp))
+    n = np.arange(half_lf.shape[0])
+    return _kernels.bargmann_weights(half_lf, rho) * np.exp(-1j * theta * n)
 
 
-def _polar_newton_step(ladder, rho, theta):
+def _polar_newton_step(ladder, half_lf, rho, theta):
     """Ascent step (d_rho, d_theta) for ln Q at rho e^{i theta}.
 
     Q = e^{-|beta|^2} |f(z)|^2 / pi with z = conj(beta) and f the Bargmann
@@ -91,7 +95,7 @@ def _polar_newton_step(ladder, rho, theta):
     an ordinary point.  The step is Newton's along each concave
     eigendirection of the Hessian and the gradient along the others.
     """
-    g0, g1, g2 = ladder @ _bargmann_row(ladder.shape[1], rho, theta)
+    g0, g1, g2 = ladder @ _bargmann_row(half_lf, rho, theta)
     h = g1 / g0
     e = cmath.exp(-1j * theta)
     w1 = h * e  # w / rho
@@ -104,14 +108,21 @@ def _polar_newton_step(ladder, rho, theta):
     return vec @ [c / -l if l < 0.0 else c for c, l in zip(vec.T @ grad, lam)]
 
 
-def _ring_values(amps, rings):
-    """pi Q on _ANGLES equally spaced angles of each ring, one row per ring."""
+def _ring_values(amps, half_lf, rings):
+    """pi Q on _ANGLES equally spaced angles of each ring, one row per ring.
+
+    The weights come a block of rings at a time, at most _BLOCK_TERMS
+    terms per block (one ring when N alone exceeds it).
+    """
     n_amp = amps.shape[0]
-    terms = np.zeros(math.ceil(n_amp / _ANGLES) * _ANGLES, np.complex128)
+    width = math.ceil(n_amp / _ANGLES) * _ANGLES
+    block = max(1, _BLOCK_TERMS // n_amp)
     folded = np.empty((rings.size, _ANGLES), np.complex128)
-    for j, rho in enumerate(rings):
-        np.multiply(amps, _kernels.bargmann_weights(n_amp, rho), out=terms[:n_amp])
-        terms.reshape(-1, _ANGLES).sum(axis=0, out=folded[j])
+    for j in range(0, rings.size, block):
+        column = rings[j:j + block, None]
+        terms = np.zeros((column.shape[0], width), np.complex128)
+        np.multiply(amps, _kernels.bargmann_weights(half_lf, column), out=terms[:, :n_amp])
+        terms.reshape(column.shape[0], -1, _ANGLES).sum(axis=1, out=folded[j:j + block])
     ov = np.fft.fft(folded, axis=1)
     return ov.real**2 + ov.imag**2
 
@@ -129,9 +140,9 @@ def maximize_q(state, opts=None):
     if radius is None:
         radius = 3.0 * math.sqrt(max(mean_photon(state), 0.0)) + 5.0
     amps = state.amplitudes
-    n_amp = amps.shape[0]
+    half_lf = _kernels.half_log_factorials(amps.shape[0])
     rings = radius * (np.arange(_RINGS) + 0.5) / (_RINGS - 0.5)
-    values = _ring_values(amps, rings)
+    values = _ring_values(amps, half_lf, rings)
     j, m = divmod(int(np.argmax(values)), _ANGLES)  # first occurrence
     if j == _RINGS - 1:
         raise WindowError(
@@ -143,7 +154,7 @@ def maximize_q(state, opts=None):
     cell = float(rings[1] - rings[0])
     ladder = _ladder(amps)
     for _ in range(_MAX_NEWTON_STEPS):
-        d_rho, d_theta = _polar_newton_step(ladder, rho, theta)
+        d_rho, d_theta = _polar_newton_step(ladder, half_lf, rho, theta)
         length = math.hypot(d_rho, rho * d_theta)
         if length > cell:
             d_rho, d_theta, length = d_rho * cell / length, d_theta * cell / length, cell
@@ -153,7 +164,7 @@ def maximize_q(state, opts=None):
             r, t = rho + s * d_rho, theta + s * d_theta
             if r < 0.0:
                 r, t = -r, t + math.pi
-            ov = amps @ _bargmann_row(n_amp, r, t)
+            ov = amps @ _bargmann_row(half_lf, r, t)
             q_trial = float(ov.real**2 + ov.imag**2) / math.pi
             if q_trial > q or length * s <= opts.target_step:
                 break

@@ -16,7 +16,9 @@ from .errors import AccuracyError, CutoffError, DomainError
 
 TAIL_TARGET = 1e-12
 DISPLACEMENT_GUARD = 5.0
-_MAX_AUTO_CUTOFF = 250_000
+# largest cutoff any constructor builds, chosen or overridden; checked
+# before anything is allocated
+_MAX_CUTOFF = 250_000
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,17 @@ def make_coherent(alpha, cutoff_override=None):
 
     The automatic cutoff ceil(|alpha|^2 + 12 sqrt(|alpha|^2+1) + 20) puts
     the discarded mass far below 1e-12.  A cutoff_override that cannot
-    certify that target raises CutoffError.
+    certify that target, or a cutoff past _MAX_CUTOFF, raises CutoffError.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise DomainError("alpha must be finite")
-    mu = abs(alpha) ** 2
+    try:
+        mu = abs(alpha) ** 2
+    except OverflowError:
+        raise DomainError(f"|alpha|^2 overflows a double for alpha={alpha}") from None
     if cutoff_override is None:
-        cutoff = math.ceil(mu + 12.0 * math.sqrt(mu + 1.0) + 20.0)
+        cutoff = math.ceil(_check_cutoff(mu + 12.0 * math.sqrt(mu + 1.0) + 20.0))
     else:
         cutoff = _check_override(cutoff_override)
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
@@ -94,10 +99,16 @@ def make_coherent(alpha, cutoff_override=None):
     return FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail)
 
 
+def _check_cutoff(cutoff):
+    if cutoff > _MAX_CUTOFF:
+        raise CutoffError(f"cutoff {cutoff:.6g} exceeds the limit {_MAX_CUTOFF}")
+    return cutoff
+
+
 def _check_override(cutoff_override):
     if cutoff_override != int(cutoff_override) or int(cutoff_override) < 0:
         raise DomainError(f"cutoff_override must be a nonnegative integer, got {cutoff_override}")
-    return int(cutoff_override)
+    return _check_cutoff(int(cutoff_override))
 
 
 def _poisson_tail_bound(mu, cutoff):
@@ -119,37 +130,17 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None):
     """Squeezed vacuum with squeeze modulus r and squeeze angle phi.
 
     Even amplitudes c_{2m} = (cosh r)^{-1/2} (e^{i phi} tanh(r)/2)^m
-    sqrt((2m)!)/m!.  The automatic cutoff certifies a geometric tail
-    bound below 1e-12.
+    sqrt((2m)!)/m!.  The automatic cutoff (_svs_auto_cutoff) certifies a
+    geometric tail bound below 1e-12.
     """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"squeeze modulus r must be finite and >= 0, got {r}")
-    if not math.isfinite(phi):
-        raise DomainError("squeeze angle phi must be finite")
-    t = math.tanh(r)
-    t2 = t * t
+    _check_squeeze(r, phi)
     if cutoff_override is None:
-        if r == 0.0:
-            return FockState(np.array([1.0 + 0.0j]), cutoff=0, tail_bound=0.0)
-        pairs = None
-        prob = 1.0 / math.cosh(r)
-        m = 0
-        while True:
-            nxt = prob * t2 * (2 * m + 1) / (2 * m + 2)
-            if nxt / (1.0 - t2) <= 0.5 * TAIL_TARGET:
-                pairs = m
-                break
-            prob = nxt
-            m += 1
-            if 2 * m > _MAX_AUTO_CUTOFF:
-                raise CutoffError(
-                    f"r={r} needs a cutoff beyond {_MAX_AUTO_CUTOFF}; "
-                    "reduce r or supply amplitudes another way"
-                )
-        cutoff = 2 * pairs
+        cutoff = _svs_auto_cutoff(r)
     else:
         cutoff = _check_override(cutoff_override)
-        pairs = cutoff // 2
+    t = math.tanh(r)
+    t2 = t * t
+    pairs = cutoff // 2
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     z = 0.5 * t * complex(math.cos(phi), math.sin(phi))
     val = 1.0 / math.sqrt(math.cosh(r))
@@ -169,6 +160,35 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None):
             f"cutoff {cutoff} certifies tail {tail:.3e} > 1e-12 for r={r:.6g}"
         )
     return FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail)
+
+
+def _check_squeeze(r, phi):
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DomainError(f"squeeze modulus r must be finite and >= 0, got {r}")
+    if not math.isfinite(phi):
+        raise DomainError("squeeze angle phi must be finite")
+
+
+def _svs_auto_cutoff(r):
+    """The automatic squeezed-vacuum cutoff 2m, 0 at r = 0.
+
+    m is the first pair count whose next pair, with the geometric tail
+    after it, carries at most half of TAIL_TARGET.
+    """
+    t2 = math.tanh(r) ** 2
+    prob = 1.0 / math.cosh(r)
+    m = 0
+    while True:
+        nxt = prob * t2 * (2 * m + 1) / (2 * m + 2)
+        if nxt / (1.0 - t2) <= 0.5 * TAIL_TARGET:
+            return 2 * m
+        prob = nxt
+        m += 1
+        if 2 * m > _MAX_CUTOFF:
+            raise CutoffError(
+                f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
+                "reduce r or supply amplitudes another way"
+            )
 
 
 def svs_cutoff_for_moment(r, p):
@@ -191,14 +211,12 @@ def svs_cutoff_for_moment(r, p):
     while True:
         m += 1
         prob = prob * t2 * (2 * m - 1) / (2 * m)
-        weight = 1.0
-        for k in range(1, p + 1):
-            weight *= 2 * m + k
+        weight = math.prod(range(2 * m + 1, 2 * m + p + 1), start=1.0)
         ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
         if ratio < 1.0 and prob * weight / (1.0 - ratio) <= scale:
             return 2 * m
-        if 2 * m > _MAX_AUTO_CUTOFF:
-            raise CutoffError(f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_AUTO_CUTOFF}")
+        if 2 * m > _MAX_CUTOFF:
+            raise CutoffError(f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_CUTOFF}")
 
 
 def make_squeezed_vacuum_for_addition(r, phi, p):
@@ -206,25 +224,26 @@ def make_squeezed_vacuum_for_addition(r, phi, p):
 
     Photon addition weights the tail by (n+1)...(n+p), so the cutoff is
     raised to svs_cutoff_for_moment(r, p) when that exceeds the automatic
-    one.  For p == 0 or r == 0 this is make_squeezed_vacuum(r, phi).
+    one; the amplitudes are built once, at the larger cutoff.  For
+    p == 0 or r == 0 this is make_squeezed_vacuum(r, phi).
     """
-    base = make_squeezed_vacuum(r, phi)
+    _check_squeeze(r, phi)
+    cutoff = _svs_auto_cutoff(r)
     if p > 0:
-        cutoff = svs_cutoff_for_moment(r, p)  # 0 when r == 0
-        if cutoff > base.cutoff:
-            base = make_squeezed_vacuum(r, phi, cutoff_override=cutoff)
-    return base
+        cutoff = max(cutoff, svs_cutoff_for_moment(r, p))
+    return make_squeezed_vacuum(r, phi, cutoff_override=cutoff)
 
 
 def make_fock(p, cutoff_override=None):
     """Fock state |p>; exact at cutoff p, or zero-padded to cutoff_override.
 
-    A cutoff_override below p raises DomainError.
+    A cutoff_override below p raises DomainError, a cutoff past
+    _MAX_CUTOFF CutoffError.
     """
     if p < 0 or p != int(p):
         raise DomainError(f"Fock index must be a nonnegative integer, got {p}")
     p = int(p)
-    cutoff = p if cutoff_override is None else _check_override(cutoff_override)
+    cutoff = _check_cutoff(p) if cutoff_override is None else _check_override(cutoff_override)
     if cutoff < p:
         raise DomainError("cutoff_override below the photon number")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
@@ -247,13 +266,15 @@ def add_photons(state, p):
     Amplitudes map as c_{n+p} = c_n sqrt((n+p)!/n!) / sqrt(S) with
     S = antinormal_correlation(state, p) computed on the truncated input;
     for heavy-tailed inputs pick the input cutoff with the moment in mind
-    (see svs_cutoff_for_moment).
+    (see svs_cutoff_for_moment).  An output cutoff past _MAX_CUTOFF
+    raises CutoffError.
     """
     if p < 0 or p != int(p):
         raise DomainError(f"photon count must be a nonnegative integer, got {p}")
     p = int(p)
     if p == 0:
         return state
+    _check_cutoff(state.cutoff + p)
     weight = _addition_weights(state, p)
     c = state.amplitudes
     norm_sq_inv = float(np.sum((c.real**2 + c.imag**2) * weight))

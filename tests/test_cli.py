@@ -149,6 +149,27 @@ class TestDqCommand:
                 _, rows = read_csv(out)
                 assert [float(r[3]) for r in rows] == [1.0 - math.pi * q] * 2
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # sizes no allocator grants: each must be refused before anything is built
+            (["--state", "fock:n=1", "--cutoff", "10000000000000"], 2),
+            (["--state", "coherent:re=1,im=0", "--cutoff", "10000000000000"], 2),
+            (["--state", "svs:r=1,phi=0", "--cutoff", "10000000000000"], 2),
+            (["--state", "fock:n=10000000000000"], 2),
+            (["--state", "coherent:re=1e100,im=0"], 2),
+            (["--state", "fock:n=1+add=10000000000000"], 2),
+            (["--state", "coherent:re=1e200,im=0"], 64),
+        ],
+        ids=["fock-override", "coherent-override", "svs-override", "fock-index",
+             "coherent-auto", "added-photons", "alpha-overflow"],
+    )
+    def test_oversized_state_exit_code(self, capsys, argv, code):
+        assert cli.main(["dq", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_norm_check_failure_exit_code(self, capsys):
         # the overlap seed e^{-|alpha|^2/2} underflows and the squared norm
         # misses 1 by 9e-11: an accuracy failure, reported without a traceback
@@ -337,3 +358,23 @@ class TestTopLevel:
 
     def test_missing_required_flag(self, capsys):
         assert cli.main(["dq"]) == 64
+
+    def test_cached_parser_keeps_no_state(self, tmp_path, capsys):
+        # each call in this order gives what it gives on a freshly built parser
+        calls = [
+            ["dq", "--state"],
+            ["dq", "--state", "fock:n=1", "--json"],
+            ["grid", "--state", "fock:n=1", "--res", "5", "--out", str(tmp_path / "g.csv")],
+            ["dq", "--state", "fock:n=1", "--json"],
+            ["dq", "--state", "coherent:re=1,im=0.5", "--json", "--tol", "1e-3"],
+            ["dq", "--state", "coherent:re=1,im=0.5", "--json"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append((cli.main(argv), capsys.readouterr().out))
+        assert [code for code, _ in fresh] == [64, 0, 0, 0, 0, 0]
+        assert fresh[4] != fresh[5]  # --tol shows in the output
+        parser = cli._build_parser()
+        assert [(cli.main(argv), capsys.readouterr().out) for argv in calls] == fresh
+        assert cli._build_parser() is parser

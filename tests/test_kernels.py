@@ -7,7 +7,13 @@ import pytest
 from scipy.special import eval_laguerre
 
 from nonclass import states
-from nonclass._kernels import _wigner_diagonals, coherent_overlaps, wigner_values
+from nonclass._kernels import (
+    _wigner_diagonals,
+    bargmann_weights,
+    coherent_overlaps,
+    half_log_factorials,
+    wigner_values,
+)
 
 # W values for the r=1, phi=0 squeezed vacuum truncated at its automatic
 # cutoff (96 rows), computed with a 60-digit run of the same recurrence.
@@ -57,6 +63,36 @@ class TestOverlapKernels:
         want = np.exp(-0.5 * np.abs(betas) ** 2 - 0.5 * abs(alpha) ** 2 + np.conj(betas) * alpha)
         got = coherent_overlaps(st.amplitudes, betas)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _weights_one_radius(n_amp, rho):
+    # reference: the weights at one radius with their own cumulative sum
+    # of 1/2 ln k, which the shared table must reproduce bit for bit
+    log_rho = math.log(rho) if rho != 0.0 else -math.inf
+    log_w = np.zeros(n_amp)
+    k = np.arange(1.0, n_amp)
+    log_w[1:] = k * log_rho - np.cumsum(0.5 * np.log(k))
+    return np.exp(log_w - 0.5 * rho * rho)
+
+
+class TestBargmannWeights:
+    RADII = [0.0, 1e-300, 0.3, 1.0, 7.7, 45.0, 60.0]
+
+    @pytest.mark.parametrize("n_amp", [1, 2, 97, 2026])
+    def test_batched_rows_equal_single_radius_calls(self, n_amp):
+        half_lf = half_log_factorials(n_amp)
+        block = bargmann_weights(half_lf, np.array(self.RADII)[:, None])
+        assert block.shape == (len(self.RADII), n_amp)
+        for row, rho in zip(block, self.RADII):
+            single = bargmann_weights(half_lf, rho)
+            assert np.array_equal(row, single)
+            assert single.tobytes() == _weights_one_radius(n_amp, rho).tobytes()
+
+    def test_origin_and_negative_radius(self):
+        half_lf = half_log_factorials(5)
+        assert np.array_equal(bargmann_weights(half_lf, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            bargmann_weights(half_lf, -1.0)
 
 
 class TestWignerKernels:

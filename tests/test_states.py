@@ -146,6 +146,37 @@ class TestSqueezedVacuum:
         grown = states.make_squeezed_vacuum_for_addition(1.0, 0.3, 5)
         assert grown.cutoff == max(plain.cutoff, svs_cutoff_for_moment(1.0, 5)) > plain.cutoff
 
+    @pytest.mark.parametrize("p", [0, 1, 5, 10])
+    @pytest.mark.parametrize("r", [0.0, 1e-9, 1.0, 2.0, 2.5])
+    def test_addition_cutoff_built_once(self, r, p):
+        # one build at the larger cutoff is byte for byte the state an
+        # explicit override gives
+        auto = make_squeezed_vacuum(r, 0.3).cutoff
+        moment = svs_cutoff_for_moment(r, p) if p else 0
+        got = states.make_squeezed_vacuum_for_addition(r, 0.3, p)
+        want = make_squeezed_vacuum(r, 0.3, cutoff_override=max(auto, moment))
+        assert got.cutoff == want.cutoff
+        assert got.tail_bound == want.tail_bound
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 5, 10])
+    @pytest.mark.parametrize("r", [1e-9, 0.3, 1.0, 2.0, 2.5])
+    def test_moment_cutoff_matches_loop(self, r, p):
+        # reference: the weight (2m+1)...(2m+p) multiplied out term by term
+        t2 = math.tanh(r) ** 2
+        scale = 1e-13 * math.exp(math.lgamma(p + 1) + 2 * p * math.log(math.cosh(r)))
+        prob, m = 1.0 / math.cosh(r), 0
+        while True:
+            m += 1
+            prob = prob * t2 * (2 * m - 1) / (2 * m)
+            weight = 1.0
+            for k in range(1, p + 1):
+                weight *= 2 * m + k
+            ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
+            if ratio < 1.0 and prob * weight / (1.0 - ratio) <= scale:
+                break
+        assert svs_cutoff_for_moment(r, p) == 2 * m
+
     def test_extreme_squeezing_refused(self):
         with pytest.raises(CutoffError):
             make_squeezed_vacuum(8.0, 0.0)
