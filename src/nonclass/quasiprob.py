@@ -17,6 +17,8 @@ from .errors import DomainError
 from .states import PhasePoint, _as_complex, mean_photon
 
 WIGNER_GUARD = 30.0
+# most cells a grid may have (res^2 <= 4096^2), checked before anything is allocated
+MAX_GRID_CELLS = 4096**2
 _MIN_SCAN_ZOOM = 10
 
 
@@ -88,6 +90,11 @@ def _check_window(window, resolution):
         raise DomainError("window must satisfy x_min < x_max and y_min < y_max")
     if resolution < 1 or resolution != int(resolution):
         raise DomainError(f"resolution must be a positive integer, got {resolution}")
+    if int(resolution) ** 2 > MAX_GRID_CELLS:
+        raise DomainError(
+            f"resolution {resolution} gives {int(resolution) ** 2} cells, "
+            f"above the limit {MAX_GRID_CELLS}"
+        )
     return x_min, x_max, y_min, y_max, int(resolution)
 
 

@@ -197,7 +197,8 @@ def svs_cutoff_for_moment(r, p):
     The moment sum_n |c_n|^2 (n+1)...(n+p) converges much more slowly
     than the mass, so oracle-grade photon addition on squeezed vacuum
     needs a cutoff where the weighted tail is below 1e-13 of a lower
-    bound (p! cosh^{2p} r) of the moment itself.
+    bound (p! cosh^{2p} r) of the moment itself.  The comparison is made
+    in logs, with ln n! as lgamma(n + 1), so no term overflows for large p.
     """
     if p < 0 or p != int(p):
         raise DomainError(f"p must be a nonnegative integer, got {p}")
@@ -205,15 +206,18 @@ def svs_cutoff_for_moment(r, p):
     if r == 0.0:
         return 0
     t2 = math.tanh(r) ** 2
-    scale = 1e-13 * math.exp(math.lgamma(p + 1) + 2 * p * math.log(math.cosh(r)))
-    prob = 1.0 / math.cosh(r)
+    log_t2 = math.log(t2) if t2 > 0.0 else -math.inf
+    log_cosh = math.log(math.cosh(r))
+    log_4 = math.log(4.0)
+    log_scale = math.log(1e-13) + math.lgamma(p + 1) + 2 * p * log_cosh
     m = 0
     while True:
         m += 1
-        prob = prob * t2 * (2 * m - 1) / (2 * m)
-        weight = math.prod(range(2 * m + 1, 2 * m + p + 1), start=1.0)
         ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
-        if ratio < 1.0 and prob * weight / (1.0 - ratio) <= scale:
+        # ln of |c_2m|^2 (2m+1)...(2m+p), with |c_2m|^2 = t2^m (2m)! / (m!^2 4^m cosh r)
+        log_term = (m * log_t2 - log_cosh + math.lgamma(2 * m + p + 1)
+                    - 2.0 * math.lgamma(m + 1) - m * log_4)
+        if ratio < 1.0 and log_term - math.log1p(-ratio) <= log_scale:
             return 2 * m
         if 2 * m > _MAX_CUTOFF:
             raise CutoffError(f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_CUTOFF}")
@@ -252,12 +256,23 @@ def make_fock(p, cutoff_override=None):
 
 
 def _addition_weights(state, p):
-    """(n+1)...(n+p) for n = 0..cutoff, the weights (a^dag)^p puts on |c_n|^2."""
+    """(weight, shift) with weight[n] 2^shift = (n+1)...(n+p), n = 0..cutoff.
+
+    These are the weights (a^dag)^p puts on |c_n|^2.  The running product
+    is scaled by 2^-600 each time its last, largest entry passes 2^900, so
+    it never overflows.  Scaling by a power of two commutes with rounding:
+    weight is the unscaled product times 2^-shift bit for bit, and a
+    product that never passes 2^900 has shift 0.
+    """
     n = np.arange(state.cutoff + 1, dtype=np.float64)
     weight = np.ones_like(n)
+    shift = 0
     for k in range(1, p + 1):
         weight *= n + k
-    return weight
+        if weight[-1] > 2.0**900:
+            weight *= 2.0**-600
+            shift += 600
+    return weight, shift
 
 
 def add_photons(state, p):
@@ -275,7 +290,7 @@ def add_photons(state, p):
     if p == 0:
         return state
     _check_cutoff(state.cutoff + p)
-    weight = _addition_weights(state, p)
+    weight, _ = _addition_weights(state, p)  # both sums below take the same 2^shift
     c = state.amplitudes
     norm_sq_inv = float(np.sum((c.real**2 + c.imag**2) * weight))
     out = np.zeros(state.cutoff + p + 1, dtype=np.complex128)
@@ -358,7 +373,9 @@ def antinormal_correlation(state, p):
     if p < 0 or p != int(p):
         raise DomainError(f"p must be a nonnegative integer, got {p}")
     c = state.amplitudes
-    return float(np.sum((c.real**2 + c.imag**2) * _addition_weights(state, int(p))))
+    weight, shift = _addition_weights(state, int(p))
+    with np.errstate(over="ignore"):  # a moment past the double range is inf
+        return float(np.ldexp(np.sum((c.real**2 + c.imag**2) * weight), shift))
 
 
 def mean_photon(state):

@@ -159,10 +159,11 @@ class TestSqueezedVacuum:
         assert got.tail_bound == want.tail_bound
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
-    @pytest.mark.parametrize("p", [0, 1, 2, 5, 10])
-    @pytest.mark.parametrize("r", [1e-9, 0.3, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("p", range(11))
+    @pytest.mark.parametrize("r", [1e-9, 1e-3, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_moment_cutoff_matches_loop(self, r, p):
-        # reference: the weight (2m+1)...(2m+p) multiplied out term by term
+        # reference: the comparison in floating point, the weight
+        # (2m+1)...(2m+p) multiplied out term by term
         t2 = math.tanh(r) ** 2
         scale = 1e-13 * math.exp(math.lgamma(p + 1) + 2 * p * math.log(math.cosh(r)))
         prob, m = 1.0 / math.cosh(r), 0
@@ -174,6 +175,23 @@ class TestSqueezedVacuum:
                 weight *= 2 * m + k
             ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
             if ratio < 1.0 and prob * weight / (1.0 - ratio) <= scale:
+                break
+        assert svs_cutoff_for_moment(r, p) == 2 * m
+
+    @pytest.mark.parametrize("p", [120, 160, 400])
+    def test_moment_cutoff_for_large_p(self, p):
+        # the float loop's weight and scale overflow here; reference: the
+        # same test on logs summed term by term
+        r = 1.0
+        t2 = math.tanh(r) ** 2
+        log_scale = math.log(1e-13) + math.lgamma(p + 1) + 2 * p * math.log(math.cosh(r))
+        log_prob, m = -math.log(math.cosh(r)), 0
+        while True:
+            m += 1
+            log_prob += math.log(t2 * (2 * m - 1) / (2 * m))
+            log_weight = sum(math.log(2 * m + k) for k in range(1, p + 1))
+            ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
+            if ratio < 1.0 and log_prob + log_weight - math.log1p(-ratio) <= log_scale:
                 break
         assert svs_cutoff_for_moment(r, p) == 2 * m
 
@@ -247,6 +265,30 @@ class TestAntinormalCorrelation:
             st = make_squeezed_vacuum(r, 0.4, cutoff_override=cut)
             want = analytic.svs_antinormal(p, r)
             assert antinormal_correlation(st, p) == pytest.approx(want, rel=1e-9)
+
+    def test_weights_rescaled_bit_for_bit(self):
+        # (n+1)...(n+140) for n <= 46 peaks near 2^950: rescaled, yet equal
+        # to the unscaled running product times 2^-shift
+        st = make_coherent(1.0)
+        weight, shift = states._addition_weights(st, 140)
+        assert shift == 600
+        n = np.arange(st.cutoff + 1, dtype=np.float64)
+        plain = np.ones_like(n)
+        for k in range(1, 141):
+            plain *= n + k
+        assert np.ldexp(weight, shift).tobytes() == plain.tobytes()
+
+    def test_weights_past_double_range(self):
+        # (n+1)...(n+400) overflows a double; weight 2^shift keeps it to
+        # rounding, and the moment itself is reported as inf
+        st = make_coherent(1.0)
+        weight, shift = states._addition_weights(st, 400)
+        assert weight.max() <= 2.0**900
+        for n in (0, 10, st.cutoff):
+            num, den = float(weight[n]).as_integer_ratio()
+            ratio = num * 2**shift / (den * math.prod(range(n + 1, n + 401)))
+            assert abs(ratio - 1.0) <= 400 * 2.0**-52
+        assert antinormal_correlation(st, 400) == math.inf
 
 
 class TestFockStateValidation:
