@@ -99,9 +99,21 @@ def bargmann_weights(half_lf, rho):
 # through the phase e^{ikt}.  Each chain therefore runs once per distinct
 # x (exact values, no rounding) and its sums go back to the points by the
 # inverse index, so a point's value is bit-identical to a call on that
-# point alone.  A diagonal whose pair products conj(c_{n+k}) c_n are all
-# exactly zero (odd k of a squeezed vacuum, photons added or not; k > 0
-# of a Fock state) would add exact zeros, and is skipped.
+# point alone.  No work is spent on exact zeros, which leaves every sum
+# bit-identical (each sum starts at +0, and adding +-0 never changes it):
+# - a diagonal whose pair products (-1)^n conj(c_{n+k}) c_n are all exactly
+#   zero (odd k of a squeezed vacuum, photons added or not; k > 0 of a
+#   Fock state) is skipped;
+# - a zero pair adds nothing (every other n of a squeezed vacuum, n < p
+#   after adding p photons to a coherent state), and a chain stops at its
+#   last non-zero pair;
+# - B is real, so a diagonal's sum is kept as real and imaginary parts,
+#   and a real pair touches only the first.
+# A chain step runs in place on n_x-sized buffers allocated once per call.
+# The two complex products per diagonal (phase and phase times sum) are
+# left out of place: numpy rounds a complex product whose output is its
+# own one-element input differently, which would make a single-point
+# call disagree with the same point in a batch.
 # ---------------------------------------------------------------------------
 
 _SCALE_LOG = 644.0
@@ -112,6 +124,7 @@ _UNWIND_AT = 1e20
 
 def _wigner_diagonals(amps, betas):
     n_amp = amps.shape[0]
+    n_pt = betas.shape[0]
     g = 2.0 * betas
     x_pt = g.real**2 + g.imag**2
     pos_pt = x_pt > 0.0
@@ -120,51 +133,74 @@ def _wigner_diagonals(amps, betas):
     n_x = x.shape[0]
     pos = x > 0.0
     lx = np.log(np.where(pos, x, 1.0))
-    total = np.zeros(betas.shape[0], np.float64)
-    ph = np.ones(betas.shape[0], np.complex128)
+    half_x = 0.5 * x
+    c = amps.tolist()
+    total = np.zeros(n_pt, np.float64)
+    ph = np.ones(n_pt, np.complex128)
+    at_pt = np.empty(n_pt, np.complex128)
+    acc = np.empty(n_x, np.complex128)
+    acc_re = np.empty(n_x, np.float64)
+    acc_im = np.empty(n_x, np.float64)
+    b_cur = np.empty(n_x, np.float64)
+    b_prev = np.empty(n_x, np.float64)
+    tmp = np.empty(n_x, np.float64)
     for k in range(n_amp):
         if k > 0:
             ph = ph * u
-        pairs = [(-1.0 if n % 2 else 1.0) * (np.conj(amps[n + k]) * amps[n])
-                 for n in range(n_amp - k)]
-        if not any(pairs):
+        pairs = [c[n + k].conjugate() * c[n] for n in range(n_amp - k)]
+        pairs[1::2] = [-pair for pair in pairs[1::2]]
+        last = max((n for n, pair in enumerate(pairs) if pair), default=-1)
+        if last < 0:
             continue  # the diagonal adds exact zeros
         if k == 0:
-            seed = -0.5 * x
+            seed = -half_x
         else:
-            seed = 0.5 * (k * lx - math.lgamma(k + 1.0)) - 0.5 * x
-        j = np.zeros(n_x, np.int64)
+            seed = 0.5 * (k * lx - math.lgamma(k + 1.0)) - half_x
         low = seed < _SEED_FLOOR
-        if low.any():
+        any_scaled = bool(low.any())
+        if any_scaled:
             j = np.where(low, ((_SEED_FLOOR - seed) // _SCALE_LOG).astype(np.int64) + 1, 0)
             seed = seed + _SCALE_LOG * j
-        b_cur = np.exp(seed)
+        np.exp(seed, out=b_cur)
         if k > 0:
-            b_cur = np.where(pos, b_cur, 0.0)
-        b_prev = np.zeros(n_x, np.float64)
-        acc = np.zeros(n_x, np.complex128)
-        any_scaled = bool((j > 0).any())
-        for n, pair in enumerate(pairs):
-            if any_scaled:
-                acc = acc + pair * np.where(j == 0, b_cur, 0.0)
-            else:
-                acc = acc + pair * b_cur
-            ca = (2.0 * n + k + 1.0 - x) / math.sqrt((n + 1.0) * (n + k + 1.0))
-            cb = math.sqrt(n * (n + k) / ((n + 1.0) * (n + k + 1.0)))
-            b_prev, b_cur = b_cur, ca * b_cur - cb * b_prev
+            b_cur[~pos] = 0.0
+        b_prev.fill(0.0)
+        acc_re.fill(0.0)
+        acc_im.fill(0.0)
+        for n in range(last + 1):
+            pair = pairs[n]
+            if pair:
+                b_use = np.where(j == 0, b_cur, 0.0) if any_scaled else b_cur
+                if pair.real:
+                    np.multiply(b_use, pair.real, out=tmp)
+                    acc_re += tmp
+                if pair.imag:
+                    np.multiply(b_use, pair.imag, out=tmp)
+                    acc_im += tmp
+            if n == last:
+                break  # later B values would meet only zero pairs
+            # B(n+1) = ca B(n) - cb B(n-1), written into B(n-1)'s buffer
+            np.subtract(2.0 * n + k + 1.0, x, out=tmp)
+            tmp /= math.sqrt((n + 1.0) * (n + k + 1.0))
+            tmp *= b_cur
+            b_prev *= math.sqrt(n * (n + k) / ((n + 1.0) * (n + k + 1.0)))
+            np.subtract(tmp, b_prev, out=b_prev)
+            b_prev, b_cur = b_cur, b_prev
             if any_scaled:
                 grown = (j > 0) & (np.maximum(np.abs(b_cur), np.abs(b_prev)) > _UNWIND_AT)
                 if grown.any():
                     shrink = np.where(grown, _SCALE_DOWN, 1.0)
-                    b_cur = b_cur * shrink
-                    b_prev = b_prev * shrink
-                    j = j - grown
+                    b_cur *= shrink
+                    b_prev *= shrink
+                    j -= grown
                     any_scaled = bool((j > 0).any())
-        acc = acc[inv]
+        acc.real = acc_re
+        acc.imag = acc_im
+        np.take(acc, inv, out=at_pt, mode="clip")
         if k == 0:
-            total += acc.real
+            total += at_pt.real
         else:
-            total += 2.0 * (ph * acc).real
+            total += 2.0 * (ph * at_pt).real
     return (2.0 / math.pi) * total
 
 

@@ -167,6 +167,22 @@ def _check_squeeze(r, phi):
         raise DomainError(f"squeeze modulus r must be finite and >= 0, got {r}")
     if not math.isfinite(phi):
         raise DomainError("squeeze angle phi must be finite")
+    _check_squeeze_reach(r)
+
+
+def _check_squeeze_reach(r):
+    """CutoffError when no cutoff up to _MAX_CUTOFF can hold squeeze r.
+
+    Each pair carries mass |c_2m|^2 <= 1/cosh r, and such a cutoff keeps
+    at most _MAX_CUTOFF // 2 + 1 pairs.  ln cosh r is taken as
+    r + log1p(e^{-2r}) - ln 2, which cannot overflow, so the check runs
+    before any cosh r.
+    """
+    if r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0) > math.log(_MAX_CUTOFF // 2 + 1):
+        raise CutoffError(
+            f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
+            "reduce r or supply amplitudes another way"
+        )
 
 
 def _svs_auto_cutoff(r):
@@ -199,28 +215,48 @@ def svs_cutoff_for_moment(r, p):
     needs a cutoff where the weighted tail is below 1e-13 of a lower
     bound (p! cosh^{2p} r) of the moment itself.  The comparison is made
     in logs, with ln n! as lgamma(n + 1), so no term overflows for large p.
+    The cutoff is 2m for the first m >= 1 that passes; past m =
+    _MAX_CUTOFF // 2 + 1 the search raises CutoffError.
     """
     if p < 0 or p != int(p):
         raise DomainError(f"p must be a nonnegative integer, got {p}")
     p = int(p)
     if r == 0.0:
         return 0
+    _check_squeeze_reach(r)
     t2 = math.tanh(r) ** 2
     log_t2 = math.log(t2) if t2 > 0.0 else -math.inf
     log_cosh = math.log(math.cosh(r))
     log_4 = math.log(4.0)
     log_scale = math.log(1e-13) + math.lgamma(p + 1) + 2 * p * log_cosh
-    m = 0
-    while True:
-        m += 1
+
+    def passes(m):
+        # the term ratio from pair m to m+1; the tail from m is geometric once it is below 1
         ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
+        if not ratio < 1.0:
+            return False
         # ln of |c_2m|^2 (2m+1)...(2m+p), with |c_2m|^2 = t2^m (2m)! / (m!^2 4^m cosh r)
         log_term = (m * log_t2 - log_cosh + math.lgamma(2 * m + p + 1)
                     - 2.0 * math.lgamma(m + 1) - m * log_4)
-        if ratio < 1.0 and log_term - math.log1p(-ratio) <= log_scale:
-            return 2 * m
-        if 2 * m > _MAX_CUTOFF:
+        return log_term - math.log1p(-ratio) <= log_scale
+
+    # The ratio falls with m, and where it is below 1 so does the tail
+    # bound, so passes() is false up to some m and true from there on:
+    # double to bracket the first passing m, then bisect, keeping
+    # passes(lo) false (lo = 0 is below every candidate) and passes(hi) true.
+    last = _MAX_CUTOFF // 2 + 1
+    lo, hi = 0, 1
+    while not passes(hi):
+        if hi == last:
             raise CutoffError(f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_CUTOFF}")
+        lo, hi = hi, min(2 * hi, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 2 * hi
 
 
 def make_squeezed_vacuum_for_addition(r, phi, p):

@@ -185,6 +185,22 @@ class TestDqCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--state", "svs:r=800,phi=0"],
+            ["--state", "svs:r=800,phi=0+add=2"],
+            ["--state", "svs:r=800,phi=0", "--cutoff", "10"],
+        ],
+        ids=["auto", "added", "override"],
+    )
+    def test_squeeze_past_cosh_range_exit_code(self, capsys, argv):
+        # cosh 800 overflows a double: the squeeze is refused before it is taken
+        assert cli.main(["dq", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: r=800.0 needs a cutoff beyond")
+
     def test_norm_check_failure_exit_code(self, capsys):
         # the overlap seed e^{-|alpha|^2/2} underflows and the squared norm
         # misses 1 by 9e-11: an accuracy failure, reported without a traceback
@@ -274,6 +290,14 @@ class TestGridCommand:
         assert code == 64
         assert str(quasiprob.MAX_GRID_CELLS) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_window_bound_in_exponent_form(self, tmp_path, capsys):
+        out = tmp_path / "y.csv"
+        code = cli.main(["grid", "--state", "fock:n=1", "--window", "-1e-3", "1", "-1", "1",
+                         "--res", "3", "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert float(rows[0][0]) == pytest.approx(-1e-3 + (1.0 + 1e-3) / 6.0, rel=1e-15)
 
     def test_bad_window_exit_code(self, capsys):
         code = cli.main(["grid", "--state", "fock:n=1", "--window",

@@ -34,6 +34,73 @@ def _deep_svs(r):
     return states.make_squeezed_vacuum(r, 0.0, cutoff_override=base.cutoff + 2 * extra)
 
 
+# The Wigner kernel as it was before its chain steps ran in place and
+# skipped exact zeros: one complex sum per diagonal, a fresh array per
+# step, every chain run to its end.  The kernel must match it bit for bit.
+_REF_SCALE_LOG = 644.0
+_REF_SCALE_DOWN = math.exp(-_REF_SCALE_LOG)
+_REF_SEED_FLOOR = -640.0
+_REF_UNWIND_AT = 1e20
+
+
+def _reference_wigner_diagonals(amps, betas):
+    n_amp = amps.shape[0]
+    g = 2.0 * betas
+    x_pt = g.real**2 + g.imag**2
+    pos_pt = x_pt > 0.0
+    u = np.where(pos_pt, g / np.sqrt(np.where(pos_pt, x_pt, 1.0)), 1.0 + 0.0j)
+    x, inv = np.unique(x_pt, return_inverse=True)
+    n_x = x.shape[0]
+    pos = x > 0.0
+    lx = np.log(np.where(pos, x, 1.0))
+    total = np.zeros(betas.shape[0], np.float64)
+    ph = np.ones(betas.shape[0], np.complex128)
+    for k in range(n_amp):
+        if k > 0:
+            ph = ph * u
+        pairs = [(-1.0 if n % 2 else 1.0) * (np.conj(amps[n + k]) * amps[n])
+                 for n in range(n_amp - k)]
+        if not any(pairs):
+            continue  # the diagonal adds exact zeros
+        if k == 0:
+            seed = -0.5 * x
+        else:
+            seed = 0.5 * (k * lx - math.lgamma(k + 1.0)) - 0.5 * x
+        j = np.zeros(n_x, np.int64)
+        low = seed < _REF_SEED_FLOOR
+        if low.any():
+            j = np.where(low, ((_REF_SEED_FLOOR - seed) // _REF_SCALE_LOG).astype(np.int64) + 1, 0)
+            seed = seed + _REF_SCALE_LOG * j
+        b_cur = np.exp(seed)
+        if k > 0:
+            b_cur = np.where(pos, b_cur, 0.0)
+        b_prev = np.zeros(n_x, np.float64)
+        acc = np.zeros(n_x, np.complex128)
+        any_scaled = bool((j > 0).any())
+        for n, pair in enumerate(pairs):
+            if any_scaled:
+                acc = acc + pair * np.where(j == 0, b_cur, 0.0)
+            else:
+                acc = acc + pair * b_cur
+            ca = (2.0 * n + k + 1.0 - x) / math.sqrt((n + 1.0) * (n + k + 1.0))
+            cb = math.sqrt(n * (n + k) / ((n + 1.0) * (n + k + 1.0)))
+            b_prev, b_cur = b_cur, ca * b_cur - cb * b_prev
+            if any_scaled:
+                grown = (j > 0) & (np.maximum(np.abs(b_cur), np.abs(b_prev)) > _REF_UNWIND_AT)
+                if grown.any():
+                    shrink = np.where(grown, _REF_SCALE_DOWN, 1.0)
+                    b_cur = b_cur * shrink
+                    b_prev = b_prev * shrink
+                    j = j - grown
+                    any_scaled = bool((j > 0).any())
+        acc = acc[inv]
+        if k == 0:
+            total += acc.real
+        else:
+            total += 2.0 * (ph * acc).real
+    return (2.0 / math.pi) * total
+
+
 class TestOverlapKernels:
     def test_svs_closed_form(self):
         # <beta|psi> = (cosh r)^{-1/2} exp(-|b|^2/2 + e^{i phi} tanh(r) conj(b)^2/2)
@@ -168,3 +235,36 @@ class TestWignerKernels:
         first = wigner_values(st.amplitudes, betas)
         second = wigner_values(st.amplitudes, betas)
         assert np.array_equal(first, second)
+
+
+def _bit_identity_cases():
+    pac = states.add_photons(states.make_coherent(1.2 + 0.7j), 3)
+    assert np.all(pac.amplitudes[:3] == 0.0)  # leading zero amplitudes
+    axis = np.linspace(-4.0, 4.0, 33)  # passes through 0 exactly
+    lattice = (axis[None, :] + 1j * axis[:, None]).ravel()
+    assert np.any(lattice == 0.0)
+    rng = np.random.default_rng(11)
+    scattered = rng.normal(0, 2.0, 200) + 1j * rng.normal(0, 2.0, 200)
+    betas = np.concatenate([lattice, scattered])
+    return {
+        "svs": (states.make_squeezed_vacuum(0.8, 0.7).amplitudes, betas),
+        "pasv_p2": (
+            states.add_photons(states.make_squeezed_vacuum_for_addition(0.6, 1.1, 2), 2).amplitudes,
+            betas,
+        ),
+        "pac_p3": (pac.amplitudes, betas),
+        "fock_7": (states.make_fock(7).amplitudes, betas),
+        "scaled_chain": (_deep_svs(1.5).amplitudes, np.array([18.0 + 0.0j, 17.9 + 0.3j])),
+        "single_point": (states.make_squeezed_vacuum(0.8, 0.7).amplitudes, np.array([1.3 - 2.1j])),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["svs", "pasv_p2", "pac_p3", "fock_7", "scaled_chain", "single_point"]
+)
+def test_wigner_kernel_bit_identical_to_reference(case):
+    amps, betas = _bit_identity_cases()[case]
+    got = _wigner_diagonals(amps, betas)
+    want = _reference_wigner_diagonals(amps, betas)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

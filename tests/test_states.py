@@ -195,6 +195,52 @@ class TestSqueezedVacuum:
                 break
         assert svs_cutoff_for_moment(r, p) == 2 * m
 
+    @staticmethod
+    def _moment_cutoff_scan(r, p):
+        # reference: the search as a scan over every m from 1, in the
+        # same logs, stopping past m = _MAX_CUTOFF // 2 + 1
+        if r == 0.0:
+            return 0
+        t2 = math.tanh(r) ** 2
+        log_t2 = math.log(t2) if t2 > 0.0 else -math.inf
+        log_cosh = math.log(math.cosh(r))
+        log_4 = math.log(4.0)
+        log_scale = math.log(1e-13) + math.lgamma(p + 1) + 2 * p * log_cosh
+        m = 0
+        while True:
+            m += 1
+            ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
+            log_term = (m * log_t2 - log_cosh + math.lgamma(2 * m + p + 1)
+                        - 2.0 * math.lgamma(m + 1) - m * log_4)
+            if ratio < 1.0 and log_term - math.log1p(-ratio) <= log_scale:
+                return 2 * m
+            if 2 * m > states._MAX_CUTOFF:
+                raise CutoffError(f"moment-aware cutoff for r={r}, p={p} exceeds {states._MAX_CUTOFF}")
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
+    @pytest.mark.parametrize("r", [1e-9, 1e-4, 0.05, 0.4, 1.0, 1.7, 2.5, 3.1, 3.5])
+    def test_moment_cutoff_search_matches_scan(self, r, p):
+        assert svs_cutoff_for_moment(r, p) == self._moment_cutoff_scan(r, p)
+
+    def test_moment_cutoff_search_at_the_cap(self):
+        # p = 1: the scan's last m passes at the first r, and no m passes
+        # 2e-9 above it (the returned 250002 is refused later, as an override)
+        assert svs_cutoff_for_moment(4.831454028841108, 1) == 250002
+        assert self._moment_cutoff_scan(4.831454028841108, 1) == 250002
+        for r, p in [(4.8314540311694145, 1), (6.0, 3)]:
+            with pytest.raises(CutoffError) as want:
+                self._moment_cutoff_scan(r, p)
+            with pytest.raises(CutoffError) as got:
+                svs_cutoff_for_moment(r, p)
+            assert str(got.value) == str(want.value)
+
+    def test_squeeze_past_cosh_range_refused(self):
+        # cosh 800 overflows a double; no cutoff could hold the state anyway
+        with pytest.raises(CutoffError):
+            svs_cutoff_for_moment(800.0, 2)
+        with pytest.raises(CutoffError):
+            make_squeezed_vacuum(800.0, 0.0, cutoff_override=10)
+
     def test_extreme_squeezing_refused(self):
         with pytest.raises(CutoffError):
             make_squeezed_vacuum(8.0, 0.0)
