@@ -501,9 +501,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads an argument that starts with "-" as a flag unless
-        # it matches this pattern, which has no exponent before Python 3.14,
-        # so "--window -1e-3 1 -1 1" would stop at "-1e-3".  Any negative
-        # number the spec grammar's float syntax accepts is a value.
+        # it matches this pattern, whose default (Python 3.10 to 3.13) has
+        # no exponent, so "--window -1e-3 1 -1 1" would stop at "-1e-3".
+        # Any negative number in the spec grammar's float syntax is a value.
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):

@@ -240,10 +240,13 @@ def svs_cutoff_for_moment(r, p):
                     - 2.0 * math.lgamma(m + 1) - m * log_4)
         return log_term - math.log1p(-ratio) <= log_scale
 
-    # The ratio falls with m, and where it is below 1 so does the tail
-    # bound, so passes() is false up to some m and true from there on:
-    # double to bracket the first passing m, then bisect, keeping
-    # passes(lo) false (lo = 0 is below every candidate) and passes(hi) true.
+    # passes() is false up to some m and true from there on.  For p >= 1
+    # the ratio falls with m, and where it is below 1 so does the tail
+    # bound.  For p = 0 the ratio stays below 1, and the bound can rise
+    # with m only while m(1 - t2) < 1, where it is still far above the
+    # target for any r that _check_squeeze_reach admits.  So double to
+    # bracket the first passing m, then bisect, keeping passes(lo) false
+    # (lo = 0 is below every candidate) and passes(hi) true.
     last = _MAX_CUTOFF // 2 + 1
     lo, hi = 0, 1
     while not passes(hi):
