@@ -196,7 +196,7 @@ def _wigner_diagonals(amps, betas):
                     any_scaled = bool((j > 0).any())
         acc.real = acc_re
         acc.imag = acc_im
-        np.take(acc, inv, out=at_pt, mode="clip")
+        np.take(acc, inv, out=at_pt, mode="clip")  # inv is in range: skip the checked path
         if k == 0:
             total += at_pt.real
         else:
