@@ -43,14 +43,11 @@ from .quasiprob import (
     q_value,
     wigner_grid,
     wigner_min_scan,
-    wigner_value,
 )
 from .states import (
     FockState,
-    PhasePoint,
     add_photons,
     antinormal_correlation,
-    coherent_overlap,
     displace,
     make_coherent,
     make_fock,
@@ -75,14 +72,12 @@ __all__ = [
     "PacParams",
     "PasvParams",
     "PasvQmax",
-    "PhasePoint",
     "QGrid",
     "SpecParseError",
     "SqueezeLimits",
     "WindowError",
     "add_photons",
     "antinormal_correlation",
-    "coherent_overlap",
     "displace",
     "dq_pac",
     "fock_nonclassicality",
@@ -105,6 +100,5 @@ __all__ = [
     "svs_qmax",
     "wigner_grid",
     "wigner_min_scan",
-    "wigner_value",
     "__version__",
 ]

@@ -8,6 +8,23 @@ import math
 
 import numpy as np
 
+# A recurrence seed below e^_SEED_FLOOR, which would lose precision or
+# underflow, is carried scaled up by e^{644 j}, and unwound (j -= 1) each
+# time the carried value passes _UNWIND_AT.  While j > 0 the true value
+# is below ~e^-598, and it is dropped from the sum.
+_SCALE_LOG = 644.0
+_SCALE_DOWN = math.exp(-_SCALE_LOG)  # ~1.4e-280, still a normal double
+_SEED_FLOOR = -640.0
+_UNWIND_AT = 1e20
+
+
+def _scale_counts(seed):
+    """The fewest j lifting each seed to _SEED_FLOOR or above, or None when all are there."""
+    low = seed < _SEED_FLOOR
+    if not low.any():
+        return None
+    return np.where(low, ((_SEED_FLOOR - seed) // _SCALE_LOG).astype(np.int64) + 1, 0)
+
 
 # ---------------------------------------------------------------------------
 # coherent overlaps  <beta|psi> = e^{-|b|^2/2} sum_n c_n conj(b)^n / sqrt(n!)
@@ -16,10 +33,10 @@ import numpy as np
 def coherent_overlaps(amps, betas):
     """Batch <beta|psi> for a complex amplitude vector and beta array.
 
-    Serves quasiprob.q_grid (and q_value), states.coherent_overlap and
-    verify; the optimizer uses bargmann_weights instead.  The seed
-    e^{-|b|^2/2} underflows past |b| ~ 38.6, where every overlap comes
-    back as 0.
+    Serves quasiprob.q_grid (and q_value) and verify; the optimizer uses
+    bargmann_weights instead.  Seeds e^{-|b|^2/2} below e^_SEED_FLOOR
+    (|b| past ~35.8) are carried scaled, so no overlap underflows; a
+    point gets the same bits in any batch.
     """
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
     betas = np.ascontiguousarray(betas, dtype=np.complex128)
@@ -27,11 +44,22 @@ def coherent_overlaps(amps, betas):
         return np.empty(0, np.complex128)
     n_amp = amps.shape[0]
     bc = np.conj(betas)
-    term = np.exp(-0.5 * (betas.real**2 + betas.imag**2)).astype(np.complex128)
-    acc = amps[0] * term
+    seed = -0.5 * (betas.real**2 + betas.imag**2)
+    j = _scale_counts(seed)
+    any_scaled = j is not None
+    if any_scaled:
+        seed = seed + _SCALE_LOG * j
+    term = np.exp(seed).astype(np.complex128)
+    del seed  # freed before the loop, whose working set sets peak memory
+    acc = amps[0] * (np.where(j == 0, term, 0.0) if any_scaled else term)
     for n in range(1, n_amp):
         term = term * bc / math.sqrt(n)
-        acc = acc + amps[n] * term
+        if any_scaled:
+            grown = (j > 0) & (np.abs(term) > _UNWIND_AT)
+            term = term * np.where(grown, _SCALE_DOWN, 1.0)
+            j -= grown
+            any_scaled = bool(j.any())
+        acc = acc + amps[n] * (np.where(j == 0, term, 0.0) if any_scaled else term)
     return acc
 
 
@@ -93,8 +121,8 @@ def bargmann_weights(half_lf, rho):
 # unstable past the classical turning point: there the true rows decay
 # superexponentially while roundoff rides the growing second solution.)
 # A chain whose seed underflows is carried scaled up by e^{644 j} and
-# unwound as it grows back; while j > 0 the true values are below ~e^-620
-# and are correctly dropped from the sum.
+# unwound as it grows back (see _SCALE_LOG); while j > 0 its true values
+# are dropped from the sum.
 # The chains depend on a point only through x; the angle enters only
 # through the phase e^{ikt}.  Each chain therefore runs once per distinct
 # x (exact values, no rounding) and its sums go back to the points by the
@@ -115,12 +143,6 @@ def bargmann_weights(half_lf, rho):
 # own one-element input differently, which would make a single-point
 # call disagree with the same point in a batch.
 # ---------------------------------------------------------------------------
-
-_SCALE_LOG = 644.0
-_SCALE_DOWN = math.exp(-_SCALE_LOG)  # ~1.4e-280, still a normal double
-_SEED_FLOOR = -640.0
-_UNWIND_AT = 1e20
-
 
 def _wigner_diagonals(amps, betas):
     n_amp = amps.shape[0]
@@ -156,10 +178,9 @@ def _wigner_diagonals(amps, betas):
             seed = -half_x
         else:
             seed = 0.5 * (k * lx - math.lgamma(k + 1.0)) - half_x
-        low = seed < _SEED_FLOOR
-        any_scaled = bool(low.any())
+        j = _scale_counts(seed)
+        any_scaled = j is not None
         if any_scaled:
-            j = np.where(low, ((_SEED_FLOOR - seed) // _SCALE_LOG).astype(np.int64) + 1, 0)
             seed = seed + _SCALE_LOG * j
         np.exp(seed, out=b_cur)
         if k > 0:

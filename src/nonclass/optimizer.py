@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, DomainError, WindowError
-from .states import PhasePoint, mean_photon
+from .states import mean_photon
 
 # rings at R (j + 1/2) / (_RINGS - 1/2), j < _RINGS, are R / 49.5 apart,
 # the outermost at R; the arc 2 pi R / _ANGLES between angles on it is
@@ -62,7 +62,7 @@ class NonclassReport:
     closed form, where a family has one.
     """
 
-    beta_max: PhasePoint
+    beta_max: complex
     q_max: float
     dq: float
     final_step: float
@@ -177,6 +177,5 @@ def maximize_q(state, opts=None):
     else:
         raise ConvergenceError(f"Newton step {step:.3e} still above target "
                                f"{opts.target_step:.3e} after {_MAX_NEWTON_STEPS} steps")
-    beta = cmath.rect(rho, theta)
     dq = min(1.0, max(0.0, 1.0 - math.pi * q))
-    return NonclassReport(PhasePoint(beta.real, beta.imag), q, dq, float(step))
+    return NonclassReport(cmath.rect(rho, theta), q, dq, float(step))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .states import PhasePoint, _as_complex, mean_photon
+from .states import mean_photon
 
 WIGNER_GUARD = 30.0
 # most cells a grid may have (res^2 <= 4096^2), checked before anything is allocated
@@ -79,13 +79,14 @@ def display_window(state):
 
 
 def q_value(state, beta):
-    """Husimi density at one point."""
-    beta = _as_complex(beta)
-    return float(_husimi(state.amplitudes, np.array([beta]))[0])
+    """Husimi density at one complex point beta."""
+    return float(_husimi(state.amplitudes, np.array([complex(beta)]))[0])
 
 
 def _check_window(window, resolution):
     x_min, x_max, y_min, y_max = map(float, window)
+    if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
+        raise DomainError(f"window bounds must be finite, got {(x_min, x_max, y_min, y_max)}")
     if not (x_min < x_max and y_min < y_max):
         raise DomainError("window must satisfy x_min < x_max and y_min < y_max")
     if resolution < 1 or resolution != int(resolution):
@@ -113,14 +114,6 @@ def q_grid(state, window, resolution):
     return QGrid(x_min, x_max, y_min, y_max, res, vals.reshape(res, res))
 
 
-def wigner_value(state, beta):
-    """Wigner function at one point via the displaced-parity sum."""
-    beta = _as_complex(beta)
-    if abs(beta) > WIGNER_GUARD:
-        raise DomainError(f"|beta|={abs(beta):.4g} exceeds the Wigner guard {WIGNER_GUARD}")
-    return float(_kernels.wigner_values(state.amplitudes, np.array([beta]))[0])
-
-
 def wigner_grid(state, window, resolution):
     """Wigner function on the cell-center lattice of a window."""
     x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
@@ -139,8 +132,8 @@ def grid_quadrature(grid):
 def wigner_min_scan(state, window, resolution):
     """Locate the minimum of W on a window: coarse scan plus one zoom.
 
-    Returns (PhasePoint, value).  The refinement re-grids a window of two
-    coarse cells around the best cell, _MIN_SCAN_ZOOM times finer.
+    Returns (beta, value) with beta a complex.  The refinement re-grids a
+    window of two coarse cells around the best cell, _MIN_SCAN_ZOOM times finer.
     """
     grid = wigner_grid(state, window, resolution)
     flat = int(np.argmin(grid.values))
@@ -161,4 +154,4 @@ def wigner_min_scan(state, window, resolution):
         best_val = float(vals[j])
         jy, jx = divmod(j, sub)
         best_pt = (float(fine_x[jx]), float(fine_y[jy]))
-    return PhasePoint(best_pt[0], best_pt[1]), best_val
+    return complex(best_pt[0], best_pt[1]), best_val

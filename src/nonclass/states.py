@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import AccuracyError, CutoffError, DomainError
 
 TAIL_TARGET = 1e-12
@@ -19,23 +18,6 @@ DISPLACEMENT_GUARD = 5.0
 # largest cutoff any constructor builds, chosen or overridden; checked
 # before anything is allocated
 _MAX_CUTOFF = 250_000
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point beta = re + i*im of the complex phase plane."""
-
-    re: float
-    im: float
-
-    def as_complex(self):
-        return complex(self.re, self.im)
-
-
-def _as_complex(beta):
-    if isinstance(beta, PhasePoint):
-        return beta.as_complex()
-    return complex(beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +198,7 @@ def svs_cutoff_for_moment(r, p):
     bound (p! cosh^{2p} r) of the moment itself.  The comparison is made
     in logs, with ln n! as lgamma(n + 1), so no term overflows for large p.
     The cutoff is 2m for the first m >= 1 that passes; past m =
-    _MAX_CUTOFF // 2 + 1 the search raises CutoffError.
+    _MAX_CUTOFF // 2 the search raises CutoffError.
     """
     if p < 0 or p != int(p):
         raise DomainError(f"p must be a nonnegative integer, got {p}")
@@ -247,7 +229,7 @@ def svs_cutoff_for_moment(r, p):
     # target for any r that _check_squeeze_reach admits.  So double to
     # bracket the first passing m, then bisect, keeping passes(lo) false
     # (lo = 0 is below every candidate) and passes(hi) true.
-    last = _MAX_CUTOFF // 2 + 1
+    last = _MAX_CUTOFF // 2
     lo, hi = 0, 1
     while not passes(hi):
         if hi == last:
@@ -346,7 +328,7 @@ def displace(state, lam):
     bounded by 1.  If the enlarged cutoff still cannot hold the displaced
     state (norm drop beyond 1e-8), AccuracyError is raised.
     """
-    lam = _as_complex(lam)
+    lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise DomainError("displacement must be finite")
     mod = abs(lam)
@@ -397,14 +379,6 @@ def rotate(state, theta):
     n = np.arange(state.cutoff + 1, dtype=np.float64)
     out = state.amplitudes * np.exp(-1j * theta * n)
     return FockState(amplitudes=out, cutoff=state.cutoff, tail_bound=state.tail_bound)
-
-
-def coherent_overlap(state, beta):
-    """<beta|psi> = e^{-|beta|^2/2} sum_n c_n conj(beta)^n / sqrt(n!)."""
-    beta = _as_complex(beta)
-    return complex(
-        _kernels.coherent_overlaps(state.amplitudes, np.array([beta]))[0]
-    )
 
 
 def antinormal_correlation(state, p):

@@ -178,7 +178,7 @@ def check_pasv_maximizer():
     for p in _PASV_GRID_P:
         for r in _PASV_GRID_R:
             rep = _pasv_report(p, r)
-            b = rep.beta_max.as_complex()
+            b = rep.beta_max
             target = analytic.pasv_qmax(analytic.PasvParams(p=p, r=r)).beta_max_modulus_sq
             worst_mod = max(worst_mod, abs(abs(b) ** 2 - target) / target)
             worst_arg = max(worst_arg, _angle_dist_mod_pi(np.angle(b), 0.3))

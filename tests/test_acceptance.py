@@ -142,13 +142,13 @@ def test_criterion_04_photon_added_svs():
             rep = optimizer.maximize_q(_pasv_state(p, r, phi))
             ref = pasv_qmax(PasvParams(p=p, r=r))
             worst_q = max(worst_q, abs(rep.q_max - ref.qmax) / ref.qmax)
-            bsq = rep.beta_max.re**2 + rep.beta_max.im**2
+            bsq = rep.beta_max.real**2 + rep.beta_max.imag**2
             worst_bsq = max(
                 worst_bsq,
                 abs(bsq - ref.beta_max_modulus_sq) / ref.beta_max_modulus_sq,
             )
             # maximizer angle is phi/2 modulo pi (antipodal peaks tie)
-            ang = math.atan2(rep.beta_max.im, rep.beta_max.re)
+            ang = math.atan2(rep.beta_max.imag, rep.beta_max.real)
             d = abs((ang - phi / 2.0) % math.pi)
             worst_ang = max(worst_ang, min(d, math.pi - d))
     ok = worst_q <= 1e-6 and worst_bsq <= 1e-3 and worst_ang <= 1e-3

@@ -131,6 +131,44 @@ class TestOverlapKernels:
         got = coherent_overlaps(st.amplitudes, betas)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    # past |beta| ~ 38.6 the unscaled seed e^{-|beta|^2/2} underflows to 0
+    FAR_RADII = [39.0, 50.0, 60.0]
+
+    def test_far_field_svs_closed_form(self):
+        # along the squeezed axis the r = 3 squeezed vacuum keeps Q ~ 1e-8 at |beta| = 60
+        r = 3.0
+        st = states.make_squeezed_vacuum(r, 0.0)
+        betas = np.array(self.FAR_RADII, dtype=np.complex128)
+        want = np.exp(
+            -0.5 * np.abs(betas) ** 2 + 0.5 * math.tanh(r) * np.conj(betas) ** 2
+        ) / math.sqrt(math.cosh(r))
+        got = coherent_overlaps(st.amplitudes, betas)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_far_field_against_bargmann_weights(self):
+        # photon-added squeezed vacuum peaking at |beta| ~ 45: Q from the
+        # Cartesian recurrence against Q from the log-domain weights
+        base = states.make_squeezed_vacuum_for_addition(3.0, 0.0, 10)
+        st = states.add_photons(base, 10)
+        half_lf = half_log_factorials(st.cutoff + 1)
+        n = np.arange(st.cutoff + 1)
+        for rho in self.FAR_RADII:
+            for theta in (0.0, 0.01):
+                beta = complex(rho * math.cos(theta), rho * math.sin(theta))
+                ov = coherent_overlaps(st.amplitudes, np.array([beta]))[0]
+                ref = st.amplitudes @ (bargmann_weights(half_lf, rho) * np.exp(-1j * theta * n))
+                q, q_ref = abs(ov) ** 2 / math.pi, abs(ref) ** 2 / math.pi
+                assert abs(q - q_ref) <= 1e-9 * q_ref
+
+    def test_scaled_seeds_batch_independent(self):
+        # points that need no seed scaling get the same bits beside points that do
+        st = states.make_squeezed_vacuum(3.0, 0.0)
+        betas = np.array([0.5, 20.0 + 3.0j, 35.0, 36.0 - 1.0j, 39.0, 50.0, 60.0 + 0.5j])
+        batch = coherent_overlaps(st.amplitudes, betas)
+        for beta, got in zip(betas, batch):
+            single = coherent_overlaps(st.amplitudes, np.array([beta]))[0]
+            assert got.tobytes() == single.tobytes()
+
 
 def _weights_one_radius(n_amp, rho):
     # reference: the weights at one radius with their own cumulative sum

@@ -1,0 +1,104 @@
+"""CSV output: the exact '%.17g' encoder, grid and sweep files, atomic writes."""
+
+import math
+import sys
+from dataclasses import replace
+
+import hypothesis.strategies as hs
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from nonclass import cli, output, quasiprob
+
+
+def _text(columns, i):
+    col = columns[:, i]
+    return col[col != 0].tobytes()
+
+
+def _grid_csv_oracle(grid):
+    """The grid CSV as the per-value formatter wrote it: the reference bytes."""
+    g17 = "{:.17g}".format
+    xs = list(map(g17, grid.x_centers().tolist()))
+    lines = ["x,y,value"]
+    for y, row in zip(grid.y_centers().tolist(), grid.values):
+        y = g17(y)
+        lines += [f"{x},{y},{v}" for x, v in zip(xs, map(g17, row.tolist()))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestGridEncoding:
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(hs.lists(hs.floats(), min_size=1, max_size=64))
+    def test_matches_percent_g17(self, xs):
+        columns = output._g17_columns(np.array(xs))
+        assert [_text(columns, i) for i in range(len(xs))] == [b"%.17g" % x for x in xs]
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+            math.inf, -math.inf, math.nan,
+            # 10^k one ulp either side, across both switches between fixed
+            # point and exponent form
+            *(np.nextafter(10.0**k, to) for k in (-5, -4, 16, 17) for to in (0.0, math.inf)),
+            1e-5, 1e-4, 1e16, 1e17,
+            1e-70,  # lies below 10^-70; its 17 digits carry up to 1e-70
+            330437076183387.125,  # an exact tie, rounded to even: ...87.12
+            1e-280, 1e280, 0.1, 123.0, -2.5e-7,
+        ],
+    )
+    def test_edge_cases(self, x):
+        assert _text(output._g17_columns(np.array([x])), 0) == b"%.17g" % x
+
+    def test_pinned_texts(self):
+        assert _text(output._g17_columns(np.array([1e-70])), 0) == b"1e-70"
+        assert _text(output._g17_columns(np.array([330437076183387.125])), 0) == b"330437076183387.12"
+
+    @pytest.mark.parametrize(
+        "spec, what, window, res, cutoff",
+        [
+            ("coherent:re=1.3,im=-0.4+add=2", "q", None, 41, None),
+            ("svs:r=0.8,phi=0.3+add=1", "wigner", None, 41, None),
+            ("fock:n=3", "q", (-2.0, 3.0, -1.5, 2.5), 37, None),  # straddles 0
+            ("fock:n=3", "wigner", (-2.0, 3.0, -1.5, 2.5), 37, None),
+            ("coherent:re=1,im=0", "q", (1e-310, 2e-310, 1e-310, 3e-310), 9, None),
+            ("fock:n=2", "q", None, 23, 12),
+            ("svs:r=0.7,phi=0.2", "wigner", None, 23, 80),
+        ],
+    )
+    @pytest.mark.parametrize("block_points", [output._BLOCK_POINTS, 7])
+    def test_grid_matches_oracle(self, monkeypatch, tmp_path, capsys,
+                                 spec, what, window, res, cutoff, block_points):
+        monkeypatch.setattr(output, "_BLOCK_POINTS", block_points)
+        out = tmp_path / "g.csv"
+        argv = ["grid", "--state", spec, "--what", what, "--res", str(res), "--out", str(out)]
+        if window is not None:
+            argv += ["--window", *map(repr, window)]
+        if cutoff is not None:
+            argv += ["--cutoff", str(cutoff)]
+        assert cli.main(argv) == 0
+        state = cli.build_state(replace(cli.parse_state_spec(spec), cutoff_override=cutoff))
+        window = window or quasiprob.display_window(state)
+        make = quasiprob.q_grid if what == "q" else quasiprob.wigner_grid
+        assert out.read_bytes() == _grid_csv_oracle(make(state, window, res))
+
+    def test_sweep_rows(self, tmp_path):
+        out = tmp_path / "s.csv"
+        output.write_sweep(str(out), [(0.1, 1, 1.0 / 3.0, None), (2.0, 3, 0.5, 0.25)])
+        assert out.read_bytes() == (
+            b"x,p,dq_analytic,dq_numeric\n"
+            b"0.10000000000000001,1,0.33333333333333331,\n"
+            b"2,3,0.5,0.25\n"
+        )
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        def chunks():
+            yield b"x,y,value\n"
+            raise MemoryError("block")
+
+        out = tmp_path / "g.csv"
+        with pytest.raises(MemoryError):
+            output._atomic_write(str(out), chunks())
+        assert list(tmp_path.iterdir()) == []
