@@ -18,12 +18,18 @@ _SEED_FLOOR = -640.0
 _UNWIND_AT = 1e20
 
 
-def _scale_counts(seed):
-    """The fewest j lifting each seed to _SEED_FLOOR or above, or None when all are there."""
+def _scale_counts(seed, steps):
+    """The fewest j lifting each seed to _SEED_FLOOR or above, or None when all are there.
+
+    A chain unwinds at most once per step, so a point whose j exceeds
+    the chain's steps is dropped from every sum: its j is capped at
+    steps + 1, which also keeps the count inside int64.
+    """
     low = seed < _SEED_FLOOR
     if not low.any():
         return None
-    return np.where(low, ((_SEED_FLOOR - seed) // _SCALE_LOG).astype(np.int64) + 1, 0)
+    count = np.minimum((_SEED_FLOOR - seed) // _SCALE_LOG, float(steps))
+    return np.where(low, count.astype(np.int64) + 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -33,33 +39,52 @@ def _scale_counts(seed):
 def coherent_overlaps(amps, betas):
     """Batch <beta|psi> for a complex amplitude vector and beta array.
 
-    Serves quasiprob.q_grid (and q_value) and verify; the optimizer uses
-    bargmann_weights instead.  Seeds e^{-|b|^2/2} below e^_SEED_FLOOR
-    (|b| past ~35.8) are carried scaled, so no overlap underflows; a
+    Serves quasiprob's Husimi path (q_grid, a block of rows per call, and
+    q_value) and verify; the optimizer uses bargmann_weights instead.
+    Seeds e^{-|b|^2/2} below e^_SEED_FLOOR (|b| past ~35.8) are carried
+    scaled, so no overlap underflows; a point too far out to unwind
+    within the amplitudes (|b|^2 past ~1288 n_amp) is an exact 0.  A
     point gets the same bits in any batch.
+
+    Each step divides the term by sqrt(n) in place and adds to a sum
+    that starts at +0, in place.  numpy divides a complex by a real s as
+    (re + im*0) fl(1/s), (im - re*0) fl(1/s); the step multiplies both
+    parts by fl(1/s), which can differ only in the sign of a zero part.
+    A zero part changes no non-zero part downstream, and a sum that
+    starts at +0 never holds -0, so the overlaps keep their bits.  For
+    the same reason an exactly zero amplitude (the p leading zeros of a
+    photon-added state) adds nothing, and it is skipped.  The two
+    complex products, term * conj(b) and c_n * term, stay out of place,
+    as in the Wigner chains below.
     """
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
     betas = np.ascontiguousarray(betas, dtype=np.complex128)
     if betas.size == 0:
         return np.empty(0, np.complex128)
-    n_amp = amps.shape[0]
     bc = np.conj(betas)
-    seed = -0.5 * (betas.real**2 + betas.imag**2)
-    j = _scale_counts(seed)
+    # a part past 1e150 would overflow |b|^2; clipped there, the point's
+    # count still reaches the cap, so it is the exact 0 it is unclipped
+    re, im = np.clip(betas.real, -1e150, 1e150), np.clip(betas.imag, -1e150, 1e150)
+    seed = -0.5 * (re**2 + im**2)
+    j = _scale_counts(seed, amps.shape[0] - 1)
     any_scaled = j is not None
     if any_scaled:
-        seed = seed + _SCALE_LOG * j
+        seed += _SCALE_LOG * j
     term = np.exp(seed).astype(np.complex128)
-    del seed  # freed before the loop, whose working set sets peak memory
-    acc = amps[0] * (np.where(j == 0, term, 0.0) if any_scaled else term)
-    for n in range(1, n_amp):
-        term = term * bc / math.sqrt(n)
-        if any_scaled:
-            grown = (j > 0) & (np.abs(term) > _UNWIND_AT)
-            term = term * np.where(grown, _SCALE_DOWN, 1.0)
-            j -= grown
-            any_scaled = bool(j.any())
-        acc = acc + amps[n] * (np.where(j == 0, term, 0.0) if any_scaled else term)
+    del seed, re, im  # freed before the loop, whose working set sets peak memory
+    acc = np.zeros(betas.shape[0], np.complex128)
+    for n, c_n in enumerate(amps.tolist()):
+        if n > 0:
+            term = term * bc
+            parts = term.view(np.float64)
+            parts *= 1.0 / math.sqrt(n)
+            if any_scaled:
+                grown = (j > 0) & (np.abs(term) > _UNWIND_AT)
+                term = term * np.where(grown, _SCALE_DOWN, 1.0)
+                j -= grown
+                any_scaled = bool(j.any())
+        if c_n:
+            acc += c_n * (np.where(j == 0, term, 0.0) if any_scaled else term)
     return acc
 
 
@@ -178,7 +203,7 @@ def _wigner_diagonals(amps, betas):
             seed = -half_x
         else:
             seed = 0.5 * (k * lx - math.lgamma(k + 1.0)) - half_x
-        j = _scale_counts(seed)
+        j = _scale_counts(seed, last)
         any_scaled = j is not None
         if any_scaled:
             seed = seed + _SCALE_LOG * j

@@ -43,26 +43,27 @@ _TEN16 = 10**16
 _TEN_POWERS = 10.0 ** np.arange(8, -1, -1)[:, None]  # 10^8 .. 10^0, a column
 
 
-def _pow10_pairs(exps):
-    """(hi, lo) with hi + lo = 10**e to about 2^-106 relative, per e of exps.
+def _pow10_pairs(first, last):
+    """(hi, lo) with hi + lo = 10**e to about 2^-106 relative, for e = first..last.
 
     hi is 10**e correctly rounded and lo the correctly rounded remainder,
     both from exact integer quotients (CPython rounds int / int
-    correctly).  Only the exponents present are built.
+    correctly).
     """
-    base = int(exps.min())
-    index = exps - base
-    present = np.zeros(int(index.max()) + 1, dtype=bool)
-    present[index] = True
-    hi = np.zeros(present.size)
-    lo = np.zeros(present.size)
-    for i in np.flatnonzero(present).tolist():
-        e = base + i
+    hi = np.empty(last - first + 1)
+    lo = np.empty(last - first + 1)
+    for i, e in enumerate(range(first, last + 1)):
         num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
         hi[i] = num / den
         h_num, h_den = hi[i].as_integer_ratio()
         lo[i] = (num * h_den - h_num * den) / (den * h_den)
-    return hi[index], lo[index]
+    return hi, lo
+
+
+# 10^(16-k) for every k = floor(log10 |v|) of the range 1e-280 <= |v| <= 1e280
+# that _g17_columns converts itself (log10 is exact at both ends), built once
+_POW10_FIRST = 16 - 280
+_POW10_HI, _POW10_LO = _pow10_pairs(_POW10_FIRST, 16 + 280)
 
 
 def _split(a):
@@ -122,7 +123,8 @@ def _g17_columns(values):
     fast = (a >= 1e-280) & (a <= 1e280)
     a = np.where(fast, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _pow10_pairs(16 - k)
+    index = 16 - k - _POW10_FIRST
+    hi, lo = _POW10_HI[index], _POW10_LO[index]
     p, err = _two_product(a, hi)
     t = err + a * lo
     t_int = np.rint(t)

@@ -319,6 +319,24 @@ class TestGridCommand:
         assert "window bounds must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # |beta| ~ 1.3e11 puts the overlap's seed-scale count past int64, and
+    # |beta| ~ 6.7e199 puts |beta|^2 past the double range
+    @pytest.mark.parametrize("half_width", ["2e11", "1e200"])
+    def test_far_window_cells_are_exact_zeros(self, tmp_path, capsys, half_width):
+        out = tmp_path / "w.csv"
+        code = cli.main(["grid", "--state", "coherent:re=1,im=0", "--what", "q", "--window",
+                         "-" + half_width, half_width, "-1", "1", "--res", "3", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        state = cli.build_state(parse_state_spec("coherent:re=1,im=0"))
+        for x, y, value in rows:
+            if float(x) != 0.0:
+                assert value == "0"
+            else:
+                assert float(value) == quasiprob.q_value(state, complex(float(x), float(y)))
+                assert float(value) > 0.0
+
 
 class TestSweepCommand:
     def test_fock_sweep(self, tmp_path, capsys):

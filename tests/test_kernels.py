@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from nonclass import states
+from nonclass import quasiprob, states
 from nonclass._kernels import (
     _wigner_diagonals,
     bargmann_weights,
@@ -101,6 +101,36 @@ def _reference_wigner_diagonals(amps, betas):
     return (2.0 / math.pi) * total
 
 
+# The overlap kernel as it was before its steps ran in place and skipped
+# zero amplitudes: a fresh array per step, every amplitude summed, one
+# call per lattice.  The kernel and the blocked Q grid must match it bit
+# for bit.
+def _reference_coherent_overlaps(amps, betas):
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    betas = np.ascontiguousarray(betas, dtype=np.complex128)
+    if betas.size == 0:
+        return np.empty(0, np.complex128)
+    bc = np.conj(betas)
+    seed = -0.5 * (betas.real**2 + betas.imag**2)
+    j = np.zeros(betas.shape[0], np.int64)
+    low = seed < _REF_SEED_FLOOR
+    if low.any():
+        j = np.where(low, ((_REF_SEED_FLOOR - seed) // _REF_SCALE_LOG).astype(np.int64) + 1, 0)
+        seed = seed + _REF_SCALE_LOG * j
+    any_scaled = bool(j.any())
+    term = np.exp(seed).astype(np.complex128)
+    acc = amps[0] * (np.where(j == 0, term, 0.0) if any_scaled else term)
+    for n in range(1, amps.shape[0]):
+        term = term * bc / math.sqrt(n)
+        if any_scaled:
+            grown = (j > 0) & (np.abs(term) > _REF_UNWIND_AT)
+            term = term * np.where(grown, _REF_SCALE_DOWN, 1.0)
+            j = j - grown
+            any_scaled = bool(j.any())
+        acc = acc + amps[n] * (np.where(j == 0, term, 0.0) if any_scaled else term)
+    return acc
+
+
 class TestOverlapKernels:
     def test_svs_closed_form(self):
         # <beta|psi> = (cosh r)^{-1/2} exp(-|b|^2/2 + e^{i phi} tanh(r) conj(b)^2/2)
@@ -168,6 +198,18 @@ class TestOverlapKernels:
         for beta, got in zip(betas, batch):
             single = coherent_overlaps(st.amplitudes, np.array([beta]))[0]
             assert got.tobytes() == single.tobytes()
+
+
+    def test_points_past_every_scale_count_are_exact_zeros(self):
+        # the scale count of |beta| = 2e11 is past int64, and |beta|^2 past
+        # the double range from |beta| ~ 1.3e154; such points never unwind
+        st = states.make_squeezed_vacuum(3.0, 0.0)
+        far = np.array([2e11, -2e11j, 1e200 + 1e200j, -1.7e308, 1e308j])
+        got = coherent_overlaps(st.amplitudes, np.concatenate([far, [0.5, 39.0]]))
+        assert got[:5].tobytes() == np.zeros(5, np.complex128).tobytes()
+        for beta, value in zip([0.5, 39.0], got[5:]):
+            assert value != 0.0
+            assert value.tobytes() == coherent_overlaps(st.amplitudes, np.array([beta]))[0].tobytes()
 
 
 def _weights_one_radius(n_amp, rho):
@@ -306,3 +348,58 @@ def test_wigner_kernel_bit_identical_to_reference(case):
     want = _reference_wigner_diagonals(amps, betas)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_BLOCK = quasiprob._BLOCK_POINTS
+
+
+def _overlap_cases():
+    rng = np.random.default_rng(13)
+
+    def scattered(n):
+        return rng.normal(0, 2.5, n) + 1j * rng.normal(0, 2.5, n)
+
+    def far(n):
+        # |beta| 36-60, where the seed is carried scaled, near the squeezed axis
+        return rng.uniform(36.0, 60.0, n) * np.exp(1j * rng.uniform(-0.02, 0.02, n))
+
+    pac = states.add_photons(states.make_coherent(1.2 + 0.7j), 3)
+    assert np.all(pac.amplitudes[:3] == 0.0)  # leading zero amplitudes
+    axis = np.linspace(-4.0, 4.0, 33)  # passes through 0 exactly
+    lattice = (axis[None, :] + 1j * axis[:, None]).ravel()
+    pasv = states.add_photons(states.make_squeezed_vacuum_for_addition(0.6, 1.1, 2), 2).amplitudes
+    svs3 = states.make_squeezed_vacuum(3.0, 0.0).amplitudes
+    return {
+        "no_points": (pasv, np.empty(0, np.complex128)),
+        "one_point": (pasv, np.array([1.3 - 2.1j])),
+        "block_minus_one": (pasv, scattered(_BLOCK - 1)),
+        "block": (pasv, scattered(_BLOCK)),
+        "block_plus_one": (pasv, scattered(_BLOCK + 1)),
+        "three_blocks": (pasv, scattered(3 * _BLOCK)),
+        "pac_p3": (pac.amplitudes, np.concatenate([lattice, scattered(200)])),
+        "scaled_mixed": (svs3, np.concatenate([scattered(50), far(50), lattice])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_overlap_cases()))
+def test_overlap_kernel_bit_identical_to_reference(case):
+    amps, betas = _overlap_cases()[case]
+    got = coherent_overlaps(amps, betas)
+    assert got.tobytes() == _reference_coherent_overlaps(amps, betas).tobytes()
+
+
+@pytest.mark.parametrize("block_points", [_BLOCK, 600])
+def test_q_grid_blocks_bit_identical_to_one_lattice(monkeypatch, block_points):
+    # squeezed along the imaginary axis, Q reaches |y| ~ 50, where seeds
+    # are carried scaled (|beta| past ~35.8); 97 rows make blocks of 84
+    # and 13 rows, or of 6 rows and a last one, some with scaled seeds
+    # and some with none
+    monkeypatch.setattr(quasiprob, "_BLOCK_POINTS", block_points)
+    st = states.make_squeezed_vacuum(2.5, math.pi)
+    grid = quasiprob.q_grid(st, (-2.0, 6.0, -50.0, 50.0), 97)
+    xs, ys = grid.x_centers(), grid.y_centers()
+    assert np.any(np.abs(ys) > 36.0) and np.any(np.abs(ys) < 30.0)
+    ov = _reference_coherent_overlaps(st.amplitudes, (xs[None, :] + 1j * ys[:, None]).ravel())
+    want = (ov.real**2 + ov.imag**2) / math.pi
+    assert grid.values.tobytes() == want.reshape(97, 97).tobytes()
+    assert np.all(grid.values[np.abs(ys) > 36.0] > 0.0)

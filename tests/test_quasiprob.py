@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nonclass import _kernels, cli, optimizer, states
+from nonclass import _kernels, cli, optimizer, quasiprob, states
 from nonclass.errors import DomainError
 from nonclass.quasiprob import (
     grid_quadrature,
@@ -53,6 +53,16 @@ def test_grid_cell_centers():
     assert grid.x_centers() == pytest.approx([0.25, 0.75])
     assert grid.y_centers() == pytest.approx([0.25, 0.75])
     assert grid.cell_area() == pytest.approx(0.25)
+
+
+def test_q_grid_matches_q_value_at_every_cell(monkeypatch):
+    # blocks of 300 points hold 8 rows of 37, so the last block has 5 rows
+    monkeypatch.setattr(quasiprob, "_BLOCK_POINTS", 300)
+    st = states.add_photons(states.make_coherent(0.8 - 0.3j), 2)
+    grid = q_grid(st, quasiprob.display_window(st), 37)
+    xc, yc = grid.x_centers().tolist(), grid.y_centers().tolist()
+    want = [[q_value(st, complex(x, y)) for x in xc] for y in yc]
+    assert grid.values.tobytes() == np.array(want).tobytes()
 
 
 def test_grid_matches_single_point():
