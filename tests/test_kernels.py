@@ -199,7 +199,6 @@ class TestOverlapKernels:
             single = coherent_overlaps(st.amplitudes, np.array([beta]))[0]
             assert got.tobytes() == single.tobytes()
 
-
     def test_points_past_every_scale_count_are_exact_zeros(self):
         # the scale count of |beta| = 2e11 is past int64, and |beta|^2 past
         # the double range from |beta| ~ 1.3e154; such points never unwind
