@@ -245,6 +245,9 @@ def _sweep_points(args):
     family = args.family
     if args.steps < 2:
         raise DomainError("sweep needs at least 2 steps")
+    for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if not math.isfinite(x):
+            raise DomainError(f"{flag} must be finite, got {x}")
     if args.x_min > args.x_max:
         raise DomainError("x_min must not exceed x_max")
     if family in ("pac", "pasv") and not p_list:

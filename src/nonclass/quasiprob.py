@@ -1,10 +1,11 @@
 """Husimi and Wigner evaluation on points and phase-space grids.
 
 The Husimi density is Q(beta) = |<beta|psi>|^2 / pi, bounded by 1/pi.
-The Wigner function is evaluated by the displaced-parity sum
-W(beta) = (2/pi) sum_m (-1)^m |<m|D(-beta)|psi>|^2, which stays inside
-[-2/pi, 2/pi] by construction.  Grids sample cell centers, so summing
-values times the cell area is the midpoint quadrature rule.
+The Wigner function is the displaced parity (2/pi) <psi|D(2 beta) P|psi>,
+evaluated by _kernels.wigner_values as sums over the Fock diagonals
+conj(c_{n+k}) c_n, each weighted by a stable three-term chain of bounded
+Laguerre matrix elements.  Grids sample cell centers, so summing values
+times the cell area is the midpoint quadrature rule.
 """
 
 import math
@@ -97,6 +98,10 @@ def _check_window(window, resolution):
         raise DomainError(f"window bounds must be finite, got {(x_min, x_max, y_min, y_max)}")
     if not (x_min < x_max and y_min < y_max):
         raise DomainError("window must satisfy x_min < x_max and y_min < y_max")
+    if not (math.isfinite(x_max - x_min) and math.isfinite(y_max - y_min)):
+        raise DomainError(
+            f"window width and height must be finite, got {x_max - x_min} and {y_max - y_min}"
+        )
     if resolution < 1 or resolution != int(resolution):
         raise DomainError(f"resolution must be a positive integer, got {resolution}")
     if int(resolution) ** 2 > MAX_GRID_CELLS:
@@ -128,7 +133,7 @@ def q_grid(state, window, resolution):
 def wigner_grid(state, window, resolution):
     """Wigner function on the cell-center lattice of a window."""
     x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
-    if max(abs(x_min), abs(x_max)) ** 2 + max(abs(y_min), abs(y_max)) ** 2 > WIGNER_GUARD**2:
+    if math.hypot(max(abs(x_min), abs(x_max)), max(abs(y_min), abs(y_max))) > WIGNER_GUARD:
         raise DomainError("window corner exceeds the Wigner guard radius")
     betas = _row_major(_cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res))
     vals = _kernels.wigner_values(state.amplitudes, betas)

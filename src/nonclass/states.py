@@ -121,7 +121,6 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None):
     else:
         cutoff = _check_override(cutoff_override)
     t = math.tanh(r)
-    t2 = t * t
     pairs = cutoff // 2
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     z = 0.5 * t * complex(math.cos(phi), math.sin(phi))
@@ -130,13 +129,8 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None):
     for m in range(1, pairs + 1):
         val = val * z * math.sqrt((2 * m - 1) * (2 * m)) / m
         amps[2 * m] = val
-    # certified geometric bound on the first excluded pair onward
-    if r == 0.0:
-        tail = 0.0
-    else:
-        p_last = abs(val) ** 2
-        p_next = p_last * t2 * (2 * pairs + 1) / (2 * pairs + 2)
-        tail = p_next / (1.0 - t2)
+    # certified geometric bound from the first excluded pair on; _svs_auto_cutoff tests it
+    tail = math.exp(_svs_log_pair_mass(r, pairs + 1)) / (1.0 - t * t)
     if tail > TAIL_TARGET:
         raise CutoffError(
             f"cutoff {cutoff} certifies tail {tail:.3e} > 1e-12 for r={r:.6g}"
@@ -167,26 +161,52 @@ def _check_squeeze_reach(r):
         )
 
 
+def _svs_log_pair_mass(r, m, p=0):
+    """ln(|c_2m|^2 (2m+1)...(2m+p)), |c_2m|^2 = t2^m (2m)! / (m!^2 4^m cosh r).
+
+    t2 = tanh^2 r and ln n! = lgamma(n + 1), so no term overflows; -inf at r = 0, m >= 1.
+    """
+    t2 = math.tanh(r) ** 2
+    log_t2 = math.log(t2) if t2 > 0.0 else -math.inf
+    return (m * log_t2 - math.log(math.cosh(r)) + math.lgamma(2 * m + p + 1)
+            - 2.0 * math.lgamma(m + 1) - m * math.log(4.0))
+
+
+def _least_pair_count(passes, first, message):
+    """Least m in [first, _MAX_CUTOFF // 2] with passes(m), else CutoffError(message).
+
+    passes must be false up to some m and true from there on.  Double to
+    bracket that m, then bisect, keeping passes(lo) false (lo = first - 1
+    is below every candidate) and passes(hi) true.
+    """
+    last = _MAX_CUTOFF // 2
+    lo, hi = first - 1, first
+    while not passes(hi):
+        if hi == last:
+            raise CutoffError(message)
+        lo, hi = hi, min(2 * hi + 1, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _svs_auto_cutoff(r):
     """The automatic squeezed-vacuum cutoff 2m, 0 at r = 0.
 
-    m is the first pair count whose next pair, with the geometric tail
-    after it, carries at most half of TAIL_TARGET.
+    m is the least pair count whose next pair, with the geometric tail
+    after it (ratio below tanh^2 r), carries at most half of TAIL_TARGET,
+    compared in logs.  Pair masses fall with m, so the search is exact.
     """
-    t2 = math.tanh(r) ** 2
-    prob = 1.0 / math.cosh(r)
-    m = 0
-    while True:
-        nxt = prob * t2 * (2 * m + 1) / (2 * m + 2)
-        if nxt / (1.0 - t2) <= 0.5 * TAIL_TARGET:
-            return 2 * m
-        prob = nxt
-        m += 1
-        if 2 * m > _MAX_CUTOFF:
-            raise CutoffError(
-                f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
-                "reduce r or supply amplitudes another way"
-            )
+    log_one_minus_t2 = math.log(1.0 - math.tanh(r) ** 2)
+    log_target = math.log(0.5 * TAIL_TARGET)
+    return 2 * _least_pair_count(
+        lambda m: _svs_log_pair_mass(r, m + 1) - log_one_minus_t2 <= log_target, 0,
+        f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; reduce r or supply amplitudes another way",
+    )
 
 
 def svs_cutoff_for_moment(r, p):
@@ -196,8 +216,8 @@ def svs_cutoff_for_moment(r, p):
     than the mass, so oracle-grade photon addition on squeezed vacuum
     needs a cutoff where the weighted tail is below 1e-13 of a lower
     bound (p! cosh^{2p} r) of the moment itself.  The comparison is made
-    in logs, with ln n! as lgamma(n + 1), so no term overflows for large p.
-    The cutoff is 2m for the first m >= 1 that passes; past m =
+    in logs (_svs_log_pair_mass), so no term overflows for large p.  The
+    cutoff is 2m for the first m >= 1 that passes; past m =
     _MAX_CUTOFF // 2 the search raises CutoffError.
     """
     if p < 0 or p != int(p):
@@ -207,41 +227,20 @@ def svs_cutoff_for_moment(r, p):
         return 0
     _check_squeeze_reach(r)
     t2 = math.tanh(r) ** 2
-    log_t2 = math.log(t2) if t2 > 0.0 else -math.inf
-    log_cosh = math.log(math.cosh(r))
-    log_4 = math.log(4.0)
-    log_scale = math.log(1e-13) + math.lgamma(p + 1) + 2 * p * log_cosh
+    log_scale = math.log(1e-13) + math.lgamma(p + 1) + 2 * p * math.log(math.cosh(r))
 
     def passes(m):
         # the term ratio from pair m to m+1; the tail from m is geometric once it is below 1
         ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
-        if not ratio < 1.0:
-            return False
-        # ln of |c_2m|^2 (2m+1)...(2m+p), with |c_2m|^2 = t2^m (2m)! / (m!^2 4^m cosh r)
-        log_term = (m * log_t2 - log_cosh + math.lgamma(2 * m + p + 1)
-                    - 2.0 * math.lgamma(m + 1) - m * log_4)
-        return log_term - math.log1p(-ratio) <= log_scale
+        return ratio < 1.0 and _svs_log_pair_mass(r, m, p) - math.log1p(-ratio) <= log_scale
 
     # passes() is false up to some m and true from there on.  For p >= 1
     # the ratio falls with m, and where it is below 1 so does the tail
-    # bound.  For p = 0 the ratio stays below 1, and the bound can rise
-    # with m only while m(1 - t2) < 1, where it is still far above the
-    # target for any r that _check_squeeze_reach admits.  So double to
-    # bracket the first passing m, then bisect, keeping passes(lo) false
-    # (lo = 0 is below every candidate) and passes(hi) true.
-    last = _MAX_CUTOFF // 2
-    lo, hi = 0, 1
-    while not passes(hi):
-        if hi == last:
-            raise CutoffError(f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_CUTOFF}")
-        lo, hi = hi, min(2 * hi, last)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 2 * hi
+    # bound.  For p = 0 the bound can rise with m only while m(1 - t2) < 1,
+    # far above the target for any r that _check_squeeze_reach admits.
+    return 2 * _least_pair_count(
+        passes, 1, f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_CUTOFF}"
+    )
 
 
 def make_squeezed_vacuum_for_addition(r, phi, p):

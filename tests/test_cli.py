@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nonclass import cli, optimizer, quasiprob, verify
+from nonclass import cli, optimizer, quasiprob, states, verify
 from nonclass.analytic import PacParams, PasvParams, pasv_dq, qmax_pac
 from nonclass.cli import StateSpec, parse_state_spec, render_state_spec
 from nonclass.errors import DomainError, SpecParseError
@@ -319,6 +319,20 @@ class TestGridCommand:
         assert "window bounds must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # a width or height past the double range, for both quantities, and a
+    # finite width whose corner radius squared overflows
+    @pytest.mark.parametrize("what,window", [
+        (what, window) for what in ("q", "wigner")
+        for window in (["-1e308", "1e308", "-1", "1"], ["-1", "1", "-1e308", "1e308"])
+    ] + [("wigner", ["-1e300", "1e300", "-1", "1"])])
+    def test_overflowing_window_exit_code(self, tmp_path, capsys, what, window):
+        code = cli.main(["grid", "--state", "coherent:re=1,im=0", "--what", what,
+                         "--window", *window, "--res", "3", "--out", str(tmp_path / "w.csv")])
+        assert code == 64
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     # |beta| ~ 1.3e11 puts the overlap's seed-scale count past int64, and
     # |beta| ~ 6.7e199 puts |beta|^2 past the double range
     @pytest.mark.parametrize("half_width", ["2e11", "1e200"])
@@ -394,6 +408,19 @@ class TestSweepCommand:
         assert [r[1] for r in rows].count("3") == 3
 
 
+    @pytest.mark.parametrize("family", ["fock", "pac", "pasv"])
+    @pytest.mark.parametrize("flag,bounds", [("--x-min", ["nan", "3"]),
+                                             ("--x-max", ["0", "inf"]),
+                                             ("--x-max", ["0", "nan"])])
+    def test_non_finite_bound_exit_code(self, tmp_path, capsys, family, flag, bounds):
+        code = cli.main(["sweep", "--family", family, "--p-list", "1",
+                         "--x-min", bounds[0], "--x-max", bounds[1], "--steps", "3",
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 64
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} must be finite")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_p_list_token(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         code = cli.main(["sweep", "--family", "pac", "--p-list", "1,a",
@@ -414,14 +441,16 @@ class TestVerifyCommand:
         assert "1 checks: 1 passed, 0 failed" in out
 
     def test_detects_injected_sign_error(self, monkeypatch, capsys):
-        def corrupted():
-            def flip(amps):
-                amps[2::4] *= -1.0
-                return amps
+        build = states.make_squeezed_vacuum
 
-            return verify.check_svs_q_closed_form(mutate=flip)
+        def corrupted(r, phi, cutoff_override=None):
+            st = build(r, phi, cutoff_override)
+            amps = st.amplitudes.copy()
+            amps[2::4] *= -1.0
+            return states.FockState(amplitudes=amps, cutoff=st.cutoff, tail_bound=st.tail_bound)
 
-        monkeypatch.setattr(verify, "ALL_CHECKS", (corrupted,))
+        monkeypatch.setattr(states, "make_squeezed_vacuum", corrupted)
+        monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_svs_q_closed_form,))
         assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out

@@ -232,6 +232,58 @@ class TestSqueezedVacuum:
                 svs_cutoff_for_moment(r, p)
             assert str(got.value) == str(want.value)
 
+    @staticmethod
+    def _auto_cutoff_scan(r):
+        # reference: the automatic rule as a pair-by-pair scan with a
+        # running product
+        t2 = math.tanh(r) ** 2
+        prob = 1.0 / math.cosh(r)
+        m = 0
+        while True:
+            nxt = prob * t2 * (2 * m + 1) / (2 * m + 2)
+            if nxt / (1.0 - t2) <= 0.5 * states.TAIL_TARGET:
+                return 2 * m
+            prob = nxt
+            m += 1
+            if 2 * m > states._MAX_CUTOFF:
+                raise CutoffError(
+                    f"r={r} needs a cutoff beyond {states._MAX_CUTOFF}; "
+                    "reduce r or supply amplitudes another way"
+                )
+
+    _AUTO_R = [0.0, 1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.5]
+
+    @pytest.mark.parametrize("r", _AUTO_R)
+    def test_auto_cutoff_search_matches_scan(self, r):
+        assert states._svs_auto_cutoff(r) == self._auto_cutoff_scan(r)
+
+    def test_auto_cutoff_search_matches_scan_at_random_r(self):
+        for r in np.random.default_rng(14).uniform(0.0, 4.0, 300):
+            assert states._svs_auto_cutoff(float(r)) == self._auto_cutoff_scan(float(r)), r
+
+    @pytest.mark.parametrize("r", [6.0, 12.0])
+    def test_auto_cutoff_refusal_matches_scan(self, r):
+        with pytest.raises(CutoffError) as want:
+            self._auto_cutoff_scan(r)
+        with pytest.raises(CutoffError) as got:
+            states._svs_auto_cutoff(r)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("r", [r for r in _AUTO_R if r <= 3.0])
+    def test_tail_bound_is_the_tested_pair_mass(self, r):
+        # the state carries the bound the automatic rule tests; it agrees
+        # with the certificate from the last amplitude up to the rounding
+        # of the log-domain sum, whose largest term is lgamma(2m + 1) for
+        # the first excluded pair m
+        st = make_squeezed_vacuum(r, 0.3)
+        assert st.tail_bound <= 0.5 * states.TAIL_TARGET
+        t2 = math.tanh(r) ** 2
+        pairs = st.cutoff // 2
+        last = abs(st.amplitudes[2 * pairs]) ** 2
+        want = last * t2 * (2 * pairs + 1) / (2 * pairs + 2) / (1.0 - t2)
+        rel = 1e-12 + 8 * np.finfo(float).eps * math.lgamma(2 * pairs + 3)
+        assert st.tail_bound == pytest.approx(want, rel=rel, abs=0.0)
+
     def test_squeeze_past_cosh_range_refused(self):
         # cosh 800 overflows a double; no cutoff could hold the state anyway
         with pytest.raises(CutoffError):
