@@ -250,6 +250,32 @@ def _wigner_diagonals(amps, betas):
     return (2.0 / math.pi) * total
 
 
+def laguerre_rows(x, n_max, k_max):
+    """Yield B(n, 0..k_max, x) of the Wigner chains for n = 0..n_max at one x > 0.
+
+    The chains run upward in n as above, every k at once.  A chain whose
+    seed is carried scaled reads 0 until it is unwound, so entries below
+    about e^-598 are 0.  No yielded array is written to afterwards.
+    """
+    k = np.arange(k_max + 1, dtype=np.float64)
+    seed = 0.5 * (k * math.log(x) - 2.0 * half_log_factorials(k_max + 1)) - 0.5 * x
+    j = _scale_counts(seed, n_max)
+    if j is not None:
+        seed = seed + _SCALE_LOG * j
+    b_prev = np.zeros(k_max + 1)
+    b_cur = np.exp(seed)
+    for n in range(n_max + 1):
+        yield b_cur if j is None else np.where(j == 0, b_cur, 0.0)
+        b_next = (2.0 * n + k + 1.0 - x) * b_cur - np.sqrt(n * (n + k)) * b_prev
+        b_prev, b_cur = b_cur, b_next / np.sqrt((n + 1.0) * (n + k + 1.0))
+        if j is not None:
+            grown = (j > 0) & (np.maximum(np.abs(b_cur), np.abs(b_prev)) > _UNWIND_AT)
+            shrink = np.where(grown, _SCALE_DOWN, 1.0)
+            b_cur *= shrink
+            b_prev *= shrink
+            j -= grown
+
+
 def wigner_values(amps, betas):
     """Batch W(beta) for a complex amplitude vector and beta array.
 

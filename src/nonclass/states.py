@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import AccuracyError, CutoffError, DomainError
 
 TAIL_TARGET = 1e-12
@@ -322,10 +323,12 @@ def displace(state, lam):
     """Apply the displacement D(lam) within an enlarged cutoff.
 
     The output cutoff is input.cutoff + ceil(|lam|^2 + 12|lam| + 10).
-    Matrix rows <m|D|n> satisfy the two-term recurrence
-    <m|D|n> = (lam <m-1|D|n> + sqrt(n) <m-1|D|n-1>)/sqrt(m), every entry
-    bounded by 1.  If the enlarged cutoff still cannot hold the displaced
-    state (norm drop beyond 1e-8), AccuracyError is raised.
+    With x = |lam|^2 and u = lam/|lam|, the matrix elements are
+    <n+k|D|n> = u^k B(n, k, x) and <n|D|n+k> = (-conj(u))^k B(n, k, x),
+    where B, bounded by 1, comes row by row in n from the stable Laguerre
+    chains of the Wigner kernel (_kernels.laguerre_rows).  If the enlarged
+    cutoff still cannot hold the displaced state (norm change beyond
+    1e-8), AccuracyError is raised.
     """
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
@@ -337,24 +340,15 @@ def displace(state, lam):
         )
     if mod == 0.0:
         return state
-    n_in = state.cutoff + 1
     out_cutoff = state.cutoff + math.ceil(mod * mod + 12.0 * mod + 10.0)
     c = state.amplitudes
-    sqrt_n = np.sqrt(np.arange(n_in, dtype=np.float64))
-    row = np.empty(n_in, dtype=np.complex128)
-    row[0] = math.exp(-0.5 * mod * mod)
-    neg_conj = -np.conj(lam)
-    for n in range(1, n_in):
-        row[n] = row[n - 1] * neg_conj / sqrt_n[n]
-    out = np.empty(out_cutoff + 1, dtype=np.complex128)
-    out[0] = row @ c
-    for m in range(1, out_cutoff + 1):
-        nxt = np.empty(n_in, dtype=np.complex128)
-        nxt[0] = lam * row[0]
-        nxt[1:] = lam * row[1:] + sqrt_n[1:] * row[:-1]
-        nxt /= math.sqrt(m)
-        row = nxt
-        out[m] = row @ c
+    k = np.arange(out_cutoff + 1)
+    u = lam / mod
+    below, above = u**k, (-u.conjugate()) ** k  # phases of <n+k|D|n>, <n|D|n+k>
+    out = np.zeros(out_cutoff + 1, dtype=np.complex128)
+    for n, b in enumerate(_kernels.laguerre_rows(mod * mod, state.cutoff, out_cutoff)):
+        out[n:] += c[n] * below[: out_cutoff + 1 - n] * b[: out_cutoff + 1 - n]
+        out[n] += above[1 : state.cutoff + 1 - n] * b[1 : state.cutoff + 1 - n] @ c[n + 1 :]
     norm_in = math.sqrt(state.norm_sq())
     norm_out = math.sqrt(float(np.sum(out.real**2 + out.imag**2)))
     loss = norm_in - norm_out

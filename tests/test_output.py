@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from nonclass import cli, output, quasiprob
 
 
-def _text(columns, i):
-    col = columns[:, i]
-    return col[col != 0].tobytes()
+def _texts(values):
+    """The text of each value through _g17_rows: the non-zero bytes of its row."""
+    return [row[row != 0].tobytes() for row in output._g17_rows(values)]
 
 
 def _grid_csv_oracle(grid):
@@ -32,8 +32,7 @@ class TestGridEncoding:
     @settings(derandomize=True, database=None, max_examples=500, deadline=None)
     @given(hs.lists(hs.floats(), min_size=1, max_size=64))
     def test_matches_percent_g17(self, xs):
-        columns = output._g17_columns(np.array(xs))
-        assert [_text(columns, i) for i in range(len(xs))] == [b"%.17g" % x for x in xs]
+        assert _texts(np.array(xs)) == [b"%.17g" % x for x in xs]
 
     @pytest.mark.parametrize(
         "x",
@@ -50,11 +49,56 @@ class TestGridEncoding:
         ],
     )
     def test_edge_cases(self, x):
-        assert _text(output._g17_columns(np.array([x])), 0) == b"%.17g" % x
+        assert _texts(np.array([x])) == [b"%.17g" % x]
 
     def test_pinned_texts(self):
-        assert _text(output._g17_columns(np.array([1e-70])), 0) == b"1e-70"
-        assert _text(output._g17_columns(np.array([330437076183387.125])), 0) == b"330437076183387.12"
+        assert _texts(np.array([1e-70])) == [b"1e-70"]
+        assert _texts(np.array([330437076183387.125])) == [b"330437076183387.12"]
+        assert _texts(np.array([0.0, -0.0])) == [b"0", b"-0"]
+
+    def test_every_exponent_of_the_table_range(self):
+        # k = floor(log10 |v|) over [-281, 0]: 10^k, one ulp either side,
+        # and seeded mantissas, both signs; k = -281 and 0 lie outside the
+        # range the tables serve and exercise its edges
+        rng = np.random.default_rng(15)
+        values = []
+        for k in range(-281, 1):
+            p = 10.0**k
+            values += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+            values += (rng.uniform(1.0, 10.0, 40) * p).tolist()
+        values = np.array(values)
+        values = np.concatenate([values, -values])
+        assert _texts(values) == [b"%.17g" % x for x in values.tolist()]
+
+    def test_tables(self):
+        quads = output._QUADS.view("S4")
+        assert quads[:10000].tolist() == [b"%04d" % q for q in range(10000)]
+        assert quads[10000:].tolist() == [(b"%04d" % q).rstrip(b"0") for q in range(10000)]
+        exponents = output._EXPONENTS.view("S8").tolist()
+        assert exponents == [b""] * 5 + [b"e-%02d" % m for m in range(5, 282)]
+        assert len(output._HEADS) == 200
+
+    def test_input_layouts(self):
+        rng = np.random.default_rng(16)
+        block = rng.uniform(-0.3, 0.3, (7, 9)) * 10.0 ** rng.integers(-12, 0, (7, 9))
+        want = [b"%.17g" % x for x in block.ravel().tolist()]
+        assert _texts(block) == want
+        assert _texts(block.astype(">f8")) == want
+        assert _texts(block[:, ::2]) == [b"%.17g" % x for x in block[:, ::2].ravel().tolist()]
+        assert _texts(block.T[3]) == [b"%.17g" % x for x in block.T[3].tolist()]
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            1.0, 1.2345678901234567, -123.456, 1e16, 9.999999999999999e279, 1e300,
+            5e-324, -2.2250738585072009e-308, 1e-300, np.nextafter(1e-280, 0.0),
+        ],
+    )
+    def test_outside_the_table_range_formats_one_at_a_time(self, x):
+        # the one-at-a-time path writes the text as one run from byte 0;
+        # a table row puts the head, the quads and the exponent apart
+        want = b"%.17g" % x
+        assert output._g17_rows(np.array([x]))[0].tobytes() == want.ljust(output._ROW, b"\0")
 
     @pytest.mark.parametrize(
         "spec, what, window, res, cutoff",
@@ -66,6 +110,10 @@ class TestGridEncoding:
             ("coherent:re=1,im=0", "q", (1e-310, 2e-310, 1e-310, 3e-310), 9, None),
             ("fock:n=2", "q", None, 23, 12),
             ("svs:r=0.7,phi=0.2", "wigner", None, 23, 80),
+            # past the support radius W is an exact 0: a window wholly
+            # beyond it, and one across it
+            ("fock:n=3", "wigner", (10.0, 20.0, -20.0, -10.0), 9, None),
+            ("fock:n=3", "wigner", (4.0, 12.0, -3.0, 3.0), 21, None),
         ],
     )
     @pytest.mark.parametrize("block_points", [output._BLOCK_POINTS, 7])
@@ -83,6 +131,14 @@ class TestGridEncoding:
         window = window or quasiprob.display_window(state)
         make = quasiprob.q_grid if what == "q" else quasiprob.wigner_grid
         assert out.read_bytes() == _grid_csv_oracle(make(state, window, res))
+
+    def test_signed_zeros(self, tmp_path):
+        values = np.array([[0.0, -0.0, 0.25], [-0.0, -1e-300, 0.0]])
+        grid = quasiprob.QGrid(-1.0, 2.0, -1.0, 0.5, 3, np.vstack([values, -values[:1]]))
+        out = tmp_path / "z.csv"
+        output.write_grid(str(out), grid)
+        assert out.read_bytes() == _grid_csv_oracle(grid)
+        assert b",0\n" in out.read_bytes() and b",-0\n" in out.read_bytes()
 
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -1,7 +1,9 @@
 """State construction, photon addition, displacement, rotation, moments."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
@@ -319,6 +321,54 @@ class TestDisplace:
     def test_norm_preserved(self):
         st = displace(make_fock(1), 0.7)
         assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
+    def test_fock_10_by_5_matches_mpmath(self):
+        # the former row recurrence in m was off by 5.3e-9 relative here
+        st = displace(make_fock(10), 5.0)
+        ref = _displaced_fock_reference(10, 5.0, st.cutoff)
+        assert np.max(np.abs(st.amplitudes - ref)) <= 1e-13
+        big = np.abs(ref) > 1e-8
+        assert np.max(np.abs(st.amplitudes[big] / ref[big] - 1.0)) <= 1e-12
+
+    def test_fock_30_by_4_3j_reports_true_loss(self):
+        # |30> displaced by 4+3j keeps 1 - 8.26e-7 of its norm within the
+        # enlarged cutoff 125, so the check must raise with that loss (the
+        # row recurrence reported -5.494e-04, a norm that grew)
+        ref = _displaced_fock_reference(30, 4.0 + 3.0j, 125)
+        want = 1.0 - math.sqrt(float(np.sum(np.abs(ref) ** 2)))
+        with pytest.raises(AccuracyError, match="lost norm") as info:
+            displace(make_fock(30), 4.0 + 3.0j)
+        got = float(re.search(r"lost norm (\S+);", str(info.value)).group(1))
+        assert got == pytest.approx(want, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [0, 7, 30])
+    def test_laguerre_rows_match_mpmath(self, n):
+        rows = list(_kernels.laguerre_rows(25.0, 30, 125))
+        assert len(rows) == 31
+        with mpmath.workdps(40):
+            ref = [float(_bounded_laguerre(n, k, 25)) for k in range(126)]
+        assert np.max(np.abs(rows[n] - ref)) <= 1e-14
+
+
+def _bounded_laguerre(n, k, x):
+    """B(n, k, x) = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x), in mpmath."""
+    x = mpmath.mpf(x)
+    return (
+        mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(n + k))
+        * x ** (mpmath.mpf(k) / 2) * mpmath.exp(-x / 2) * mpmath.laguerre(n, k, x)
+    )
+
+
+def _displaced_fock_reference(n, lam, cutoff):
+    """<m|D(lam)|n> for m = 0..cutoff from 40-digit matrix elements."""
+    u = complex(lam) / abs(lam)
+    x = abs(lam) ** 2
+    out = np.empty(cutoff + 1, dtype=np.complex128)
+    with mpmath.workdps(40):
+        for m in range(cutoff + 1):
+            phase = u ** (m - n) if m >= n else (-u.conjugate()) ** (n - m)
+            out[m] = phase * float(_bounded_laguerre(min(m, n), abs(m - n), x))
+    return out
 
 
 class TestRotate:
