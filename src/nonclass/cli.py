@@ -56,6 +56,9 @@ class StateSpec:
 
 
 _SWEEP_X = {"pac": "alpha_sq", "pasv": "mean_occupancy", "fock": "p"}
+# rows one sweep may hold (steps x p values); its points and rows are
+# built in memory before the CSV is written
+MAX_SWEEP_ROWS = 1_000_000
 
 
 def _parse_float(text, pos):
@@ -141,22 +144,16 @@ def render_state_spec(spec):
 
 def build_state(spec):
     """Materialize a StateSpec as a truncated Fock-basis state."""
+    cutoff, p = spec.cutoff_override, spec.added_photons
     if spec.family == "coherent":
         alpha = complex(spec.params["re"], spec.params["im"])
-        base = states.make_coherent(alpha, cutoff_override=spec.cutoff_override)
-    elif spec.family == "svs":
+        return states.make_coherent(alpha, cutoff_override=cutoff, p=p)
+    if spec.family == "svs":
         r, phi = spec.params["r"], spec.params["phi"]
-        if spec.cutoff_override is None:
-            base = states.make_squeezed_vacuum_for_addition(r, phi, spec.added_photons)
-        else:
-            base = states.make_squeezed_vacuum(r, phi, cutoff_override=spec.cutoff_override)
-    elif spec.family == "fock":
-        base = states.make_fock(spec.params["n"], cutoff_override=spec.cutoff_override)
-    else:
-        raise DomainError(f"unknown family {spec.family!r}")
-    if spec.added_photons:
-        base = states.add_photons(base, spec.added_photons)
-    return base
+        return states.make_squeezed_vacuum(r, phi, cutoff_override=cutoff, p=p)
+    if spec.family == "fock":
+        return states.add_photons(states.make_fock(spec.params["n"], cutoff_override=cutoff), p)
+    raise DomainError(f"unknown family {spec.family!r}")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -245,6 +242,9 @@ def _sweep_points(args):
     family = args.family
     if args.steps < 2:
         raise DomainError("sweep needs at least 2 steps")
+    rows = args.steps * (len(p_list) if family in ("pac", "pasv") else 1)
+    if rows > MAX_SWEEP_ROWS:
+        raise DomainError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
     for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
         if not math.isfinite(x):
             raise DomainError(f"{flag} must be finite, got {x}")
@@ -358,7 +358,12 @@ def _build_parser():
     p_sweep.add_argument("--p-list", default="1", help="comma-separated added-photon counts")
     p_sweep.add_argument("--x-min", type=float, required=True)
     p_sweep.add_argument("--x-max", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, default=51)
+    p_sweep.add_argument(
+        "--steps",
+        type=int,
+        default=51,
+        help=f"points per curve; steps x (number of p values) may not exceed {MAX_SWEEP_ROWS}",
+    )
     p_sweep.add_argument("--numeric", action="store_true", help="also run the optimizer per row")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,9 +1,11 @@
 """Truncated Fock-space states and the operations the pipeline needs.
 
 A state is a vector of Fock amplitudes c_0..c_N with a certified bound on
-the probability mass the truncation discarded.  Constructors pick their
-own cutoffs so that bound stays below 1e-12; operations are exact linear
-maps on the truncated vector.
+the probability mass the truncation discarded.  Fock states are exact.
+Coherent states and squeezed vacua, with or without photons added, take
+their cutoffs from one rule (_gaussian_cutoff), which keeps that bound
+below TAIL_TARGET.  Operations are exact linear maps on the truncated
+vector.
 """
 
 import math
@@ -19,6 +21,10 @@ DISPLACEMENT_GUARD = 5.0
 # largest cutoff any constructor builds, chosen or overridden; checked
 # before anything is allocated
 _MAX_CUTOFF = 250_000
+# moment orders k the tail bound of _gaussian_cutoff tries
+_MOMENT_ORDERS = 64
+# the certified tail is the computed bound times this; see _gaussian_cutoff
+_ROUNDING_MARGIN = 1.0 + 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,12 +58,15 @@ class FockState:
         return float(np.sum(a.real**2 + a.imag**2))
 
 
-def make_coherent(alpha, cutoff_override=None):
-    """Coherent state |alpha> truncated with a certified Poisson tail.
+def make_coherent(alpha, cutoff_override=None, p=0):
+    """Coherent state |alpha>, or with p photons added, (a^dag)^p |alpha> normalized.
 
-    The automatic cutoff ceil(|alpha|^2 + 12 sqrt(|alpha|^2+1) + 20) puts
-    the discarded mass far below 1e-12.  A cutoff_override that cannot
-    certify that target, or a cutoff past _MAX_CUTOFF, raises CutoffError.
+    The input is truncated at the cutoff _gaussian_cutoff picks, or at
+    cutoff_override, and the returned state at that cutoff + p; its
+    tail_bound certifies the returned state's own discarded mass.  A
+    cutoff_override that cannot certify TAIL_TARGET, or a cutoff past
+    _MAX_CUTOFF, raises CutoffError.  alpha = 0 is the vacuum, exact at
+    cutoff 0.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -66,20 +75,47 @@ def make_coherent(alpha, cutoff_override=None):
         mu = abs(alpha) ** 2
     except OverflowError:
         raise DomainError(f"|alpha|^2 overflows a double for alpha={alpha}") from None
-    if cutoff_override is None:
-        cutoff = math.ceil(_check_cutoff(mu + 12.0 * math.sqrt(mu + 1.0) + 20.0))
-    else:
-        cutoff = _check_override(cutoff_override)
+    cutoff, tail_in, tail = _gaussian_cutoff(
+        mu, 0.0, p, cutoff_override, alpha == 0, f"|alpha|^2={mu:.6g}"
+    )
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[0] = math.exp(-0.5 * mu)
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    tail = _poisson_tail_bound(mu, cutoff)
-    if tail > TAIL_TARGET:
-        raise CutoffError(
-            f"cutoff {cutoff} certifies tail {tail:.3e} > 1e-12 for |alpha|^2={mu:.6g}"
-        )
-    return FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail)
+    return _photon_added(FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail_in), p, tail)
+
+
+def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
+    """Squeezed vacuum with squeeze modulus r and angle phi, or with p photons added.
+
+    Even amplitudes c_{2m} = (cosh r)^{-1/2} (e^{i phi} tanh(r)/2)^m
+    sqrt((2m)!)/m!.  Cutoffs and tail_bound are as in make_coherent;
+    r = 0 is the vacuum, exact at cutoff 0.
+    """
+    _check_squeeze(r, phi)
+    cutoff, tail_in, tail = _gaussian_cutoff(
+        0.0, math.sinh(r) ** 2, p, cutoff_override, r == 0.0, f"r={r}"
+    )
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    z = 0.5 * math.tanh(r) * complex(math.cos(phi), math.sin(phi))
+    val = 1.0 / math.sqrt(math.cosh(r))
+    amps[0] = val
+    for m in range(1, cutoff // 2 + 1):
+        val = val * z * math.sqrt((2 * m - 1) * (2 * m)) / m
+        amps[2 * m] = val
+    return _photon_added(FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail_in), p, tail)
+
+
+def svs_cutoff_for_moment(r, p):
+    """The input cutoff of make_squeezed_vacuum(r, phi, p=p).
+
+    With it the truncated moment <a^q a^dag^q>, q <= p, is within
+    TAIL_TARGET relative of the exact one: the relative error is the mass
+    the q-photon-added state discards, which is no more than the p-photon
+    one's, since (n+q+1)...(n+p) rises with n.
+    """
+    _check_squeeze(r, 0.0)
+    return _gaussian_cutoff(0.0, math.sinh(r) ** 2, p, None, r == 0.0, f"r={r}")[0]
 
 
 def _check_cutoff(cutoff):
@@ -94,67 +130,25 @@ def _check_override(cutoff_override):
     return _check_cutoff(int(cutoff_override))
 
 
-def _poisson_tail_bound(mu, cutoff):
-    """Upper bound on the Poisson(mu) mass above `cutoff`.
-
-    Successive pmf ratios beyond the cutoff are at most mu/(cutoff+2),
-    giving a geometric bound from the first excluded term.
-    """
-    if mu == 0.0:
-        return 0.0
-    q = mu / (cutoff + 2.0)
-    if q >= 1.0:
-        return math.inf
-    log_first = -mu + (cutoff + 1) * math.log(mu) - math.lgamma(cutoff + 2)
-    return math.exp(log_first) / (1.0 - q)
-
-
-def make_squeezed_vacuum(r, phi, cutoff_override=None):
-    """Squeezed vacuum with squeeze modulus r and squeeze angle phi.
-
-    Even amplitudes c_{2m} = (cosh r)^{-1/2} (e^{i phi} tanh(r)/2)^m
-    sqrt((2m)!)/m!.  The automatic cutoff (_svs_auto_cutoff) certifies a
-    geometric tail bound below 1e-12.
-    """
-    _check_squeeze(r, phi)
-    if cutoff_override is None:
-        cutoff = _svs_auto_cutoff(r)
-    else:
-        cutoff = _check_override(cutoff_override)
-    t = math.tanh(r)
-    pairs = cutoff // 2
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    z = 0.5 * t * complex(math.cos(phi), math.sin(phi))
-    val = 1.0 / math.sqrt(math.cosh(r))
-    amps[0] = val
-    for m in range(1, pairs + 1):
-        val = val * z * math.sqrt((2 * m - 1) * (2 * m)) / m
-        amps[2 * m] = val
-    # certified geometric bound from the first excluded pair on; _svs_auto_cutoff tests it
-    tail = math.exp(_svs_log_pair_mass(r, pairs + 1)) / (1.0 - t * t)
-    if tail > TAIL_TARGET:
-        raise CutoffError(
-            f"cutoff {cutoff} certifies tail {tail:.3e} > 1e-12 for r={r:.6g}"
-        )
-    return FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail)
+def _check_count(p, what):
+    if p < 0 or p != int(p):
+        raise DomainError(f"{what} must be a nonnegative integer, got {p}")
+    return int(p)
 
 
 def _check_squeeze(r, phi):
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"squeeze modulus r must be finite and >= 0, got {r}")
-    if not math.isfinite(phi):
-        raise DomainError("squeeze angle phi must be finite")
-    _check_squeeze_reach(r)
-
-
-def _check_squeeze_reach(r):
-    """CutoffError when no cutoff up to _MAX_CUTOFF can hold squeeze r.
+    """DomainError for a bad r or phi; CutoffError when no cutoff up to
+    _MAX_CUTOFF can hold squeeze r.
 
     Each pair carries mass |c_2m|^2 <= 1/cosh r, and such a cutoff keeps
     at most _MAX_CUTOFF // 2 + 1 pairs.  ln cosh r is taken as
     r + log1p(e^{-2r}) - ln 2, which cannot overflow, so the check runs
     before any cosh r.
     """
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DomainError(f"squeeze modulus r must be finite and >= 0, got {r}")
+    if not math.isfinite(phi):
+        raise DomainError("squeeze angle phi must be finite")
     if r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0) > math.log(_MAX_CUTOFF // 2 + 1):
         raise CutoffError(
             f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
@@ -162,101 +156,99 @@ def _check_squeeze_reach(r):
         )
 
 
-def _svs_log_pair_mass(r, m, p=0):
-    """ln(|c_2m|^2 (2m+1)...(2m+p)), |c_2m|^2 = t2^m (2m)! / (m!^2 4^m cosh r).
+def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
+    """(N, input tail, tail) for p photons added to a coherent or squeezed input.
 
-    t2 = tanh^2 r and ln n! = lgamma(n + 1), so no term overflows; -inf at r = 0, m >= 1.
+    The one cutoff rule for every non-Fock state.  The input is a
+    coherent state (mu = |alpha|^2, sigma = 0) or a squeezed vacuum
+    (mu = 0, sigma = sinh^2 r), truncated at N; the p-photon-added state
+    at N + p.  Its moments M_j = <a^j a^dag^j> are exact
+    (_log_moment_ratios).  For n >= N+1, (n+p+1)...(n+p+k) >=
+    (N+p+2)...(N+p+k+1), so the photon-added state discards at most
+    min over 1 <= k <= _MOMENT_ORDERS of
+    M_{p+k} / (M_p (N+p+2)...(N+p+k+1)), compared in logs.  N is the
+    least cutoff, or cutoff_override, at which that bound times
+    _ROUNDING_MARGIN is at most TAIL_TARGET; tail is that product, and
+    input tail the same for p = 0 at N.  The margin covers rounding: the
+    log ratios drift at most a few ulps per recurrence step, under 3e-8
+    over the p + _MOMENT_ORDERS steps for any p up to _MAX_CUTOFF.  The
+    vacuum is exact at any cutoff; its N is 0.  A mu or N + p past
+    _MAX_CUTOFF raises CutoffError before anything that size is built.
     """
-    t2 = math.tanh(r) ** 2
-    log_t2 = math.log(t2) if t2 > 0.0 else -math.inf
-    return (m * log_t2 - math.log(math.cosh(r)) + math.lgamma(2 * m + p + 1)
-            - 2.0 * math.lgamma(m + 1) - m * math.log(4.0))
+    p = _check_count(p, "photon count")
+    cutoff = 0 if cutoff_override is None else _check_override(cutoff_override)
+    _check_cutoff(cutoff + p)
+    if vacuum:
+        return cutoff, 0.0, 0.0
+    beyond = CutoffError(f"moment-aware cutoff for {label}, p={p} exceeds {_MAX_CUTOFF}")
+    if mu > _MAX_CUTOFF:  # a mean photon number mu leaves about half the mass past N < mu
+        raise beyond
+    log_ratios = _log_moment_ratios(mu, sigma, p + _MOMENT_ORDERS)
+    log_target = math.log(TAIL_TARGET / _ROUNDING_MARGIN)
+    if cutoff_override is None:
+        # order k passes once N + p + 2 >= e^x_k and fails while
+        # N + p + k + 1 < e^x_k, so the least N lies in [lo, hi]; one
+        # step of slack each way absorbs the rounding of exp
+        orders = np.arange(1, _MOMENT_ORDERS + 1)
+        x = (np.cumsum(log_ratios[p:]) - log_target) / orders
+        reach = np.exp(np.minimum(x, 30.0))  # e^30 is far past the cap
+        lo = max(math.ceil(float(np.min(reach - orders))) - p - 2, 0)
+        hi = min(max(math.ceil(float(np.min(reach))) - p - 1, 0), _MAX_CUTOFF - p)
+        if lo > hi:
+            raise beyond
+        bounds = _log_tail_bounds(log_ratios, p, lo, hi)
+        passing = np.flatnonzero(bounds <= log_target)
+        if passing.size == 0:
+            raise beyond
+        cutoff = lo + int(passing[0])
+        log_bound = bounds[passing[0]]
+    else:
+        log_bound = _log_tail_bounds(log_ratios, p, cutoff, cutoff)[0]
+    tail = _certificate(log_bound)
+    if log_bound > log_target:
+        raise CutoffError(f"cutoff {cutoff} certifies tail {tail:.3e} > 1e-12 for {label}, p={p}")
+    if p == 0:
+        return cutoff, tail, tail
+    return cutoff, _certificate(_log_tail_bounds(log_ratios, 0, cutoff, cutoff)[0]), tail
 
 
-def _least_pair_count(passes, first, message):
-    """Least m in [first, _MAX_CUTOFF // 2] with passes(m), else CutoffError(message).
+def _certificate(log_bound):
+    """The certified bound: e^log_bound times the margin, never rounded to 0."""
+    return max(math.exp(log_bound) * _ROUNDING_MARGIN, math.ulp(0.0))
 
-    passes must be false up to some m and true from there on.  Double to
-    bracket that m, then bisect, keeping passes(lo) false (lo = first - 1
-    is below every candidate) and passes(hi) true.
+
+def _log_moment_ratios(mu, sigma, count):
+    """ln(M_j / M_{j-1}) for j = 1..count, M_j = <a^j a^dag^j> of a Gaussian input.
+
+    M_0 = 1 and M_{j+1} = a_j M_j - b_j M_{j-1}, with a_j = (2j+1)(1+sigma)
+    + mu and b_j = j^2 (1+sigma).  For a coherent input (sigma = 0) that is
+    M_j = j! L_j(-mu); for a squeezed vacuum (mu = 0, c^2 = 1 + sigma) it
+    is M_j = j! c^j P_j(c), P_j the Legendre polynomial.  The ratio M_j /
+    M_{j-1} is carried as j (1 + delta_j): every term of the delta
+    recurrence below is nonnegative, and log1p keeps ln(1 + delta_j)
+    accurate where delta_j is small, so ln M_j, the cumulative sum, is
+    good to a few ulps relative.
     """
-    last = _MAX_CUTOFF // 2
-    lo, hi = first - 1, first
-    while not passes(hi):
-        if hi == last:
-            raise CutoffError(message)
-        lo, hi = hi, min(2 * hi + 1, last)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    delta = mu + sigma
+    deltas = [delta]
+    for j in range(1, count):
+        delta = ((2 * j + 1) * sigma + mu + j * (delta - sigma) / (1.0 + delta)) / (j + 1)
+        deltas.append(delta)
+    return np.log(np.arange(1.0, count + 1.0)) + np.log1p(deltas)
 
 
-def _svs_auto_cutoff(r):
-    """The automatic squeezed-vacuum cutoff 2m, 0 at r = 0.
+def _log_tail_bounds(log_ratios, p, lo, hi):
+    """ln of the tail bound of _gaussian_cutoff at each input cutoff N = lo..hi.
 
-    m is the least pair count whose next pair, with the geometric tail
-    after it (ratio below tanh^2 r), carries at most half of TAIL_TARGET,
-    compared in logs.  Pair masses fall with m, so the search is exact.
+    Row N is the least over k of ln M_{p+k} - ln M_p - ln((N+p+2)...(N+p+k+1)),
+    the products taken as differences of one prefix sum of logs.
     """
-    log_one_minus_t2 = math.log(1.0 - math.tanh(r) ** 2)
-    log_target = math.log(0.5 * TAIL_TARGET)
-    return 2 * _least_pair_count(
-        lambda m: _svs_log_pair_mass(r, m + 1) - log_one_minus_t2 <= log_target, 0,
-        f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; reduce r or supply amplitudes another way",
-    )
-
-
-def svs_cutoff_for_moment(r, p):
-    """Cutoff making the p-weighted squeezed-vacuum tail negligible.
-
-    The moment sum_n |c_n|^2 (n+1)...(n+p) converges much more slowly
-    than the mass, so oracle-grade photon addition on squeezed vacuum
-    needs a cutoff where the weighted tail is below 1e-13 of a lower
-    bound (p! cosh^{2p} r) of the moment itself.  The comparison is made
-    in logs (_svs_log_pair_mass), so no term overflows for large p.  The
-    cutoff is 2m for the first m >= 1 that passes; past m =
-    _MAX_CUTOFF // 2 the search raises CutoffError.
-    """
-    if p < 0 or p != int(p):
-        raise DomainError(f"p must be a nonnegative integer, got {p}")
-    p = int(p)
-    if r == 0.0:
-        return 0
-    _check_squeeze_reach(r)
-    t2 = math.tanh(r) ** 2
-    log_scale = math.log(1e-13) + math.lgamma(p + 1) + 2 * p * math.log(math.cosh(r))
-
-    def passes(m):
-        # the term ratio from pair m to m+1; the tail from m is geometric once it is below 1
-        ratio = t2 * (2 * m + p + 1) * (2 * m + p + 2) / ((2 * m + 2) ** 2)
-        return ratio < 1.0 and _svs_log_pair_mass(r, m, p) - math.log1p(-ratio) <= log_scale
-
-    # passes() is false up to some m and true from there on.  For p >= 1
-    # the ratio falls with m, and where it is below 1 so does the tail
-    # bound.  For p = 0 the bound can rise with m only while m(1 - t2) < 1,
-    # far above the target for any r that _check_squeeze_reach admits.
-    return 2 * _least_pair_count(
-        passes, 1, f"moment-aware cutoff for r={r}, p={p} exceeds {_MAX_CUTOFF}"
-    )
-
-
-def make_squeezed_vacuum_for_addition(r, phi, p):
-    """Squeezed vacuum with its cutoff grown for adding p photons.
-
-    Photon addition weights the tail by (n+1)...(n+p), so the cutoff is
-    raised to svs_cutoff_for_moment(r, p) when that exceeds the automatic
-    one; the amplitudes are built once, at the larger cutoff.  For
-    p == 0 or r == 0 this is make_squeezed_vacuum(r, phi).
-    """
-    _check_squeeze(r, phi)
-    cutoff = _svs_auto_cutoff(r)
-    if p > 0:
-        cutoff = max(cutoff, svs_cutoff_for_moment(r, p))
-    return make_squeezed_vacuum(r, phi, cutoff_override=cutoff)
+    moments = np.cumsum(log_ratios[p : p + _MOMENT_ORDERS])
+    factors = np.arange(lo + p + 2, hi + p + _MOMENT_ORDERS + 2, dtype=np.float64)
+    prefix = np.concatenate(([0.0], np.cumsum(np.log(factors))))
+    rows = np.arange(hi - lo + 1)[:, None]
+    products = prefix[rows + np.arange(1, _MOMENT_ORDERS + 1)] - prefix[rows]
+    return np.min(moments - products, axis=1)
 
 
 def make_fock(p, cutoff_override=None):
@@ -265,9 +257,7 @@ def make_fock(p, cutoff_override=None):
     A cutoff_override below p raises DomainError, a cutoff past
     _MAX_CUTOFF CutoffError.
     """
-    if p < 0 or p != int(p):
-        raise DomainError(f"Fock index must be a nonnegative integer, got {p}")
-    p = int(p)
+    p = _check_count(p, "Fock index")
     cutoff = _check_cutoff(p) if cutoff_override is None else _check_override(cutoff_override)
     if cutoff < p:
         raise DomainError("cutoff_override below the photon number")
@@ -300,14 +290,19 @@ def add_photons(state, p):
     """Apply (a^dag)^p and renormalize; returns the raised state.
 
     Amplitudes map as c_{n+p} = c_n sqrt((n+p)!/n!) / sqrt(S) with
-    S = antinormal_correlation(state, p) computed on the truncated input;
-    for heavy-tailed inputs pick the input cutoff with the moment in mind
-    (see svs_cutoff_for_moment).  An output cutoff past _MAX_CUTOFF
-    raises CutoffError.
+    S = antinormal_correlation(state, p) computed on the truncated input.
+    An exact input (tail_bound 0) stays exact.  Any other input certifies
+    math.inf: no finite bound is true without the input's moments, so
+    build coherent and squeezed inputs with their constructors' p instead.
+    An output cutoff past _MAX_CUTOFF raises CutoffError.
     """
-    if p < 0 or p != int(p):
-        raise DomainError(f"photon count must be a nonnegative integer, got {p}")
-    p = int(p)
+    p = _check_count(p, "photon count")
+    return _photon_added(state, p, 0.0 if state.tail_bound == 0.0 else math.inf)
+
+
+def _photon_added(state, p, tail_bound):
+    """add_photons' amplitude map, with the tail_bound the caller certifies;
+    p = 0 returns state itself."""
     if p == 0:
         return state
     _check_cutoff(state.cutoff + p)
@@ -316,14 +311,16 @@ def add_photons(state, p):
     norm_sq_inv = float(np.sum((c.real**2 + c.imag**2) * weight))
     out = np.zeros(state.cutoff + p + 1, dtype=np.complex128)
     out[p:] = c * np.sqrt(weight) / math.sqrt(norm_sq_inv)
-    return FockState(amplitudes=out, cutoff=state.cutoff + p, tail_bound=state.tail_bound)
+    return FockState(amplitudes=out, cutoff=state.cutoff + p, tail_bound=tail_bound)
 
 
 def displace(state, lam):
     """Apply the displacement D(lam) within an enlarged cutoff.
 
-    The output cutoff is input.cutoff + ceil(|lam|^2 + 12|lam| + 10).
-    With x = |lam|^2 and u = lam/|lam|, the matrix elements are
+    The output cutoff is ceil(s^2 + 12 s + 10) with s = sqrt(input.cutoff)
+    + |lam|: D(lam) moves the amplitude of |n> out to photon numbers near
+    (sqrt(n) + |lam|)^2, and 12 s + 10 is the margin past that.  With
+    x = |lam|^2 and u = lam/|lam|, the matrix elements are
     <n+k|D|n> = u^k B(n, k, x) and <n|D|n+k> = (-conj(u))^k B(n, k, x),
     where B, bounded by 1, comes row by row in n from the stable Laguerre
     chains of the Wigner kernel (_kernels.laguerre_rows).  If the enlarged
@@ -340,7 +337,8 @@ def displace(state, lam):
         )
     if mod == 0.0:
         return state
-    out_cutoff = state.cutoff + math.ceil(mod * mod + 12.0 * mod + 10.0)
+    reach = math.sqrt(state.cutoff) + mod
+    out_cutoff = _check_cutoff(math.ceil(reach * reach + 12.0 * reach + 10.0))
     c = state.amplitudes
     k = np.arange(out_cutoff + 1)
     u = lam / mod
@@ -376,10 +374,8 @@ def rotate(state, theta):
 
 def antinormal_correlation(state, p):
     """<a^p (a^dag)^p> = sum_n |c_n|^2 (n+1)...(n+p) on the truncated state."""
-    if p < 0 or p != int(p):
-        raise DomainError(f"p must be a nonnegative integer, got {p}")
     c = state.amplitudes
-    weight, shift = _addition_weights(state, int(p))
+    weight, shift = _addition_weights(state, _check_count(p, "p"))
     with np.errstate(over="ignore"):  # a moment past the double range is inf
         return float(np.ldexp(np.sum((c.real**2 + c.imag**2) * weight), shift))
 

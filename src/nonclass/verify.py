@@ -25,13 +25,11 @@ _REPORTS = {}
 
 
 def _pac_state(p, alpha):
-    base = states.make_coherent(alpha)
-    return states.add_photons(base, p)
+    return states.make_coherent(alpha, p=p)
 
 
 def _pasv_state(p, r, phi=0.0):
-    base = states.make_squeezed_vacuum_for_addition(r, phi, p)
-    return states.add_photons(base, p)
+    return states.make_squeezed_vacuum(r, phi, p=p)
 
 
 def _pasv_report(p, r, phi=0.6):

@@ -169,10 +169,13 @@ class TestDqCommand:
             (["--state", "fock:n=10000000000000"], 2),
             (["--state", "coherent:re=1e100,im=0"], 2),
             (["--state", "fock:n=1+add=10000000000000"], 2),
+            (["--state", "coherent:re=1,im=0+add=10000000000000"], 2),
+            (["--state", "svs:r=1,phi=0+add=10000000000000"], 2),
             (["--state", "coherent:re=1e200,im=0"], 64),
         ],
         ids=["fock-override", "coherent-override", "svs-override", "fock-index",
-             "coherent-auto", "added-photons", "alpha-overflow"],
+             "coherent-auto", "added-photons", "coherent-added-photons",
+             "svs-added-photons", "alpha-overflow"],
     )
     def test_oversized_state_exit_code(self, capsys, argv, code):
         assert cli.main(["dq", *argv]) == code
@@ -428,6 +431,19 @@ class TestSweepCommand:
                          "--out", str(out)])
         assert code == 64
         assert "position 2" in capsys.readouterr().err
+
+    def test_oversized_sweep_exit_code(self, tmp_path, capsys):
+        # a row count no allocator grants: refused before any row is built
+        out = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--family", "pac", "--p-list", "1,2", "--x-min", "0",
+                         "--x-max", "1", "--steps", str(cli.MAX_SWEEP_ROWS // 2 + 1),
+                         "--out", str(out)])
+        assert code == 64
+        assert str(cli.MAX_SWEEP_ROWS) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        code = cli.main(["sweep", "--family", "pac", "--x-min", "0", "--x-max", "1",
+                         "--steps", "1000000000000", "--out", str(out)])
+        assert code == 64
 
 
 class TestVerifyCommand:

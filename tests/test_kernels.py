@@ -15,8 +15,8 @@ from nonclass._kernels import (
     wigner_values,
 )
 
-# W values for the r=1, phi=0 squeezed vacuum truncated at its automatic
-# cutoff (96 rows), computed with a 60-digit run of the same recurrence.
+# W values for the r=1, phi=0 squeezed vacuum truncated at cutoff 96
+# (_svs_at_96), computed with a 60-digit run of the same recurrence.
 # The negative dips are real properties of the truncated state.
 SVS_ORACLE = [
     (3.0 + 3.0j, -2.82213880358e-08),
@@ -27,11 +27,19 @@ SVS_ORACLE = [
 ]
 
 
-def _deep_svs(r):
-    base = states.make_squeezed_vacuum(r, 0.0)
-    t2 = math.tanh(r) ** 2
-    extra = int(math.ceil(math.log(1e4) / math.log(1.0 / t2))) + 1
-    return states.make_squeezed_vacuum(r, 0.0, cutoff_override=base.cutoff + 2 * extra)
+def _deep_svs():
+    # the r = 1.5 squeezed vacuum with its cutoff pushed ~1e4 past the mass
+    # target of the geometric tail rule in use when the values frozen below
+    # were computed
+    return states.make_squeezed_vacuum(1.5, 0.0, cutoff_override=358)
+
+
+def _svs_at_96(phi):
+    # the r = 1 squeezed vacuum at cutoff 96, its automatic cutoff under the
+    # geometric tail rule in use when SVS_ORACLE was computed.  The tail
+    # bound now certifies 102, and the amplitude recurrence gives the same
+    # leading amplitudes at any cutoff.
+    return states.make_squeezed_vacuum(1.0, phi).amplitudes[:97]
 
 
 # The Wigner kernel as it was before its chain steps ran in place and
@@ -135,15 +143,14 @@ class TestOverlapKernels:
     def test_svs_closed_form(self):
         # <beta|psi> = (cosh r)^{-1/2} exp(-|b|^2/2 + e^{i phi} tanh(r) conj(b)^2/2)
         r, phi = 1.0, 0.4
-        st = states.make_squeezed_vacuum(r, phi)
-        assert st.cutoff == 96
+        amps = _svs_at_96(phi)
         rng = np.random.default_rng(6)
         betas = rng.normal(0, 2, 60) + 1j * rng.normal(0, 2, 60)
         want = np.exp(
             -0.5 * np.abs(betas) ** 2
             + 0.5 * np.exp(1j * phi) * math.tanh(r) * np.conj(betas) ** 2
         ) / math.sqrt(math.cosh(r))
-        got = coherent_overlaps(st.amplitudes, betas)
+        got = coherent_overlaps(amps, betas)
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_deterministic(self):
@@ -154,8 +161,10 @@ class TestOverlapKernels:
         assert np.array_equal(first, second)
 
     def test_coherent_closed_form(self):
+        # compared with the untruncated state: at its automatic cutoff (tail
+        # near 1e-12) the truncation alone moves the overlap by ~2e-10
         alpha = 2.0 + 0.0j
-        st = states.make_coherent(alpha)
+        st = states.make_coherent(alpha, cutoff_override=51)
         betas = np.array([0.0j, 1.0 + 1.0j, 3.0 - 2.0j, -1.5 + 0.5j])
         want = np.exp(-0.5 * np.abs(betas) ** 2 - 0.5 * abs(alpha) ** 2 + np.conj(betas) * alpha)
         got = coherent_overlaps(st.amplitudes, betas)
@@ -178,8 +187,7 @@ class TestOverlapKernels:
     def test_far_field_against_bargmann_weights(self):
         # photon-added squeezed vacuum peaking at |beta| ~ 45: Q from the
         # Cartesian recurrence against Q from the log-domain weights
-        base = states.make_squeezed_vacuum_for_addition(3.0, 0.0, 10)
-        st = states.add_photons(base, 10)
+        st = states.make_squeezed_vacuum(3.0, 0.0, p=10)
         half_lf = half_log_factorials(st.cutoff + 1)
         n = np.arange(st.cutoff + 1)
         for rho in self.FAR_RADII:
@@ -260,19 +268,18 @@ class TestWignerKernels:
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_coherent_far_field_no_cancellation_blowup(self):
-        # the naive sum loses ~all digits by |beta| ~ 6; the evaluator must not
+        # the naive sum loses ~all digits by |beta| ~ 6; the evaluator must not.
+        # Cutoff 51 keeps the truncation itself below the 1e-18 tolerance.
         alpha = 2.0
-        st = states.make_coherent(alpha)
+        st = states.make_coherent(alpha, cutoff_override=51)
         beta = 6.0 + 0.0j
         want = (2.0 / math.pi) * math.exp(-2.0 * abs(beta - alpha) ** 2)
         got = wigner_values(st.amplitudes, np.array([beta]))[0]
         assert abs(got - want) <= 1e-18
 
     def test_svs_oracle_points(self):
-        st = states.make_squeezed_vacuum(1.0, 0.0)
-        assert st.cutoff == 96
         betas = np.array([b for b, _ in SVS_ORACLE])
-        got = wigner_values(st.amplitudes, betas)
+        got = wigner_values(_svs_at_96(0.0), betas)
         for (beta, want), val in zip(SVS_ORACLE, got):
             if abs(want) > 1e-10:
                 assert val == pytest.approx(want, rel=1e-9), beta
@@ -288,7 +295,7 @@ class TestWignerKernels:
     def test_scaled_chain_regime(self):
         # 4|beta|^2 = 1296 pushes the recurrence seeds below the double
         # underflow ledge; values frozen from a 60-digit run
-        st = _deep_svs(1.5)
+        st = _deep_svs()
         betas = np.array([18.0 + 0.0j, 17.9 + 0.3j])
         want = np.array([2.1003120667042844e-15, 2.425403916268809e-15])
         got = _wigner_diagonals(st.amplitudes, betas)
@@ -297,7 +304,7 @@ class TestWignerKernels:
     def test_batch_independent(self):
         # a point's value must not depend on the other points in its call:
         # repeated radii (signs flipped, parts swapped) share their chains
-        st = _deep_svs(1.5)
+        st = _deep_svs()
         base = np.array([0.7 + 0.2j, 1.3 - 2.1j, 3.0 + 0.5j])
         mirrored = np.concatenate(
             [base, -base, np.conj(base), -np.conj(base), 1j * np.conj(base), -1j * base]
@@ -328,12 +335,12 @@ def _bit_identity_cases():
     return {
         "svs": (states.make_squeezed_vacuum(0.8, 0.7).amplitudes, betas),
         "pasv_p2": (
-            states.add_photons(states.make_squeezed_vacuum_for_addition(0.6, 1.1, 2), 2).amplitudes,
+            states.make_squeezed_vacuum(0.6, 1.1, p=2).amplitudes,
             betas,
         ),
         "pac_p3": (pac.amplitudes, betas),
         "fock_7": (states.make_fock(7).amplitudes, betas),
-        "scaled_chain": (_deep_svs(1.5).amplitudes, np.array([18.0 + 0.0j, 17.9 + 0.3j])),
+        "scaled_chain": (_deep_svs().amplitudes, np.array([18.0 + 0.0j, 17.9 + 0.3j])),
         "single_point": (states.make_squeezed_vacuum(0.8, 0.7).amplitudes, np.array([1.3 - 2.1j])),
     }
 
@@ -366,7 +373,7 @@ def _overlap_cases():
     assert np.all(pac.amplitudes[:3] == 0.0)  # leading zero amplitudes
     axis = np.linspace(-4.0, 4.0, 33)  # passes through 0 exactly
     lattice = (axis[None, :] + 1j * axis[:, None]).ravel()
-    pasv = states.add_photons(states.make_squeezed_vacuum_for_addition(0.6, 1.1, 2), 2).amplitudes
+    pasv = states.make_squeezed_vacuum(0.6, 1.1, p=2).amplitudes
     svs3 = states.make_squeezed_vacuum(3.0, 0.0).amplitudes
     return {
         "no_points": (pasv, np.empty(0, np.complex128)),
