@@ -152,8 +152,12 @@ def bargmann_weights(half_lf, rho):
 # through the phase e^{ikt}.  Each chain therefore runs once per distinct
 # x (exact values, no rounding) and its sums go back to the points by the
 # inverse index, so a point's value is bit-identical to a call on that
-# point alone.  No work is spent on exact zeros, which leaves every sum
-# bit-identical (each sum starts at +0, and adding +-0 never changes it):
+# point alone.  On a square window symmetric about 0 the grid's cell
+# centers are mirror-exact (quasiprob._cell_centers), so sign flips and
+# the swap of x and y leave x unchanged bit for bit: one x, and one run
+# of each chain, per orbit of up to 8 points.  No work is spent on exact
+# zeros, which leaves every sum bit-identical (each sum starts at +0, and
+# adding +-0 never changes it):
 # - a diagonal whose pair products (-1)^n conj(c_{n+k}) c_n are all exactly
 #   zero (odd k of a squeezed vacuum, photons added or not; k > 0 of a
 #   Fock state) is skipped;

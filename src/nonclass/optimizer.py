@@ -28,6 +28,9 @@ from .states import mean_photon
 _RINGS = 50
 _ANGLES = 320
 _MAX_NEWTON_STEPS = 20
+_COARSE_WINDOW = ("search rings out to radius {:.4g} are too far apart for this state: "
+                  "Q underflows to 0 on every ring, or the Newton step from the best "
+                  "ring point is not finite; decrease window_radius")
 # terms of ring weights built at once, so peak working memory does not grow with N
 _BLOCK_TERMS = 2**15
 
@@ -45,10 +48,10 @@ class OptOptions:
     target_step: float = 1e-7
 
     def __post_init__(self):
-        if self.window_radius is not None and not self.window_radius > 0.0:
-            raise DomainError("window_radius must be positive")
-        if not self.target_step > 0.0:
-            raise DomainError("target_step must be positive")
+        if self.window_radius is not None and not 0.0 < self.window_radius < math.inf:
+            raise DomainError(f"window_radius must be finite and positive, got {self.window_radius}")
+        if not 0.0 < self.target_step < math.inf:
+            raise DomainError(f"target_step must be finite and positive, got {self.target_step}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,11 @@ def maximize_q(state, opts=None):
     """Locate the peak Husimi density of a truncated state.
 
     Raises WindowError when the best coarse point lies on the outermost
-    ring (enlarge window_radius) and ConvergenceError when the Newton
-    polish has not stopped after _MAX_NEWTON_STEPS steps.
+    ring (enlarge window_radius), or when the rings are too far apart to
+    see the state: every ring value is 0, or the Newton step from the
+    best one is not finite (reduce window_radius).  Raises
+    ConvergenceError when the Newton polish has not stopped after
+    _MAX_NEWTON_STEPS steps.
     """
     if opts is None:
         opts = OptOptions()
@@ -150,12 +156,16 @@ def maximize_q(state, opts=None):
             "increase window_radius"
         )
     q = float(values[j, m]) / math.pi
+    if q == 0.0:
+        raise WindowError(_COARSE_WINDOW.format(radius))
     rho, theta = float(rings[j]), 2.0 * math.pi * m / _ANGLES
     cell = float(rings[1] - rings[0])
     ladder = _ladder(amps)
     for _ in range(_MAX_NEWTON_STEPS):
         d_rho, d_theta = _polar_newton_step(ladder, half_lf, rho, theta)
         length = math.hypot(d_rho, rho * d_theta)
+        if not math.isfinite(length):
+            raise WindowError(_COARSE_WINDOW.format(radius))
         if length > cell:
             d_rho, d_theta, length = d_rho * cell / length, d_theta * cell / length, cell
         # halve the step until Q rises or the step is down to target_step

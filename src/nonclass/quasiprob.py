@@ -5,9 +5,16 @@ The Wigner function is the displaced parity (2/pi) <psi|D(2 beta) P|psi>,
 evaluated by _kernels.wigner_values as sums over the Fock diagonals
 conj(c_{n+k}) c_n, each weighted by a stable three-term chain of bounded
 Laguerre matrix elements.  Grids sample cell centers, so summing values
-times the cell area is the midpoint quadrature rule.
+times the cell area is the midpoint quadrature rule.  The centers of res
+cells on [lo, hi] are (lo + half) + half (2j + 1 - res)/res with
+half = (hi - lo)/2 (_cell_centers, the one definition behind every grid
+and CSV): on a window symmetric about 0 they are mirror-exact,
+c_{res-1-j} = -c_j bit for bit, so the points of one symmetry orbit of
+a square symmetric window share one radius and the Wigner kernel runs
+each of its chains once per orbit.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,8 +66,17 @@ class QGrid:
 
 
 def _cell_centers(lo, hi, res):
-    """Midpoints lo + (hi - lo)/res * (j + 1/2), j = 0..res-1, of res equal cells."""
-    return lo + (hi - lo) / res * (np.arange(res) + 0.5)
+    """Midpoints of res equal cells, j = 0..res-1, mirror-exact on a symmetric window.
+
+    With half = (hi - lo)/2 the center is (lo + half) + half t_j, where
+    t_j = (2j + 1 - res)/res.  The integer 2j + 1 - res is exact and
+    changes sign under j -> res-1-j, so t_{res-1-j} = -t_j bit for bit;
+    for lo = -hi, lo + half is exactly +0, so the centers satisfy
+    c_{res-1-j} = -c_j exactly and the middle center of an odd res is
+    +0.0.  |t_j| < 1, so no finite window of finite width overflows.
+    """
+    half = 0.5 * (hi - lo)
+    return (lo + half) + half * ((2.0 * np.arange(res) + (1 - res)) / res)
 
 
 def _row_major(xs, ys):
@@ -86,9 +102,12 @@ def display_window(state):
 
 
 def q_value(state, beta):
-    """Husimi density at one complex point beta."""
+    """Husimi density at one complex point beta; a non-finite beta raises DomainError."""
+    beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     out = np.empty(1)
-    _husimi(state.amplitudes, np.array([complex(beta)]), out)
+    _husimi(state.amplitudes, np.array([beta]), out)
     return float(out[0])
 
 

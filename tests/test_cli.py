@@ -122,6 +122,13 @@ class TestDqCommand:
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["dq", "--state", "svs:r=-1,phi=0"]) == 64
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-7"])
+    def test_bad_tol_exit_code(self, capsys, tol):
+        assert cli.main(["dq", "--state", "fock:n=2", f"--tol={tol}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "target_step must be finite and positive" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -53,6 +53,17 @@ class TestMaximizeQ:
         with pytest.raises(WindowError):
             maximize_q(make_coherent(2.0), OptOptions(window_radius=0.5))
 
+    @pytest.mark.parametrize("state", [make_fock(2), make_coherent(3.0)], ids=["fock2", "coherent3"])
+    def test_coarse_window_raises(self, state):
+        # rings ~200 apart: Q is 0 on every one of them
+        with pytest.raises(WindowError, match="decrease window_radius"):
+            maximize_q(state, OptOptions(window_radius=1e4))
+
+    def test_non_finite_newton_step_raises(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_polar_newton_step", lambda *a: (math.nan, math.nan))
+        with pytest.raises(WindowError, match="not finite"):
+            maximize_q(make_coherent(1.0))
+
     def test_exhausted_newton_budget_raises(self, monkeypatch):
         monkeypatch.setattr(optimizer, "_MAX_NEWTON_STEPS", 1)
         with pytest.raises(ConvergenceError):
@@ -70,6 +81,12 @@ class TestOptOptions:
             OptOptions(window_radius=0.0)
         with pytest.raises(DomainError):
             OptOptions(target_step=-1e-7)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["window_radius", "target_step"])
+    def test_non_finite_refused(self, field, bad):
+        with pytest.raises(DomainError, match="finite and positive"):
+            OptOptions(**{field: bad})
 
     def test_defaults_accepted(self):
         opts = OptOptions()

@@ -1,6 +1,7 @@
 """Husimi and Wigner evaluation on points and grids, quadrature."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_q_value_at_a_peak_past_the_underflow_radius():
     assert q_value(st, rep.beta_max) == pytest.approx(rep.q_max, rel=1e-10)
 
 
+@pytest.mark.parametrize("beta", [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)])
+def test_q_value_refuses_non_finite_beta(beta):
+    with pytest.raises(DomainError, match="beta must be finite"):
+        q_value(states.make_fock(2), beta)
+
+
 def test_vacuum_q_quadrature():
     vac = states.make_coherent(0.0)
     grid = q_grid(vac, (-3.0, 3.0, -3.0, 3.0), 61)
@@ -53,6 +60,51 @@ def test_grid_cell_centers():
     assert grid.x_centers() == pytest.approx([0.25, 0.75])
     assert grid.y_centers() == pytest.approx([0.25, 0.75])
     assert grid.cell_area() == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("res", [1, 2, 151, 401, 4096])
+@pytest.mark.parametrize("half_width", [1e-300, 7.3, 8e307])
+def test_symmetric_window_centers_mirror_exactly(res, half_width):
+    grid = quasiprob.QGrid(-half_width, half_width, -1.0, 1.0, res, np.empty((0, 0)))
+    xs = grid.x_centers()
+    assert np.array_equal(xs, -xs[::-1])
+    assert np.all(np.diff(xs) > 0.0)
+    if res % 2:
+        mid = xs[res // 2]
+        assert mid == 0.0 and not np.signbit(mid)
+
+
+def test_asymmetric_window_centers_near_exact():
+    # within 3 ulp of max(|lo|, |hi|) of the exact rational midpoint
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        lo, hi = sorted(rng.uniform(-50.0, 50.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0))
+        res = int(rng.integers(1, 300))
+        xs = quasiprob._cell_centers(lo, hi, res)
+        ulp = Fraction(np.spacing(max(abs(lo), abs(hi))))
+        lo_f, width = Fraction(lo), Fraction(hi) - Fraction(lo)
+        for j, x in enumerate(xs.tolist()):
+            exact = lo_f + width * (2 * j + 1) / (2 * res)
+            assert abs(Fraction(x) - exact) <= 3 * ulp
+        assert np.all(np.diff(xs) > 0.0)
+
+
+def test_display_window_wigner_grid_keeps_the_symmetries():
+    fock = states.make_fock(3)
+    w = wigner_grid(fock, quasiprob.display_window(fock), 151).values
+    for image in (w[::-1], w[:, ::-1], w.T):
+        assert image.tobytes() == w.tobytes()
+    svs = states.make_squeezed_vacuum(0.7, 0.0)
+    w = wigner_grid(svs, quasiprob.display_window(svs), 151).values
+    for image in (w[::-1], w[:, ::-1]):
+        assert image.tobytes() == w.tobytes()
+
+
+def test_symmetric_lattice_has_one_radius_per_orbit():
+    # at most 76 * 77 / 2 orbits of the 151^2 lattice under the square's symmetries
+    xs = quasiprob._cell_centers(-7.3, 7.3, 151)
+    radii = (2.0 * xs[None, :]) ** 2 + (2.0 * xs[:, None]) ** 2
+    assert np.unique(radii).size <= 76 * 77 // 2
 
 
 def test_q_grid_matches_q_value_at_every_cell(monkeypatch):
