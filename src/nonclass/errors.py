@@ -18,9 +18,11 @@ class DomainError(NonclassError, ValueError):
 
 
 class WindowError(NonclassError):
-    """The search window is too small: the optimum sits on its boundary.
+    """The search window does not fit the state.
 
-    Retry with a larger window radius.
+    Either the optimum sits on its boundary (retry with a larger window
+    radius) or its rings are too far apart to see the state (retry with
+    a smaller one).
     """
 
 

@@ -136,7 +136,7 @@ def maximize_q(state, opts=None):
     Raises WindowError when the best coarse point lies on the outermost
     ring (enlarge window_radius), or when the rings are too far apart to
     see the state: every ring value is 0, or the Newton step from the
-    best one is not finite (reduce window_radius).  Raises
+    best one is not finite (decrease window_radius).  Raises
     ConvergenceError when the Newton polish has not stopped after
     _MAX_NEWTON_STEPS steps.
     """

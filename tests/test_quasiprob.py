@@ -65,8 +65,7 @@ def test_grid_cell_centers():
 @pytest.mark.parametrize("res", [1, 2, 151, 401, 4096])
 @pytest.mark.parametrize("half_width", [1e-300, 7.3, 8e307])
 def test_symmetric_window_centers_mirror_exactly(res, half_width):
-    grid = quasiprob.QGrid(-half_width, half_width, -1.0, 1.0, res, np.empty((0, 0)))
-    xs = grid.x_centers()
+    xs = quasiprob._cell_centers(-half_width, half_width, res)  # QGrid.x_centers
     assert np.array_equal(xs, -xs[::-1])
     assert np.all(np.diff(xs) > 0.0)
     if res % 2:
