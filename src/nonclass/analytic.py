@@ -3,13 +3,24 @@
 Covers photon-added coherent states (pac), Fock states, squeezed vacuum
 (svs), photon-added squeezed vacuum (pasv), and the strong-squeezing
 limits of the pasv enhancement ratio.  Factorial-sized prefactors are
-assembled in log space, ln n! as math.lgamma(n + 1), so the formulas
-stay healthy up to p ~ 1e4.
+assembled in log space, ln n! as math.lgamma(n + 1).
+
+Every photon-added closed form divides by the input's antinormal moment
+M_p = <a^p a^dag^p>: p! L_p(-|alpha|^2) on a coherent state, p! cosh^{2p} r
+2F1(-p/2, -(p-1)/2; 1; tanh^2 r) on a squeezed vacuum.  ln M_p is the
+exact sum (math.fsum) of the first p ratios ln(M_j / M_{j-1}) of
+log_moment_ratios, the one moment path of the package; the cutoff rule
+of `states` reads the same ratios.  Measured against 40-digit mpmath
+(|alpha|^2 in [1e-3, 1e3], r in [0, 21]), the pac and pasv peak densities
+stay within 1e-13 relative for p <= 20 and 6e-12 for p up to 1000, and
+the pasv one within 8e-11 for p up to 20000.
 """
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -69,24 +80,34 @@ class SqueezeLimits(NamedTuple):
     ratio_successive: float
 
 
-def _log_laguerre_at_neg(p, u):
-    """ln L_p(-u) for u >= 0 through the rescaled three-term recurrence.
+def log_moment_ratios(mu, sigma, count):
+    """ln(M_j / M_{j-1}) for j = 1..count, M_j = <a^j a^dag^j> of a Gaussian input.
 
-    All values are positive for negative argument; periodic rescaling
-    keeps the iteration inside float range for large p*u.
+    M_0 = 1 and M_{j+1} = a_j M_j - b_j M_{j-1}, with a_j = (2j+1)(1+sigma)
+    + mu and b_j = j^2 (1+sigma).  For a coherent input (sigma = 0) that is
+    M_j = j! L_j(-mu); for a squeezed vacuum (mu = 0, c^2 = 1 + sigma) it
+    is M_j = j! c^j P_j(c), P_j the Legendre polynomial.  The ratio M_j /
+    M_{j-1} is carried as j (1 + delta_j): every term of the delta
+    recurrence below is nonnegative, and log1p keeps ln(1 + delta_j)
+    accurate where delta_j is small, so ln M_j, the cumulative sum, is
+    good to a few ulps relative.
     """
-    if p == 0:
-        return 0.0
-    shift = 0.0
-    prev = 1.0
-    cur = 1.0 + u
-    for k in range(1, p):
-        prev, cur = cur, ((2 * k + 1 + u) * cur - k * prev) / (k + 1)
-        if cur > 1e250:
-            prev /= 1e250
-            cur /= 1e250
-            shift += 250.0 * math.log(10.0)
-    return math.log(cur) + shift
+    delta = mu + sigma
+    deltas = [delta]
+    for j in range(1, count):
+        delta = ((2 * j + 1) * sigma + mu + j * (delta - sigma) / (1.0 + delta)) / (j + 1)
+        deltas.append(delta)
+    return np.log(np.arange(1.0, count + 1.0)) + np.log1p(deltas)
+
+
+def _log_svs_moment_scaled(p, r):
+    """ln(M_p / cosh^{2p} r) on the squeezed vacuum, ln p! + ln 2F1(tanh^2 r).
+
+    Taken at min(r, 20): past r = 19.1 tanh^2 r rounds to 1, so the value
+    no longer moves, and sinh^2 r stays inside the double range.
+    """
+    r = min(r, 20.0)
+    return math.fsum(log_moment_ratios(0.0, math.sinh(r) ** 2, p)) - 2.0 * p * _log_cosh(r)
 
 
 def _log_cosh(r):
@@ -129,8 +150,7 @@ def qmax_pac(params):
     log_q = (
         p * log_peak_sq
         - exponent
-        - math.lgamma(p + 1)
-        - _log_laguerre_at_neg(p, u)
+        - math.fsum(log_moment_ratios(u, 0.0, p))
         - math.log(math.pi)
     )
     return math.exp(log_q)
@@ -148,33 +168,11 @@ def svs_qmax(r):
     return math.exp(-_log_cosh(r)) / math.pi
 
 
-def hyp2f1_photon(p, x):
-    """Value of the terminating Gauss series 2F1(-p/2, -(p-1)/2; 1; x).
-
-    For integer p >= 0 one of the two numerator parameters is a
-    non-positive integer or half-integer whose Pochhammer symbol hits
-    zero, so the series is a polynomial of degree floor(p/2) in x.  All
-    terms are nonnegative for x in [0, 1], hence no cancellation.
-    """
-    if p < 0 or p != int(p):
-        raise DomainError(f"hyp2f1_photon requires integer p >= 0, got {p}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"hyp2f1_photon requires 0 <= x <= 1, got {x}")
-    p = int(p)
-    a = -0.5 * p
-    b = -0.5 * (p - 1)
-    term = 1.0
-    total = 1.0
-    for k in range(p // 2):
-        term *= (a + k) * (b + k) * x / ((k + 1.0) * (k + 1.0))
-        total += term
-    return total
-
-
 def svs_antinormal(p, r):
     """<a^p (a^dag)^p> on squeezed vacuum.
 
-    p! (cosh r)^{2p} 2F1(-p/2, -(p-1)/2; 1; tanh^2 r).
+    p! (cosh r)^{2p} 2F1(-p/2, -(p-1)/2; 1; tanh^2 r), from the moment
+    path; math.inf past the double range.
     """
     if p < 0 or p != int(p):
         raise DomainError(f"p must be a nonnegative integer, got {p}")
@@ -183,28 +181,27 @@ def svs_antinormal(p, r):
     p = int(p)
     if p == 0:
         return 1.0
-    t2 = min(math.tanh(r) ** 2, 1.0)
-    log_val = math.lgamma(p + 1) + 2.0 * p * _log_cosh(r)
-    return math.exp(log_val) * hyp2f1_photon(p, t2)
+    log_moment = _log_svs_moment_scaled(p, r) + 2.0 * p * _log_cosh(r)
+    try:
+        return math.exp(log_moment)
+    except OverflowError:
+        return math.inf
 
 
 def pasv_qmax(params):
     """Peak Husimi density of a p-photon-added squeezed vacuum.
 
     qmax = svs_qmax(r) * (1/p!) (p e^{r-1}/cosh r)^p / 2F1(...), with the
-    maximizer at |beta_max|^2 = p e^r cosh r (arg beta_max = phi/2).
+    maximizer at |beta_max|^2 = p e^r cosh r (arg beta_max = phi/2), which
+    is math.inf past the double range.
     """
     p, r = int(params.p), float(params.r)
     if p == 0:
         return PasvQmax(qmax=svs_qmax(r), beta_max_modulus_sq=0.0)
-    t2 = min(math.tanh(r) ** 2, 1.0)
-    log_ratio = (
-        p * (math.log(p) + r - 1.0 - _log_cosh(r))
-        - math.lgamma(p + 1)
-        - math.log(hyp2f1_photon(p, t2))
-    )
+    log_ratio = p * (math.log(p) + r - 1.0 - _log_cosh(r)) - _log_svs_moment_scaled(p, r)
     qmax = svs_qmax(r) * math.exp(log_ratio)
-    beta_sq = p * math.exp(r) * math.cosh(r)
+    # the product overflows to inf from r ~ 355; math.exp(r) would raise past 709
+    beta_sq = p * math.exp(r) * math.cosh(r) if r < 700.0 else math.inf
     return PasvQmax(qmax=qmax, beta_max_modulus_sq=beta_sq)
 
 

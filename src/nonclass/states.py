@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, analytic
 from .errors import AccuracyError, CutoffError, DomainError
 
 TAIL_TARGET = 1e-12
@@ -141,15 +141,14 @@ def _check_squeeze(r, phi):
     _MAX_CUTOFF can hold squeeze r.
 
     Each pair carries mass |c_2m|^2 <= 1/cosh r, and such a cutoff keeps
-    at most _MAX_CUTOFF // 2 + 1 pairs.  ln cosh r is taken as
-    r + log1p(e^{-2r}) - ln 2, which cannot overflow, so the check runs
-    before any cosh r.
+    at most _MAX_CUTOFF // 2 + 1 pairs.  ln cosh r is analytic._log_cosh,
+    which cannot overflow, so the check runs before any cosh r.
     """
     if not (math.isfinite(r) and r >= 0.0):
         raise DomainError(f"squeeze modulus r must be finite and >= 0, got {r}")
     if not math.isfinite(phi):
         raise DomainError("squeeze angle phi must be finite")
-    if r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0) > math.log(_MAX_CUTOFF // 2 + 1):
+    if analytic._log_cosh(r) > math.log(_MAX_CUTOFF // 2 + 1):
         raise CutoffError(
             f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
             "reduce r or supply amplitudes another way"
@@ -162,8 +161,9 @@ def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
     The one cutoff rule for every non-Fock state.  The input is a
     coherent state (mu = |alpha|^2, sigma = 0) or a squeezed vacuum
     (mu = 0, sigma = sinh^2 r), truncated at N; the p-photon-added state
-    at N + p.  Its moments M_j = <a^j a^dag^j> are exact
-    (_log_moment_ratios).  For n >= N+1, (n+p+1)...(n+p+k) >=
+    at N + p.  Its moments M_j = <a^j a^dag^j> are exact, from
+    analytic.log_moment_ratios, the recurrence the closed forms divide
+    by too.  For n >= N+1, (n+p+1)...(n+p+k) >=
     (N+p+2)...(N+p+k+1), so the photon-added state discards at most
     min over 1 <= k <= _MOMENT_ORDERS of
     M_{p+k} / (M_p (N+p+2)...(N+p+k+1)), compared in logs.  N is the
@@ -183,7 +183,7 @@ def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
     beyond = CutoffError(f"moment-aware cutoff for {label}, p={p} exceeds {_MAX_CUTOFF}")
     if mu > _MAX_CUTOFF:  # a mean photon number mu leaves about half the mass past N < mu
         raise beyond
-    log_ratios = _log_moment_ratios(mu, sigma, p + _MOMENT_ORDERS)
+    log_ratios = analytic.log_moment_ratios(mu, sigma, p + _MOMENT_ORDERS)
     log_target = math.log(TAIL_TARGET / _ROUNDING_MARGIN)
     if cutoff_override is None:
         # order k passes once N + p + 2 >= e^x_k and fails while
@@ -215,26 +215,6 @@ def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
 def _certificate(log_bound):
     """The certified bound: e^log_bound times the margin, never rounded to 0."""
     return max(math.exp(log_bound) * _ROUNDING_MARGIN, math.ulp(0.0))
-
-
-def _log_moment_ratios(mu, sigma, count):
-    """ln(M_j / M_{j-1}) for j = 1..count, M_j = <a^j a^dag^j> of a Gaussian input.
-
-    M_0 = 1 and M_{j+1} = a_j M_j - b_j M_{j-1}, with a_j = (2j+1)(1+sigma)
-    + mu and b_j = j^2 (1+sigma).  For a coherent input (sigma = 0) that is
-    M_j = j! L_j(-mu); for a squeezed vacuum (mu = 0, c^2 = 1 + sigma) it
-    is M_j = j! c^j P_j(c), P_j the Legendre polynomial.  The ratio M_j /
-    M_{j-1} is carried as j (1 + delta_j): every term of the delta
-    recurrence below is nonnegative, and log1p keeps ln(1 + delta_j)
-    accurate where delta_j is small, so ln M_j, the cumulative sum, is
-    good to a few ulps relative.
-    """
-    delta = mu + sigma
-    deltas = [delta]
-    for j in range(1, count):
-        delta = ((2 * j + 1) * sigma + mu + j * (delta - sigma) / (1.0 + delta)) / (j + 1)
-        deltas.append(delta)
-    return np.log(np.arange(1.0, count + 1.0)) + np.log1p(deltas)
 
 
 def _log_tail_bounds(log_ratios, p, lo, hi):

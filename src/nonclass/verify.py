@@ -24,18 +24,10 @@ class CheckResult:
 _REPORTS = {}
 
 
-def _pac_state(p, alpha):
-    return states.make_coherent(alpha, p=p)
-
-
-def _pasv_state(p, r, phi=0.0):
-    return states.make_squeezed_vacuum(r, phi, p=p)
-
-
 def _pasv_report(p, r, phi=0.6):
     key = ("pasv", p, r, phi)
     if key not in _REPORTS:
-        _REPORTS[key] = optimizer.maximize_q(_pasv_state(p, r, phi))
+        _REPORTS[key] = optimizer.maximize_q(states.make_squeezed_vacuum(r, phi, p=p))
     return _REPORTS[key]
 
 
@@ -84,7 +76,7 @@ def check_pac_numeric():
     dq = {}
     for p in _PAC_GRID_P:
         for u in _PAC_GRID_U:
-            rep = optimizer.maximize_q(_pac_state(p, math.sqrt(u)))
+            rep = optimizer.maximize_q(states.make_coherent(math.sqrt(u), p=p))
             ana = analytic.qmax_pac(analytic.PacParams(p=p, alpha_sq=u))
             worst = max(worst, abs(rep.q_max - ana) / ana)
             dq[(p, u)] = rep.dq
@@ -277,8 +269,8 @@ def check_pasv_dq_minimum():
 def _invariance_states():
     return {
         "fock(1)": states.make_fock(1),
-        "pac(1, alpha=1)": _pac_state(1, 1.0),
-        "pasv(1, r=1)": _pasv_state(1, 1.0, 0.0),
+        "pac(1, alpha=1)": states.make_coherent(1.0, p=1),
+        "pasv(1, r=1)": states.make_squeezed_vacuum(1.0, 0.0, p=1),
     }
 
 
@@ -338,7 +330,7 @@ def check_wigner_negativity():
             ok = ok and pin <= 1e-6
             details.append(f"fock(1) min diff from -2/pi: {pin:.2e}")
     for p in (1, 2):
-        st = _pac_state(p, 1.0)
+        st = states.make_coherent(1.0, p=p)
         _, val = quasiprob.wigner_min_scan(st, quasiprob.display_window(st), 101)
         ok = ok and val < -1e-3
     gauss_min = 0.0
@@ -361,8 +353,8 @@ def _quadrature_states():
         ("coherent(2)", states.make_coherent(2.0), 101),
         ("fock(10)", states.make_fock(10), 151),
         ("svs(r=1)", states.make_squeezed_vacuum(1.0, 0.9), 101),
-        ("pac(2, alpha=1.5)", _pac_state(2, 1.5), 101),
-        ("pasv(2, r=1)", _pasv_state(2, 1.0, 0.4), 151),
+        ("pac(2, alpha=1.5)", states.make_coherent(1.5, p=2), 101),
+        ("pasv(2, r=1)", states.make_squeezed_vacuum(1.0, 0.4, p=2), 151),
     ]
 
 

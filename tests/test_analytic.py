@@ -13,10 +13,10 @@ from nonclass.analytic import (
     PAC_FOCK_THRESHOLD,
     PacParams,
     PasvParams,
-    _log_laguerre_at_neg,
+    _log_svs_moment_scaled,
     dq_pac,
     fock_nonclassicality,
-    hyp2f1_photon,
+    log_moment_ratios,
     pasv_dq,
     pasv_qmax,
     qmax_pac,
@@ -264,9 +264,35 @@ class TestReferenceDq:
 
 # --- special functions of the closed forms ---------------------------------
 
-def laguerre_at_neg(p, u):
-    """L_p(-u) from the log-domain recurrence analytic uses."""
-    return math.exp(_log_laguerre_at_neg(p, u))
+def log_moment(mu, sigma, p):
+    """ln M_p = ln <a^p a^dag^p>, the sum the closed forms divide by."""
+    return math.fsum(log_moment_ratios(mu, sigma, p))
+
+
+def coherent_moment(p, u):
+    """M_p = p! L_p(-u) of a coherent input with |alpha|^2 = u."""
+    return math.exp(log_moment(u, 0.0, p))
+
+
+class TestLogMomentRatios:
+    @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 2.5, 4.0, 8.0])
+    def test_svs_log_moments_match_mpmath(self, r):
+        # ln M_j = ln(j! c^j P_j(c)), c = cosh r
+        got = np.cumsum(log_moment_ratios(0.0, math.sinh(r) ** 2, 300))
+        with mpmath.workdps(40):
+            c = mpmath.cosh(mpmath.mpf(r))
+            want = [float(mpmath.log(mpmath.factorial(j) * c**j * mpmath.legendre(j, c)))
+                    for j in range(1, 301)]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-9, 0.01, 1.0, 3.0, 16.0, 100.0, 1444.0])
+    def test_coherent_log_moments_match_mpmath(self, mu):
+        # ln M_j = ln(j! L_j(-mu)); at mu = 0, ln M_1 = 0 exactly
+        got = np.cumsum(log_moment_ratios(mu, 0.0, 300))
+        with mpmath.workdps(40):
+            want = [float(mpmath.log(mpmath.factorial(j) * mpmath.laguerre(j, 0, -mu)))
+                    for j in range(1, 301)]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestLogFactorial:
@@ -305,76 +331,137 @@ class TestLogFactorial:
 
 
 class TestLaguerre:
-    # analytic uses L_p only at negative argument, through its log
+    # the coherent moment M_p = p! L_p(-|alpha|^2), the pac normalization
     def test_frozen_values(self):
-        # L_2(-1) = 1 + 2 + 1/2
-        assert math.isclose(laguerre_at_neg(2, 1.0), 3.5, rel_tol=1e-15)
-        # L_5(-4) = sum_k C(5,k) 4^k / k! = 4043/15
-        assert math.isclose(laguerre_at_neg(5, 4.0), 4043.0 / 15.0, rel_tol=1e-13)
-        assert laguerre_at_neg(0, 17.3) == 1.0
+        # 2! L_2(-1) = 2 (1 + 2 + 1/2)
+        assert math.isclose(coherent_moment(2, 1.0), 7.0, rel_tol=1e-15)
+        # 5! L_5(-4) = 120 * 4043/15
+        assert math.isclose(coherent_moment(5, 4.0), 32344.0, rel_tol=1e-13)
+        assert coherent_moment(0, 17.3) == 1.0
 
     def test_series_definition_negative_argument(self):
         # L_p(-u) = sum_k C(p,k) u^k / k! for u >= 0
         for p, u in [(5, 4.0), (3, 0.7), (8, 2.5)]:
-            ref = sum(math.comb(p, k) * u**k / math.factorial(k) for k in range(p + 1))
-            assert math.isclose(laguerre_at_neg(p, u), ref, rel_tol=1e-12)
+            ref = math.factorial(p) * sum(
+                math.comb(p, k) * u**k / math.factorial(k) for k in range(p + 1))
+            assert math.isclose(coherent_moment(p, u), ref, rel_tol=1e-12)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             p = int(rng.integers(0, 31))
             u = float(rng.uniform(0.0, 10.0))
-            ref = eval_laguerre(p, -u)
-            assert abs(laguerre_at_neg(p, u) - ref) <= 1e-10 * max(1.0, abs(ref))
+            ref = math.factorial(p) * eval_laguerre(p, -u)
+            assert abs(coherent_moment(p, u) - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_positive_for_negative_argument(self):
-        # the normalization denominator p! L_p(-|alpha|^2) must stay positive,
-        # so its log is finite even where L_p itself overflows
+        # the normalization p! L_p(-|alpha|^2) must stay positive, so its
+        # log is finite even where M_p itself overflows
         rng = np.random.default_rng(23)
         for _ in range(1000):
             p = int(rng.integers(0, 51))
             u = float(rng.uniform(0.0, 1000.0))
-            assert math.isfinite(_log_laguerre_at_neg(p, u))
+            assert math.isfinite(log_moment(u, 0.0, p))
 
 
-class TestHyp2f1Photon:
+def _log_svs_excess(p, r):
+    """ln(M_p / (p! cosh^{2p} r)) = ln 2F1(-p/2, -(p-1)/2; 1; tanh^2 r)."""
+    return _log_svs_moment_scaled(p, r) - math.lgamma(p + 1)
+
+
+def _log_svs_excess_limit(p):
+    """The Gauss sum 2F1(-p/2, -(p-1)/2; 1; 1) = 2^p Gamma(p+1/2) / (sqrt(pi) p!), in logs."""
+    return p * math.log(2.0) + gammaln(p + 0.5) - 0.5 * math.log(math.pi) - gammaln(p + 1.0)
+
+
+class TestSvsMoment:
+    # the squeezed-vacuum moment M_p = p! cosh^{2p} r 2F1(tanh^2 r), the
+    # pasv normalization: 0 <= ln(M_p / (p! cosh^{2p} r)) <= the Gauss sum
+    # at tanh^2 r = 1, equal to 0 at r = 0 and to the Gauss sum at r >= 20
     def test_frozen_value(self):
-        # p=2: 1 + x/2 at x = 1/2
-        assert math.isclose(hyp2f1_photon(2, 0.5), 1.25, rel_tol=1e-15)
+        # p = 2: M_2 = 2 cosh^4 r (1 + tanh^2 r / 2), 1.25 at tanh^2 r = 1/2
+        r = math.atanh(math.sqrt(0.5))
+        assert math.isclose(svs_antinormal(2, r), 2.5 * math.cosh(r) ** 4, rel_tol=1e-14)
 
     def test_unit_at_origin(self):
         for p in range(21):
-            assert hyp2f1_photon(p, 0.0) == 1.0
+            assert abs(_log_svs_excess(p, 0.0)) <= 1e-15 * max(1.0, math.lgamma(p + 1))
 
-    def test_terms_nonnegative_so_value_at_least_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            p = int(rng.integers(0, 40))
-            x = float(rng.uniform(0.0, 1.0))
-            assert hyp2f1_photon(p, x) >= 1.0
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 39, 200, 1000])
+    def test_between_the_bounds(self, p):
+        rng = np.random.default_rng(3 + p)
+        top = _log_svs_excess_limit(p)
+        slack = 1e-14 * (math.lgamma(p + 1) + 2 * p * 20.0)
+        for r in rng.uniform(0.0, 25.0, 40):
+            excess = _log_svs_excess(p, float(r))
+            assert -slack <= excess <= top + slack
 
     def test_gauss_summation_at_one(self):
-        # 2F1(a, b; c; 1) = Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b))
-        # collapses to 2^p Gamma(p+1/2) / (sqrt(pi) Gamma(p+1))
-        for p in range(1, 21):
-            ref = math.exp(
-                p * math.log(2.0)
-                + gammaln(p + 0.5)
-                - 0.5 * math.log(math.pi)
-                - gammaln(p + 1.0)
-            )
-            assert math.isclose(hyp2f1_photon(p, 1.0), ref, rel_tol=1e-12)
+        # 2F1(a, b; c; 1) = Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)); from
+        # r = 20 on, tanh^2 r rounds to 1
+        for p in list(range(1, 21)) + [100, 1000]:
+            ref = _log_svs_excess_limit(p)
+            for r in (20.0, 21.0, 100.0, 700.0, 1e4):
+                got = _log_svs_excess(p, r)
+                assert abs(got - ref) <= 1e-12 * max(1.0, math.lgamma(p + 1))
 
     def test_continuous_at_the_right_endpoint(self):
         for p in (3, 10, 19):
-            a = hyp2f1_photon(p, 1.0 - 1e-12)
-            b = hyp2f1_photon(p, 1.0)
-            assert abs(a - b) / b <= 1e-9
+            a = _log_svs_excess(p, 14.0)
+            b = _log_svs_excess(p, 20.0)
+            assert abs(a - b) <= 1e-9
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
-            hyp2f1_photon(2, 1.0 + 1e-9)
+            svs_antinormal(2, -0.1)
         with pytest.raises(DomainError):
-            hyp2f1_photon(2, -0.1)
+            svs_antinormal(2, math.inf)
         with pytest.raises(DomainError):
-            hyp2f1_photon(-1, 0.5)
+            svs_antinormal(-1, 0.5)
+
+
+def _pasv_qmax_mpmath(p, r):
+    """Peak Husimi density of p photons on squeezed vacuum r, 40 digits:
+    c^{p-1} (p e^{r-1})^p / (pi M_p), M_p = p! c^p P_p(c), c = cosh r."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        c = mpmath.cosh(r)
+        log_m = mpmath.loggamma(p + 1) + p * mpmath.log(c) + mpmath.log(
+            mpmath.legendre(p, c, maxterms=10**6))
+        return float(mpmath.exp(p * (mpmath.log(p) + r - 1) + (p - 1) * mpmath.log(c) - log_m)
+                     / mpmath.pi)
+
+
+class TestMomentRange:
+    @pytest.mark.parametrize("p", [1100, 2000, 5000])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 3.0])
+    def test_large_p_pasv_against_mpmath(self, p, r):
+        got = pasv_qmax(PasvParams(p=p, r=r)).qmax
+        assert got == pytest.approx(_pasv_qmax_mpmath(p, r), rel=1e-10)
+
+    @pytest.mark.parametrize("r, want", [
+        (19.0, (2.6243422998628923e-09, 2.5571959809247297e-09,
+                2.53266924750855e-09, 2.522249615945768e-09)),
+        (21.0, (3.551661084617681e-10, 3.460788423699759e-10,
+                3.427595099562284e-10, 3.413493661674193e-10)),
+        (100.0, (1.7424785732295034e-44, 1.6978955849405477e-44,
+                 1.681610625676307e-44, 1.674692326670546e-44)),
+        (400.0, (8.970628578248298e-175, 8.741106428023304e-175,
+                 8.657268197115939e-175, 8.621651408393917e-175)),
+        (700.0, (4.61825920417082e-305, 4.5000966056874096e-305,
+                 4.456935005784486e-305, 4.438598769570665e-305)),
+    ])
+    def test_deep_squeeze_pinned(self, r, want):
+        # values of the former series evaluation, p = 1, 3, 10, 1000
+        for p, value in zip((1, 3, 10, 1000), want):
+            assert pasv_qmax(PasvParams(p=p, r=r)).qmax == pytest.approx(value, rel=1e-11)
+
+    @pytest.mark.parametrize("r", [400.0, 711.0, 1e4])
+    def test_past_the_double_range_is_inf(self, r):
+        for p in (1, 3, 200):
+            assert svs_antinormal(p, r) == math.inf
+            res = pasv_qmax(PasvParams(p=p, r=r))
+            assert res.beta_max_modulus_sq == math.inf
+            assert 0.0 <= res.qmax < 1e-170
+            assert pasv_dq(PasvParams(p=p, r=r)) == 1.0
+        assert svs_antinormal(200, 5.0) == math.inf

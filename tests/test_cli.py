@@ -396,6 +396,18 @@ class TestSweepCommand:
         best = min(rows, key=lambda r: float(r[2]))
         assert abs(float(best[0]) - 1.0 / 3.0) <= 0.05
 
+    def test_pasv_sweep_large_p(self, tmp_path, capsys):
+        # at p = 2000 the closed form reads dq = 0.9297 at sinh^2 r = 100,
+        # not the 1 of a normalization overflowed to inf
+        out = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--family", "pasv", "--p-list", "1000,2000",
+                         "--x-min", "100", "--x-max", "101", "--steps", "2",
+                         "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        large = [float(r[2]) for r in rows if r[1] == "2000"]
+        assert len(large) == 2 and all(0.92 < dq < 0.94 for dq in large)
+
     def test_pac_sweep_numeric_column(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
         code = cli.main(["sweep", "--family", "pac", "--p-list", "1",

@@ -214,25 +214,6 @@ def _certificate_cases():
 
 
 class TestCutoffRule:
-    @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 2.5, 4.0, 8.0])
-    def test_svs_log_moments_match_mpmath(self, r):
-        # ln M_j = ln(j! c^j P_j(c)), c = cosh r
-        got = np.cumsum(states._log_moment_ratios(0.0, math.sinh(r) ** 2, 300))
-        with mpmath.workdps(40):
-            c = mpmath.cosh(mpmath.mpf(r))
-            want = [float(mpmath.log(mpmath.factorial(j) * c**j * mpmath.legendre(j, c)))
-                    for j in range(1, 301)]
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
-    @pytest.mark.parametrize("mu", [0.0, 1e-9, 0.01, 1.0, 3.0, 16.0, 100.0, 1444.0])
-    def test_coherent_log_moments_match_mpmath(self, mu):
-        # ln M_j = ln(j! L_j(-mu)); at mu = 0, ln M_1 = 0 exactly
-        got = np.cumsum(states._log_moment_ratios(mu, 0.0, 300))
-        with mpmath.workdps(40):
-            want = [float(mpmath.log(mpmath.factorial(j) * mpmath.laguerre(j, 0, -mu)))
-                    for j in range(1, 301)]
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
     @pytest.mark.parametrize("case", range(25))
     def test_certificate_bounds_true_discarded_mass(self, case):
         family, param, phase, p = _certificate_cases()[case]
@@ -274,7 +255,7 @@ class TestCutoffRule:
         # fails at N - 1, and the bound falls with N
         mu, sigma, vacuum, label = _gaussian_input(family, param)
         cutoff, _, tail = states._gaussian_cutoff(mu, sigma, p, None, vacuum, label)
-        ratios = states._log_moment_ratios(mu, sigma, p + states._MOMENT_ORDERS)
+        ratios = analytic.log_moment_ratios(mu, sigma, p + states._MOMENT_ORDERS)
         bounds = states._log_tail_bounds(ratios, p, max(cutoff - 1, 0), cutoff)
         assert bounds[-1] <= _log_target() < (bounds[0] if cutoff else math.inf)
         assert tail == pytest.approx(math.exp(bounds[-1]) * states._ROUNDING_MARGIN, rel=1e-12)
