@@ -403,7 +403,7 @@ class TestSvsMoment:
             ref = _log_svs_excess_limit(p)
             for r in (20.0, 21.0, 100.0, 700.0, 1e4):
                 got = _log_svs_excess(p, r)
-                assert abs(got - ref) <= 1e-12 * max(1.0, math.lgamma(p + 1))
+                assert abs(got - ref) <= (1e-12 if p <= 20 else 1e-11)
 
     def test_continuous_at_the_right_endpoint(self):
         for p in (3, 10, 19):
