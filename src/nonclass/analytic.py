@@ -111,9 +111,10 @@ def _log_svs_moment_scaled(p, r):
 
 
 def _log_cosh(r):
+    """ln cosh r, as log1p(2 sinh^2(r/2)) up to r = 20: relative accuracy as r -> 0."""
     if r > 20.0:
         return r - math.log(2.0) + math.log1p(math.exp(-2.0 * r))
-    return math.log(math.cosh(r))
+    return math.log1p(2.0 * math.sinh(0.5 * r) ** 2)
 
 
 def fock_nonclassicality(p):
@@ -245,7 +246,7 @@ def reference_dq(family, params, added_photons):
     if family == "svs":
         r = float(params["r"])
         if p == 0:
-            return 1.0 - math.pi * svs_qmax(r), f"svs(r={r!r})"
+            return -math.expm1(-_log_cosh(r)), f"svs(r={r!r})"
         return pasv_dq(PasvParams(p=p, r=r)), f"pasv(p={p}, r={r!r})"
     if family == "fock":
         n_total = int(params["n"]) + p

@@ -6,8 +6,8 @@ _kernels.bargmann_weights, so Q = |<beta|psi>|^2 / pi at any radius.
 A coarse search over _RINGS concentric rings of the search disk picks the
 start: on a ring of _ANGLES equally spaced angles the sum is one FFT of
 the terms c_n w_n folded by n mod _ANGLES.  Newton's method on ln Q in
-polar coordinates polishes it, evaluating every point with the same
-weights; every weight of one search comes from one table of 1/2 ln n!
+polar coordinates polishes it, building each point's weights once (the
+accepted trial's row gives its derivatives too); every weight of one search comes from one table of 1/2 ln n!
 (_kernels.half_log_factorials).  Polar steps follow the ring-shaped
 ridge of a nearly Fock state, along which a Cartesian step only crawls.
 """
@@ -85,12 +85,12 @@ def _bargmann_row(half_lf, rho, theta):
     return _kernels.bargmann_weights(half_lf, rho) * np.exp(-1j * theta * n)
 
 
-def _polar_newton_step(ladder, half_lf, rho, theta):
+def _polar_newton_step(g, rho, theta):
     """Ascent step (d_rho, d_theta) for ln Q at rho e^{i theta}.
 
     Q = e^{-|beta|^2} |f(z)|^2 / pi with z = conj(beta) and f the Bargmann
     function, so f, f' and f'' at z, which are e^{|beta|^2/2} times the
-    coherent overlaps g_k = <beta|a^k psi>, fix the derivatives.  With
+    coherent overlaps g = (g0, g1, g2), g_k = <beta|a^k psi>, fix the derivatives.  With
     h = g1/g0, w = h z and v = (g2/g0) z^2 - w^2, ln Q has gradient
     (-2 rho + 2 Re w/rho, 2 Im w) and Hessian
     [[-2 + 2 Re v/rho^2, 2 Im(v+w)/rho], [2 Im(v+w)/rho, -2 Re(v+w)]].
@@ -98,7 +98,7 @@ def _polar_newton_step(ladder, half_lf, rho, theta):
     an ordinary point.  The step is Newton's along each concave
     eigendirection of the Hessian and the gradient along the others.
     """
-    g0, g1, g2 = ladder @ _bargmann_row(half_lf, rho, theta)
+    g0, g1, g2 = g
     h = g1 / g0
     e = cmath.exp(-1j * theta)
     w1 = h * e  # w / rho
@@ -160,9 +160,9 @@ def maximize_q(state, opts=None):
         raise WindowError(_COARSE_WINDOW.format(radius))
     rho, theta = float(rings[j]), 2.0 * math.pi * m / _ANGLES
     cell = float(rings[1] - rings[0])
-    ladder = _ladder(amps)
+    ladder, row = _ladder(amps), _bargmann_row(half_lf, rho, theta)
     for _ in range(_MAX_NEWTON_STEPS):
-        d_rho, d_theta = _polar_newton_step(ladder, half_lf, rho, theta)
+        d_rho, d_theta = _polar_newton_step(ladder @ row, rho, theta)
         length = math.hypot(d_rho, rho * d_theta)
         if not math.isfinite(length):
             raise WindowError(_COARSE_WINDOW.format(radius))
@@ -174,14 +174,15 @@ def maximize_q(state, opts=None):
             r, t = rho + s * d_rho, theta + s * d_theta
             if r < 0.0:
                 r, t = -r, t + math.pi
-            ov = amps @ _bargmann_row(half_lf, r, t)
+            trial = _bargmann_row(half_lf, r, t)
+            ov = amps @ trial
             q_trial = float(ov.real**2 + ov.imag**2) / math.pi
             if q_trial > q or length * s <= opts.target_step:
                 break
             s *= 0.5
         step = length * s
         if q_trial > q:
-            rho, theta, q = r, t, q_trial
+            rho, theta, q, row = r, t, q_trial, trial
         if step <= opts.target_step:
             break
     else:

@@ -167,26 +167,19 @@ def grid_quadrature(grid):
 def wigner_min_scan(state, window, resolution):
     """Locate the minimum of W on a window: coarse scan plus one zoom.
 
-    Returns (beta, value) with beta a complex.  The refinement re-grids a
-    window of two coarse cells around the best cell, _MIN_SCAN_ZOOM times finer.
+    Returns (beta, value) with beta a complex.  The zoom is a wigner_grid
+    of 4 * _MIN_SCAN_ZOOM cells a side on the four coarse cells about the
+    best one, clipped to the window, so it is _MIN_SCAN_ZOOM times finer
+    where unclipped and never leaves the window the guard accepted.
     """
     grid = wigner_grid(state, window, resolution)
-    flat = int(np.argmin(grid.values))
-    iy, ix = divmod(flat, grid.resolution)
-    xs, ys = grid.x_centers(), grid.y_centers()
-    cx, cy = float(xs[ix]), float(ys[iy])
-    best_val = float(grid.values[iy, ix])
-    best_pt = (cx, cy)
-
+    iy, ix = divmod(int(np.argmin(grid.values)), grid.resolution)
+    cx, cy = grid.x_centers()[ix], grid.y_centers()[iy]
     dx, dy = grid.cell_widths()
-    sub = 4 * _MIN_SCAN_ZOOM + 1
-    fine_x = cx + np.linspace(-2.0 * dx, 2.0 * dx, sub)
-    fine_y = cy + np.linspace(-2.0 * dy, 2.0 * dy, sub)
-    betas = _row_major(fine_x, fine_y)
-    vals = _kernels.wigner_values(state.amplitudes, betas)
-    j = int(np.argmin(vals))
-    if vals[j] < best_val:
-        best_val = float(vals[j])
-        jy, jx = divmod(j, sub)
-        best_pt = (float(fine_x[jx]), float(fine_y[jy]))
-    return complex(best_pt[0], best_pt[1]), best_val
+    zoom = wigner_grid(state, (max(cx - 2.0 * dx, grid.x_min), min(cx + 2.0 * dx, grid.x_max),
+                               max(cy - 2.0 * dy, grid.y_min), min(cy + 2.0 * dy, grid.y_max)),
+                       4 * _MIN_SCAN_ZOOM)
+    jy, jx = divmod(int(np.argmin(zoom.values)), zoom.resolution)
+    if zoom.values[jy, jx] < grid.values[iy, ix]:
+        grid, iy, ix = zoom, jy, jx
+    return complex(grid.x_centers()[ix], grid.y_centers()[iy]), float(grid.values[iy, ix])

@@ -47,15 +47,14 @@ class FockState:
             raise ValueError("amplitude vector must have length cutoff+1")
         if not 0.0 <= self.tail_bound:
             raise ValueError("tail_bound must be nonnegative")
-        total = float(np.sum(amps.real**2 + amps.imag**2))
+        total = self.norm_sq()
         if not (1.0 - self.tail_bound - 5e-15 <= total <= 1.0 + 1e-12 + 5e-15):
             raise AccuracyError(
                 f"squared norm {total} outside [1-tail_bound, 1+1e-12]"
             )
 
     def norm_sq(self):
-        a = self.amplitudes
-        return float(np.sum(a.real**2 + a.imag**2))
+        return float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2))
 
 
 def make_coherent(alpha, cutoff_override=None, p=0):
@@ -88,21 +87,24 @@ def make_coherent(alpha, cutoff_override=None, p=0):
 def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
     """Squeezed vacuum with squeeze modulus r and angle phi, or with p photons added.
 
-    Even amplitudes c_{2m} = (cosh r)^{-1/2} (e^{i phi} tanh(r)/2)^m
-    sqrt((2m)!)/m!.  Cutoffs and tail_bound are as in make_coherent;
-    r = 0 is the vacuum, exact at cutoff 0.
+    Even amplitudes c_{2m} = (cosh r)^{-1/2} e^{i m phi} t^m sqrt((2m)!)/(m! 2^m),
+    t = tanh r, as one vector, so no rounding compounds over m: with z = ln t +
+    i phi (phi mod 2 pi past 2^100), (t e^{i phi})^m = e^{m hi} e^{m (z - hi)}, hi
+    z's parts rounded to 24 bits so that m hi is exact; ln t never comes from a
+    rounded t; the factorial ratio is a cumulative product of sqrt((2j-1)/(2j)).
+    Cutoffs, tail_bound and r = 0 are as in make_coherent.
     """
     _check_squeeze(r, phi)
-    cutoff, tail_in, tail = _gaussian_cutoff(
-        0.0, math.sinh(r) ** 2, p, cutoff_override, r == 0.0, f"r={r}"
-    )
+    cutoff, tail_in, tail = _gaussian_cutoff(0.0, math.sinh(r) ** 2, p, cutoff_override,
+                                             r == 0.0, f"r={r}")
+    if r == 0.0:  # t = 0 has no logarithm
+        return _photon_added(make_fock(0, cutoff), p, tail)
+    log_t = math.log(math.tanh(r)) if r < 0.5 else math.log1p(-2.0 / (math.exp(2.0 * r) + 1.0))
+    z = complex(log_t, phi if abs(phi) < 2.0**100 else math.fmod(phi, math.tau))
+    m, hi = np.arange(cutoff // 2 + 1), complex(np.complex64(z))  # m hi is exact
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    z = 0.5 * math.tanh(r) * complex(math.cos(phi), math.sin(phi))
-    val = 1.0 / math.sqrt(math.cosh(r))
-    amps[0] = val
-    for m in range(1, cutoff // 2 + 1):
-        val = val * z * math.sqrt((2 * m - 1) * (2 * m)) / m
-        amps[2 * m] = val
+    amps[::2] = np.exp(m * hi) * np.exp(m * (z - hi)) * math.exp(-0.5 * analytic._log_cosh(r))
+    amps[2::2] *= np.cumprod(np.sqrt((2.0 * m[1:] - 1.0) / (2.0 * m[1:])))
     return _photon_added(FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail_in), p, tail)
 
 

@@ -13,6 +13,7 @@ from nonclass.analytic import (
     PAC_FOCK_THRESHOLD,
     PacParams,
     PasvParams,
+    _log_cosh,
     _log_svs_moment_scaled,
     dq_pac,
     fock_nonclassicality,
@@ -118,6 +119,15 @@ class TestSvs:
     def test_qmax_rejects_negative(self):
         with pytest.raises(DomainError):
             svs_qmax(-0.1)
+
+    def test_log_cosh_relative_accuracy(self):
+        # log1p(2 sinh^2(r/2)) keeps ln cosh r ~ r^2/2 relative as r -> 0,
+        # where log(cosh r) reads 0 from r ~ 1e-8
+        rs = np.concatenate([np.geomspace(1e-8, 3.0, 40), [19.9, 20.0, 20.1, 100.0, 700.0]])
+        with mpmath.workdps(60):
+            want = [float(mpmath.log(mpmath.cosh(mpmath.mpf(r)))) for r in rs]
+        for r, w in zip(rs, want):
+            assert abs(_log_cosh(float(r)) - w) <= 2e-15 * w
 
     def test_antinormal_first_two(self):
         for r in (0.2, 0.9, 1.7):
@@ -246,6 +256,14 @@ class TestReferenceDq:
         dq, tag = reference_dq("svs", {"r": 1.0, "phi": 0.3}, 0)
         assert dq == pytest.approx(1.0 - math.pi * svs_qmax(1.0), rel=1e-15)
         assert tag == "svs(r=1.0)"
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-5])
+    def test_svs_near_zero(self, r):
+        # dq = 1 - 1/cosh r ~ r^2/2 keeps its relative accuracy; formed as
+        # 1 - pi qmax it read 0.0 at r = 1e-8 and was 8.3e-8 off at r = 1e-5
+        with mpmath.workdps(60):
+            want = float(1 - 1 / mpmath.cosh(mpmath.mpf(r)))
+        assert abs(reference_dq("svs", {"r": r, "phi": 0.0}, 0)[0] - want) <= 1e-15 * want
 
     def test_pasv_routing(self):
         dq, tag = reference_dq("svs", {"r": 0.8, "phi": 0.0}, 1)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from nonclass import cli, optimizer, quasiprob, states, verify
-from nonclass.analytic import PacParams, PasvParams, pasv_dq, qmax_pac
+from nonclass.analytic import PacParams, PasvParams, pasv_dq, pasv_qmax, qmax_pac
 from nonclass.cli import StateSpec, parse_state_spec, render_state_spec
 from nonclass.errors import DomainError, SpecParseError
 
@@ -214,6 +214,13 @@ class TestDqCommand:
         assert err.startswith(
             "error: moment-aware cutoff for r=4.831454028841108, p=1 exceeds 250000"
         )
+
+    def test_squeezed_state_past_the_loop_drift(self, capsys):
+        # the amplitude loop's drift failed the norm check here (exit 2)
+        text = "svs:r=2.49724,phi=3.051618+add=5"
+        assert cli.main(["dq", "--state", text, "--json"]) == 0
+        q_max = json.loads(capsys.readouterr().out)["q_max"]
+        assert abs(q_max - pasv_qmax(PasvParams(p=5, r=2.49724)).qmax) <= 1e-6 * q_max
 
     def test_norm_check_failure_exit_code(self, capsys):
         # the overlap seed e^{-|alpha|^2/2} underflows and the squared norm

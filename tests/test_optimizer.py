@@ -225,6 +225,21 @@ def test_kernel_calls_go_through_module_attribute(monkeypatch):
     assert len(radii) > k
 
 
+def test_newton_polish_builds_each_row_once(monkeypatch):
+    # the accepted trial's row also gives the next Newton step its overlaps,
+    # so no point of the polish has its row built twice
+    points = []
+    original = optimizer._bargmann_row
+
+    def recording(half_lf, rho, theta):
+        points.append((rho, theta))
+        return original(half_lf, rho, theta)
+
+    monkeypatch.setattr(optimizer, "_bargmann_row", recording)
+    maximize_q(add_photons(make_coherent(1.0), 1))
+    assert len(points) > 2 and len(set(points)) == len(points)
+
+
 # the dq_mix domain; derandomized, so every run draws the same examples
 _DQ_MIX = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 

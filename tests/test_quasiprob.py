@@ -145,6 +145,27 @@ def test_min_scan_finds_fock1_dip():
     assert abs(where) <= 0.05
 
 
+def test_min_scan_zoom_stays_in_the_window(monkeypatch):
+    # the zoom is a grid on the window the guard accepted; a zoom of its own
+    # points reached 1.5 cells past the corner at (0, 0)
+    points = []
+    original = _kernels.wigner_values
+
+    def recording(amps, betas):
+        points.extend(betas)
+        return original(amps, betas)
+
+    monkeypatch.setattr(_kernels, "wigner_values", recording)
+    where, val = wigner_min_scan(states.make_fock(1), (0.0, 3.0, 0.0, 3.0), 31)
+    pts = np.array(points)
+    assert pts.size > 31 * 31
+    assert np.all((0.0 <= pts.real) & (pts.real <= 3.0) & (0.0 <= pts.imag) & (pts.imag <= 3.0))
+    # the dip at the corner: the zoom comes closer to it than the coarse cells
+    assert 0.0 < where.real < 0.05 and 0.0 < where.imag < 0.05
+    coarse = wigner_grid(states.make_fock(1), (0.0, 3.0, 0.0, 3.0), 31)
+    assert -2.0 / math.pi < val < float(np.min(coarse.values))
+
+
 def test_wigner_grid_corner_guard():
     st = states.make_coherent(0.0)
     with pytest.raises(DomainError):

@@ -2,9 +2,11 @@
 
 import math
 
+import hypothesis.strategies as hs
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.special import eval_laguerre
 
 from nonclass import _kernels, analytic, states
@@ -26,6 +28,31 @@ from nonclass.states import (
 def _overlap(state, beta):
     """<beta|psi> at one point, from the batch kernel."""
     return complex(_kernels.coherent_overlaps(state.amplitudes, np.array([beta]))[0])
+
+
+def _svs_amplitude(r, phi, m):
+    """c_{2m} = (cosh r)^{-1/2} e^{i m phi} tanh^m r sqrt((2m)!)/(m! 2^m), to 40 digits."""
+    with mpmath.workdps(40):
+        r, phi = mpmath.mpf(r), mpmath.mpf(phi)
+        root = mpmath.exp(mpmath.loggamma(2 * m + 1) / 2 - mpmath.loggamma(m + 1)) / 2**m
+        return mpmath.expj(m * phi) * mpmath.tanh(r) ** m * root / mpmath.sqrt(mpmath.cosh(r))
+
+
+def _svs_amplitude_errors(state, r, phi, samples=7):
+    """Relative errors of `samples` even amplitudes of a p = 0 squeezed vacuum,
+    first and last included, against _svs_amplitude; amplitudes below 1e-290,
+    past the doubles' relative precision, are left out."""
+    errors = []
+    for m in sorted(set(np.linspace(0, state.cutoff // 2, samples).astype(int).tolist())):
+        want = _svs_amplitude(r, phi, m)
+        if abs(want) >= 1e-290:
+            errors.append(float(abs(complex(state.amplitudes[2 * m]) - want) / abs(want)))
+    return errors
+
+
+# the squeezed-vacuum domain of dq_mix and its photon counts; derandomized,
+# so every run draws the same examples
+_SVS_DOMAIN = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
 class TestCoherent:
@@ -152,6 +179,38 @@ class TestSqueezedVacuum:
     def test_negative_r_refused(self):
         with pytest.raises(DomainError):
             make_squeezed_vacuum(-0.5, 0.0)
+
+    @pytest.mark.parametrize("r, phi, p", [(2.49724, 3.051618, 5), (3.5, 0.0, 1), (3.0, 0.0, 10)])
+    def test_closed_form_at_pinned_inputs(self, r, phi, p):
+        # dq_mix inputs where the loop that compounded tanh r drifted: the first
+        # failed the norm check, the others missed mpmath by 2e-13 and 7e-14
+        st = make_squeezed_vacuum(r, phi, p=p)
+        assert st.tail_bound <= states.TAIL_TARGET
+        inp = make_squeezed_vacuum(r, phi, cutoff_override=st.cutoff - p)
+        assert max(_svs_amplitude_errors(inp, r, phi, samples=15)) <= 5e-14
+
+    @pytest.mark.parametrize("phi", [1e30, -3e38, 1e300])
+    def test_any_finite_angle(self, phi):
+        # an angle this large only rotates the state; past float32's range it
+        # is taken mod 2 pi before the exponent is split
+        st = make_squeezed_vacuum(2.0, phi, p=1)
+        flat = make_squeezed_vacuum(2.0, 0.0, p=1)
+        assert np.allclose(np.abs(st.amplitudes), np.abs(flat.amplitudes), rtol=1e-14, atol=0.0)
+
+    @_SVS_DOMAIN
+    @given(r=hs.floats(0.0, 4.5), phi=hs.floats(-2.0 * math.pi, 2.0 * math.pi),
+           p=hs.integers(0, 10))
+    @example(r=4.5, phi=5.9, p=10)
+    @example(r=1e-6, phi=-1.0, p=3)
+    def test_closed_form_over_the_domain(self, r, phi, p):
+        # no norm-check failure; amplitudes at mpmath's; and the certified tail
+        # at least the mass that a state twice as deep holds past the cutoff
+        st = make_squeezed_vacuum(r, phi, p=p)
+        inp = make_squeezed_vacuum(r, phi, cutoff_override=st.cutoff - p)
+        assert max(_svs_amplitude_errors(inp, r, phi)) <= 5e-14
+        depth = min(2 * st.cutoff + 40, states._MAX_CUTOFF) - p
+        beyond = make_squeezed_vacuum(r, phi, cutoff_override=depth, p=p).amplitudes[st.cutoff + 1:]
+        assert float(np.sum(beyond.real**2 + beyond.imag**2)) <= st.tail_bound
 
 
 def _log_target():
