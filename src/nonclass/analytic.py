@@ -12,7 +12,7 @@ exact sum (math.fsum) of the first p ratios ln(M_j / M_{j-1}) of
 log_moment_ratios, the one moment path of the package; the cutoff rule
 of `states` reads the same ratios.  Measured against 40-digit mpmath
 (|alpha|^2 in [1e-3, 1e3], r in [0, 21]), the pac and pasv peak densities
-stay within 1e-13 relative for p <= 20 and 6e-12 for p up to 1000, and
+stay within 1.2e-13 relative for p <= 20 and 6e-12 for p up to 1000, and
 the pasv one within 8e-11 for p up to 20000.
 """
 

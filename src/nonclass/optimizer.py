@@ -6,8 +6,9 @@ _kernels.bargmann_weights, so Q = |<beta|psi>|^2 / pi at any radius.
 A coarse search over _RINGS concentric rings of the search disk picks the
 start: on a ring of _ANGLES equally spaced angles the sum is one FFT of
 the terms c_n w_n folded by n mod _ANGLES.  Newton's method on ln Q in
-polar coordinates polishes it, building each point's weights once (the
-accepted trial's row gives its derivatives too); every weight of one search comes from one table of 1/2 ln n!
+polar coordinates polishes it, building each point's weights once: the
+accepted trial's row also gives the next step its derivatives.  Every
+weight of one search comes from one table of 1/2 ln n!
 (_kernels.half_log_factorials).  Polar steps follow the ring-shaped
 ridge of a nearly Fock state, along which a Cartesian step only crawls.
 """
@@ -90,9 +91,9 @@ def _polar_newton_step(g, rho, theta):
 
     Q = e^{-|beta|^2} |f(z)|^2 / pi with z = conj(beta) and f the Bargmann
     function, so f, f' and f'' at z, which are e^{|beta|^2/2} times the
-    coherent overlaps g = (g0, g1, g2), g_k = <beta|a^k psi>, fix the derivatives.  With
-    h = g1/g0, w = h z and v = (g2/g0) z^2 - w^2, ln Q has gradient
-    (-2 rho + 2 Re w/rho, 2 Im w) and Hessian
+    coherent overlaps g = (g0, g1, g2), g_k = <beta|a^k psi>, fix the
+    derivatives.  With h = g1/g0, w = h z and v = (g2/g0) z^2 - w^2, ln Q
+    has gradient (-2 rho + 2 Re w/rho, 2 Im w) and Hessian
     [[-2 + 2 Re v/rho^2, 2 Im(v+w)/rho], [2 Im(v+w)/rho, -2 Re(v+w)]].
     The powers of rho are divided out of w and v by hand, so rho = 0 is
     an ordinary point.  The step is Newton's along each concave

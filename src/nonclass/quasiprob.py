@@ -168,18 +168,19 @@ def wigner_min_scan(state, window, resolution):
     """Locate the minimum of W on a window: coarse scan plus one zoom.
 
     Returns (beta, value) with beta a complex.  The zoom is a wigner_grid
-    of 4 * _MIN_SCAN_ZOOM cells a side on the four coarse cells about the
-    best one, clipped to the window, so it is _MIN_SCAN_ZOOM times finer
-    where unclipped and never leaves the window the guard accepted.
+    of 4 * _MIN_SCAN_ZOOM cells a side on the square four coarse cells wide
+    about the best cell, clipped to the window, so it is _MIN_SCAN_ZOOM
+    times finer where unclipped and never leaves the window the guard accepted.
     """
     grid = wigner_grid(state, window, resolution)
     iy, ix = divmod(int(np.argmin(grid.values)), grid.resolution)
     cx, cy = grid.x_centers()[ix], grid.y_centers()[iy]
     dx, dy = grid.cell_widths()
-    zoom = wigner_grid(state, (max(cx - 2.0 * dx, grid.x_min), min(cx + 2.0 * dx, grid.x_max),
-                               max(cy - 2.0 * dy, grid.y_min), min(cy + 2.0 * dy, grid.y_max)),
-                       4 * _MIN_SCAN_ZOOM)
-    jy, jx = divmod(int(np.argmin(zoom.values)), zoom.resolution)
-    if zoom.values[jy, jx] < grid.values[iy, ix]:
-        grid, iy, ix = zoom, jy, jx
+    box = (max(cx - 2.0 * dx, grid.x_min), min(cx + 2.0 * dx, grid.x_max),
+           max(cy - 2.0 * dy, grid.y_min), min(cy + 2.0 * dy, grid.y_max))
+    if box[0] < box[1] and box[2] < box[3]:  # else the cells are too narrow to zoom into
+        zoom = wigner_grid(state, box, 4 * _MIN_SCAN_ZOOM)
+        jy, jx = divmod(int(np.argmin(zoom.values)), zoom.resolution)
+        if zoom.values[jy, jx] < grid.values[iy, ix]:
+            grid, iy, ix = zoom, jy, jx
     return complex(grid.x_centers()[ix], grid.y_centers()[iy]), float(grid.values[iy, ix])

@@ -166,6 +166,15 @@ def test_min_scan_zoom_stays_in_the_window(monkeypatch):
     assert -2.0 / math.pi < val < float(np.min(coarse.values))
 
 
+def test_min_scan_on_cells_too_narrow_to_zoom():
+    # cells a third of an ulp wide: the clipped zoom window is empty, so the
+    # coarse minimum stands
+    window = (1.0, 1.0 + 2.0**-52, 0.0, 1.0)
+    _, val = wigner_min_scan(states.make_fock(1), window, 3)
+    coarse = wigner_grid(states.make_fock(1), window, 3)
+    assert val == float(np.min(coarse.values))
+
+
 def test_wigner_grid_corner_guard():
     st = states.make_coherent(0.0)
     with pytest.raises(DomainError):
