@@ -6,11 +6,11 @@ _kernels.bargmann_weights, so Q = |<beta|psi>|^2 / pi at any radius.
 A coarse search over _RINGS concentric rings of the search disk picks the
 start: on a ring of _ANGLES equally spaced angles the sum is one FFT of
 the terms c_n w_n folded by n mod _ANGLES.  Newton's method on ln Q in
-polar coordinates polishes it, building each point's weights once: the
-accepted trial's row also gives the next step its derivatives.  Every
-weight of one search comes from one table of 1/2 ln n!
-(_kernels.half_log_factorials).  Polar steps follow the ring-shaped
-ridge of a nearly Fock state, along which a Cartesian step only crawls.
+polar coordinates polishes it, one (3, N) product g = _ladder(amps) @ row
+per point: g[0] gives a trial's Q, an accepted trial's g the next step's
+derivatives.  Every weight of one search comes from one table of
+1/2 ln n! (_kernels.half_log_factorials).  Polar steps follow the
+ring-shaped ridge of a nearly Fock state, where Cartesian steps crawl.
 """
 
 import cmath
@@ -81,7 +81,7 @@ def _ladder(amps):
 
 
 def _bargmann_row(half_lf, rho, theta):
-    """w_n(rho) e^{-i n theta}, so that <beta|psi> = amps @ row at rho e^{i theta}."""
+    """w_n(rho) e^{-i n theta}, so that <beta|psi> = (ladder @ row)[0] at rho e^{i theta}."""
     n = np.arange(half_lf.shape[0])
     return _kernels.bargmann_weights(half_lf, rho) * np.exp(-1j * theta * n)
 
@@ -161,9 +161,10 @@ def maximize_q(state, opts=None):
         raise WindowError(_COARSE_WINDOW.format(radius))
     rho, theta = float(rings[j]), 2.0 * math.pi * m / _ANGLES
     cell = float(rings[1] - rings[0])
-    ladder, row = _ladder(amps), _bargmann_row(half_lf, rho, theta)
+    ladder = _ladder(amps)
+    g = ladder @ _bargmann_row(half_lf, rho, theta)
     for _ in range(_MAX_NEWTON_STEPS):
-        d_rho, d_theta = _polar_newton_step(ladder @ row, rho, theta)
+        d_rho, d_theta = _polar_newton_step(g, rho, theta)
         length = math.hypot(d_rho, rho * d_theta)
         if not math.isfinite(length):
             raise WindowError(_COARSE_WINDOW.format(radius))
@@ -175,15 +176,14 @@ def maximize_q(state, opts=None):
             r, t = rho + s * d_rho, theta + s * d_theta
             if r < 0.0:
                 r, t = -r, t + math.pi
-            trial = _bargmann_row(half_lf, r, t)
-            ov = amps @ trial
-            q_trial = float(ov.real**2 + ov.imag**2) / math.pi
+            g_trial = ladder @ _bargmann_row(half_lf, r, t)
+            q_trial = float(g_trial[0].real**2 + g_trial[0].imag**2) / math.pi
             if q_trial > q or length * s <= opts.target_step:
                 break
             s *= 0.5
         step = length * s
         if q_trial > q:
-            rho, theta, q, row = r, t, q_trial, trial
+            rho, theta, q, g = r, t, q_trial, g_trial
         if step <= opts.target_step:
             break
     else:

@@ -222,11 +222,25 @@ class TestDqCommand:
         q_max = json.loads(capsys.readouterr().out)["q_max"]
         assert abs(q_max - pasv_qmax(PasvParams(p=5, r=2.49724)).qmax) <= 1e-6 * q_max
 
-    def test_norm_check_failure_exit_code(self, capsys):
-        # the overlap seed e^{-|alpha|^2/2} underflows and the squared norm
-        # misses 1 by 9e-11: an accuracy failure, reported without a traceback
+    def test_norm_check_failure_exit_code(self, monkeypatch, capsys):
+        # a builder whose amplitudes drift, so the squared norm misses 1 by
+        # 2e-10: an accuracy failure, reported without a traceback
+        original = states.make_coherent
+
+        def drifted(alpha, cutoff_override=None, p=0):
+            st = original(alpha, cutoff_override, p)
+            return states.FockState(st.amplitudes * (1.0 - 1e-10), st.cutoff, st.tail_bound)
+
+        monkeypatch.setattr(states, "make_coherent", drifted)
         assert cli.main(["dq", "--state", "coherent:re=38,im=0"]) == 2
         assert "error: squared norm" in capsys.readouterr().err
+
+    def test_coherent_state_past_the_loop_underflow(self, capsys):
+        # the amplitude loop's seed e^{-|alpha|^2/2} underflowed here and the
+        # squared norm missed 1 by 9e-11 (exit 2)
+        assert cli.main(["dq", "--state", "coherent:re=38,im=0", "--json"]) == 0
+        q_max = json.loads(capsys.readouterr().out)["q_max"]
+        assert abs(q_max - qmax_pac(PacParams(p=0, alpha_sq=38.0**2))) <= 1e-6 * q_max
 
 
 class TestGridCommand:

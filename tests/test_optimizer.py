@@ -240,6 +240,37 @@ def test_newton_polish_builds_each_row_once(monkeypatch):
     assert len(points) > 2 and len(set(points)) == len(points)
 
 
+class _RecordedRow(np.ndarray):
+    """A Bargmann row that logs every numpy operation formed with it."""
+
+    log = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _RecordedRow.log.append((ufunc.__name__, method, tuple(np.shape(x) for x in inputs)))
+        plain = [x.view(np.ndarray) if isinstance(x, _RecordedRow) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("text", ["coherent:re=1,im=0+add=1", "svs:r=0.8,phi=0.3+add=3", "fock:n=4"])
+def test_newton_polish_forms_one_product_per_row(monkeypatch, text):
+    # each point's overlaps (g0, g1, g2) come from one (3, N) @ (N,) product:
+    # a trial's Q is |g0|^2 / pi, so no separate dot with the amplitudes
+    rows = []
+    original = optimizer._bargmann_row
+
+    def recording(half_lf, rho, theta):
+        rows.append(original(half_lf, rho, theta).view(_RecordedRow))
+        return rows[-1]
+
+    monkeypatch.setattr(optimizer, "_bargmann_row", recording)
+    monkeypatch.setattr(_RecordedRow, "log", [])
+    state = cli.build_state(cli.parse_state_spec(text))
+    maximize_q(state)
+    n_amp = state.cutoff + 1
+    assert len(rows) > 1
+    assert _RecordedRow.log == [("matmul", "__call__", ((3, n_amp), (n_amp,)))] * len(rows)
+
+
 # the dq_mix domain; derandomized, so every run draws the same examples
 _DQ_MIX = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 

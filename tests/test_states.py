@@ -1,5 +1,6 @@
 """State construction, photon addition, displacement, rotation, moments."""
 
+import cmath
 import math
 
 import hypothesis.strategies as hs
@@ -55,6 +56,32 @@ def _svs_amplitude_errors(state, r, phi, samples=7):
 _SVS_DOMAIN = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
+def _coherent_amplitude_errors(state, alpha, samples=7):
+    """Relative errors of `samples` amplitudes of a p = 0 coherent state, from
+    the first to the last of those at 1e-8 of the largest or above, against
+    e^{-mu/2} mu^{n/2} e^{i n theta}/sqrt(n!) to 40 digits.
+
+    mu = |alpha|^2 and theta = arg alpha are the doubles the constructor
+    rounds them to: a last-bit change of mu moves c_n by (n - mu) ulps, and
+    one of theta by n ulps, which only rescale or rotate alpha.
+    """
+    mags = np.abs(state.amplitudes)
+    kept = np.flatnonzero(mags >= 1e-8 * np.max(mags))
+    errors = []
+    with mpmath.workdps(40):
+        mu, theta = mpmath.mpf(abs(alpha) ** 2), mpmath.mpf(math.atan2(alpha.imag, alpha.real))
+        for n in sorted(set(np.linspace(kept[0], kept[-1], samples).astype(int).tolist())):
+            want = mpmath.expj(n * theta) * mpmath.sqrt(mu**n / mpmath.factorial(n)) * mpmath.exp(-mu / 2)
+            errors.append(float(abs(complex(state.amplitudes[n]) - want) / abs(want)))
+    return errors
+
+
+# coherent inputs from |alpha| = 0 through 1e-150 to 400, where the cutoff
+# nears _MAX_CUTOFF, any phase, up to 10 photons added
+_COHERENT_DOMAIN = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+_COHERENT_MODULI = hs.one_of(hs.floats(0.0, 400.0), hs.floats(-150.0, 2.6).map(lambda e: 10.0**e))
+
+
 class TestCoherent:
     def test_norm_and_mean(self):
         for alpha in (0.0, 1.0, 2.0 + 2.0j, -3.1 + 0.4j, 5.0j):
@@ -80,6 +107,38 @@ class TestCoherent:
         assert st.cutoff == 0
         assert st.amplitudes.tolist() == [1.0]
         assert st.tail_bound == 0.0
+
+    def test_vacuum_with_cutoff_override_is_fock_zero(self):
+        st = make_coherent(0.0, cutoff_override=5)
+        assert st.amplitudes.tolist() == make_fock(0, 5).amplitudes.tolist()
+        assert st.tail_bound == 0.0
+
+    @pytest.mark.parametrize("alpha", [38.0, 8.115528882220556, 32.5**0.5, 1e-6j, -1e-8,
+                                       -81.7237058770635 - 289.8797482071739j])
+    def test_closed_form_at_pinned_inputs(self, alpha):
+        # 38 failed the loop's norm check; at sqrt(32.5) Stirling's series
+        # without its M^-7 term is 1.7e-14 off; at 1e-6 log1p(mu/j - 1)
+        # cancels and at 1e-8 it reaches log1p(-1); at the last, cumulative
+        # sums of unsplit log steps drift 5e-14
+        st = make_coherent(alpha)
+        assert abs(st.norm_sq() - 1.0) <= 5e-15
+        assert max(_coherent_amplitude_errors(st, complex(alpha), samples=15)) <= 1e-14
+
+    @_COHERENT_DOMAIN
+    @given(mod=_COHERENT_MODULI, arg=hs.floats(-2.0 * math.pi, 2.0 * math.pi), p=hs.integers(0, 10))
+    @example(mod=0.0, arg=0.0, p=3)
+    @example(mod=1e-150, arg=1.0, p=0)
+    @example(mod=400.0, arg=-2.0, p=10)
+    def test_closed_form_over_the_domain(self, mod, arg, p):
+        # no norm-check failure; amplitudes at mpmath's; and the certified tail
+        # at least the mass that a state twice as deep holds past the cutoff
+        alpha = cmath.rect(mod, arg)
+        st = make_coherent(alpha, p=p)
+        inp = make_coherent(alpha, cutoff_override=st.cutoff - p)
+        assert max(_coherent_amplitude_errors(inp, alpha)) <= 5e-14
+        depth = min(2 * st.cutoff + 40, states._MAX_CUTOFF) - p
+        beyond = make_coherent(alpha, cutoff_override=depth, p=p).amplitudes[st.cutoff + 1:]
+        assert float(np.sum(beyond.real**2 + beyond.imag**2)) <= st.tail_bound
 
 
 class TestFockAndAddition:
