@@ -24,7 +24,6 @@ from . import _kernels
 from .errors import DomainError
 from .states import mean_photon
 
-WIGNER_GUARD = 30.0
 # points per block of a Q grid: a block's complex working arrays (128 KB
 # each) stay in a core's L2 cache, where a whole 401^2 lattice (2.5 MB an
 # array) does not
@@ -152,8 +151,6 @@ def q_grid(state, window, resolution):
 def wigner_grid(state, window, resolution):
     """Wigner function on the cell-center lattice of a window."""
     x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
-    if math.hypot(max(abs(x_min), abs(x_max)), max(abs(y_min), abs(y_max))) > WIGNER_GUARD:
-        raise DomainError("window corner exceeds the Wigner guard radius")
     betas = _row_major(_cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res))
     vals = _kernels.wigner_values(state.amplitudes, betas)
     return QGrid(x_min, x_max, y_min, y_max, res, vals.reshape(res, res))
@@ -170,7 +167,7 @@ def wigner_min_scan(state, window, resolution):
     Returns (beta, value) with beta a complex.  The zoom is a wigner_grid
     of 4 * _MIN_SCAN_ZOOM cells a side on the square four coarse cells wide
     about the best cell, clipped to the window, so it is _MIN_SCAN_ZOOM
-    times finer where unclipped and never leaves the window the guard accepted.
+    times finer where unclipped and never leaves the scanned window.
     """
     grid = wigner_grid(state, window, resolution)
     iy, ix = divmod(int(np.argmin(grid.values)), grid.resolution)

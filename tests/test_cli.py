@@ -5,12 +5,19 @@ import json
 import math
 import sys
 
+import hypothesis.strategies as hs
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from nonclass import cli, optimizer, quasiprob, states, verify
+from nonclass import _kernels, cli, optimizer, quasiprob, states, verify
 from nonclass.analytic import PacParams, PasvParams, pasv_dq, pasv_qmax, qmax_pac
 from nonclass.cli import StateSpec, parse_state_spec, render_state_spec
 from nonclass.errors import DomainError, SpecParseError
+
+
+_FINITE = hs.floats(allow_nan=False, allow_infinity=False)
+_ADDED = hs.integers(min_value=0)
 
 
 def read_csv(path):
@@ -33,6 +40,19 @@ class TestSpecGrammar:
     def test_round_trip(self, text):
         spec = parse_state_spec(text)
         assert parse_state_spec(render_state_spec(spec)) == spec
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(spec=hs.one_of(
+        hs.builds(lambda re, im, p: StateSpec("coherent", {"re": re, "im": im}, p),
+                  _FINITE, _FINITE, _ADDED),
+        hs.builds(lambda r, phi, p: StateSpec("svs", {"r": r, "phi": phi}, p),
+                  hs.floats(min_value=0.0, allow_infinity=False), _FINITE, _ADDED),
+        hs.builds(lambda n, p: StateSpec("fock", {"n": n}, p), hs.integers(min_value=0), _ADDED),
+    ))
+    def test_round_trip_over_the_grammar(self, spec):
+        text = render_state_spec(spec)
+        assert parse_state_spec(text) == spec
+        assert render_state_spec(parse_state_spec(text)) == text
 
     def test_scientific_notation(self):
         spec = parse_state_spec("coherent:re=1e2,im=-2.5E-1")
@@ -350,12 +370,11 @@ class TestGridCommand:
         assert "window bounds must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    # a width or height past the double range, for both quantities, and a
-    # finite width whose corner radius squared overflows
+    # a width or height past the double range, for both quantities
     @pytest.mark.parametrize("what,window", [
         (what, window) for what in ("q", "wigner")
         for window in (["-1e308", "1e308", "-1", "1"], ["-1", "1", "-1e308", "1e308"])
-    ] + [("wigner", ["-1e300", "1e300", "-1", "1"])])
+    ])
     def test_overflowing_window_exit_code(self, tmp_path, capsys, what, window):
         code = cli.main(["grid", "--state", "coherent:re=1,im=0", "--what", what,
                          "--window", *window, "--res", "3", "--out", str(tmp_path / "w.csv")])
@@ -366,21 +385,40 @@ class TestGridCommand:
 
     # |beta| ~ 1.3e11 puts the overlap's seed-scale count past int64, and
     # |beta| ~ 6.7e199 puts |beta|^2 past the double range
-    @pytest.mark.parametrize("half_width", ["2e11", "1e200"])
-    def test_far_window_cells_are_exact_zeros(self, tmp_path, capsys, half_width):
+    @pytest.mark.parametrize("what,half_width", [
+        ("q", "2e11"), ("q", "1e200"), ("wigner", "2e11"), ("wigner", "1e300"),
+    ])
+    def test_far_window_cells_are_exact_zeros(self, tmp_path, capsys, what, half_width):
         out = tmp_path / "w.csv"
-        code = cli.main(["grid", "--state", "coherent:re=1,im=0", "--what", "q", "--window",
+        code = cli.main(["grid", "--state", "coherent:re=1,im=0", "--what", what, "--window",
                          "-" + half_width, half_width, "-1", "1", "--res", "3", "--out", str(out)])
         assert code == 0
         assert capsys.readouterr().err == ""
         _, rows = read_csv(out)
         state = cli.build_state(parse_state_spec("coherent:re=1,im=0"))
         for x, y, value in rows:
-            if float(x) != 0.0:
+            beta = complex(float(x), float(y))
+            if beta.real != 0.0:
                 assert value == "0"
-            else:
-                assert float(value) == quasiprob.q_value(state, complex(float(x), float(y)))
+            elif what == "q":
+                assert float(value) == quasiprob.q_value(state, beta)
                 assert float(value) > 0.0
+            else:
+                assert float(value) == _kernels.wigner_values(state.amplitudes, np.array([beta]))[0]
+                assert float(value) > 0.0
+
+    # the display windows reach corner radii 32.5 and 30.7
+    @pytest.mark.parametrize("spec", ["coherent:re=9,im=0", "fock:n=70"])
+    def test_wigner_on_the_display_window_of_a_large_state(self, tmp_path, capsys, spec):
+        out = tmp_path / "w.csv"
+        code = cli.main(["grid", "--state", spec, "--what", "wigner", "--res", "41",
+                         "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        values = np.array([float(r[2]) for r in rows])
+        assert values.size == 41 * 41
+        assert np.all(np.abs(values) <= 2.0 / math.pi)
 
 
 class TestSweepCommand:

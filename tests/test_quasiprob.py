@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,7 +147,7 @@ def test_min_scan_finds_fock1_dip():
 
 
 def test_min_scan_zoom_stays_in_the_window(monkeypatch):
-    # the zoom is a grid on the window the guard accepted; a zoom of its own
+    # the zoom is a grid on the scanned window; a zoom of its own
     # points reached 1.5 cells past the corner at (0, 0)
     points = []
     original = _kernels.wigner_values
@@ -175,13 +176,31 @@ def test_min_scan_on_cells_too_narrow_to_zoom():
     assert val == float(np.min(coarse.values))
 
 
-def test_wigner_grid_corner_guard():
-    st = states.make_coherent(0.0)
-    with pytest.raises(DomainError):
-        wigner_grid(st, (-40.0, 40.0, -1.0, 1.0), 11)
-    # one cell, centered at beta = 31, past the guard radius 30
-    with pytest.raises(DomainError):
-        wigner_grid(st, (30.5, 31.5, -0.5, 0.5), 1)
+def test_coherent_wigner_grid_past_radius_30():
+    # the display window of 12+5i reaches a corner radius of 43.8; every
+    # cell is within the truncation bound of (2/pi) e^{-2|beta-alpha|^2}
+    # (measured 9.3e-13 at 41^2 against a bound of 1.3e-6)
+    st = cli.build_state(cli.parse_state_spec("coherent:re=12,im=5"))
+    window = quasiprob.display_window(st)
+    assert math.hypot(window[1], window[3]) > 40.0
+    grid = wigner_grid(st, window, 41)
+    beta = grid.x_centers()[None, :] + 1j * grid.y_centers()[:, None]
+    want = 2.0 / math.pi * np.exp(-2.0 * np.abs(beta - (12 + 5j)) ** 2)
+    tau = st.tail_bound
+    assert np.max(np.abs(grid.values - want)) <= 2.0 / math.pi * (2.0 * math.sqrt(tau) + tau)
+
+
+@pytest.mark.parametrize("beta", [31.0, 31.5j, 22.0 + 22.0j])
+def test_fock_700_wigner_past_radius_30(beta):
+    # W_n(beta) = (2/pi) (-1)^n e^{-2|beta|^2} L_n(4|beta|^2); the chain runs
+    # rescaled here, since e^{-2|beta|^2} underflows (measured 4.4e-15)
+    beta = complex(beta)
+    got = _kernels.wigner_values(states.make_fock(700).amplitudes, np.array([beta]))[0]
+    with mpmath.workdps(60):
+        x = 4 * (mpmath.mpf(beta.real) ** 2 + mpmath.mpf(beta.imag) ** 2)
+        want = float(2 / mpmath.pi * mpmath.exp(-x / 2) * mpmath.laguerre(700, 0, x))
+    assert want != 0.0
+    assert abs(got / want - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
