@@ -323,8 +323,8 @@ def displace(state, lam):
     (sqrt(n) + |lam|)^2, and 12 s + 10 is the margin past that.  With
     x = |lam|^2 and u = lam/|lam|, the matrix elements are
     <n+k|D|n> = u^k B(n, k, x) and <n|D|n+k> = (-conj(u))^k B(n, k, x),
-    where B, bounded by 1, comes row by row in n from the stable Laguerre
-    chains of the Wigner kernel (_kernels.laguerre_rows).  If the enlarged
+    where B, bounded by 1, comes row by row in n from the Wigner kernel's
+    stable Laguerre chain, run over every k at once.  If the enlarged
     cutoff still cannot hold the displaced state (norm change beyond
     1e-8), AccuracyError is raised.  An output cutoff past _MAX_CUTOFF
     raises CutoffError.
@@ -333,9 +333,10 @@ def displace(state, lam):
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise DomainError("displacement must be finite")
     mod = abs(lam)
+    x = mod * mod
     # |lam|^2 underflows to 0 only below |lam| = 2.3e-162, where D(lam) moves
     # no amplitude by more than about |lam| sqrt(N) < 1e-159
-    if mod * mod == 0.0:
+    if x == 0.0:
         return state
     reach = math.sqrt(state.cutoff) + mod
     out_cutoff = math.ceil(_check_cutoff(reach * reach + 12.0 * reach + 10.0))
@@ -344,7 +345,9 @@ def displace(state, lam):
     u = lam / mod
     below, above = u**k, (-u.conjugate()) ** k  # phases of <n+k|D|n>, <n|D|n+k>
     out = np.zeros(out_cutoff + 1, dtype=np.complex128)
-    for n, b in enumerate(_kernels.laguerre_rows(mod * mod, state.cutoff, out_cutoff)):
+    for n, (b, j) in enumerate(_kernels.laguerre_chains(k, x, math.log(x), state.cutoff)):
+        if j is not None:
+            b = np.where(j == 0, b, 0.0)
         out[n:] += c[n] * below[: out_cutoff + 1 - n] * b[: out_cutoff + 1 - n]
         out[n] += above[1 : state.cutoff + 1 - n] * b[1 : state.cutoff + 1 - n] @ c[n + 1 :]
     norm_in = math.sqrt(state.norm_sq())

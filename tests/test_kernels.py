@@ -12,6 +12,7 @@ from nonclass._kernels import (
     bargmann_weights,
     coherent_overlaps,
     half_log_factorials,
+    laguerre_chains,
     wigner_values,
 )
 
@@ -25,6 +26,17 @@ SVS_ORACLE = [
     (6.0 + 0.0j, 3.71802410761e-05),
     (7.3 + 0.0j, 3.27893068533e-07),
 ]
+
+# ln W of |N> at its support cut |beta| = sqrt(N) + 6 (W > 0 there), from
+# 50-digit mpmath; the values wigner_values' docstring cites
+FOCK_LN_W_AT_CUT = {
+    0: -72.45158270528945,
+    1: -93.17858314672571,
+    1000: -325.18510089817465,
+    5000: -477.48093827985817,
+    20000: -669.43888050469335,
+    250000: -1248.7817091362417,
+}
 
 
 def _deep_svs():
@@ -291,6 +303,56 @@ class TestWignerKernels:
         far = math.sqrt(st.cutoff) + 7.0
         got = wigner_values(st.amplitudes, np.array([far + 0.0j, far * 1.0j]))
         assert got[0] == 0.0 and got[1] == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_fock_value_at_the_support_cut(self, n):
+        # the outermost radius evaluated gives the frozen value (1.6e-13
+        # relative at n = 1000), and the next double out is an exact 0
+        cut = math.sqrt(n) + 6.0
+        got = wigner_values(states.make_fock(n).amplitudes, np.array([cut, np.nextafter(cut, 7.0 * cut)]))
+        assert math.log(got[0]) == pytest.approx(FOCK_LN_W_AT_CUT[n], abs=1e-12)
+        assert got[1] == 0.0
+
+    @pytest.mark.parametrize("n", sorted(FOCK_LN_W_AT_CUT))
+    def test_fock_chain_at_the_support_cut(self, n):
+        # W of |n> at the cut is (2/pi)|B(n, 0, x)|, the last value of its
+        # chain; one still carried scaled is e^{-644 j} times what it reads.
+        # Measured at most 1.6e-12 off in ln W (n = 20,000).  Past the cut
+        # |W| <= (n+1) W_n for any state of cutoff n (the test below), and
+        # the largest of these bounds is |0>'s, e^-72.45.
+        x = 4.0 * (math.sqrt(n) + 6.0) ** 2
+        *_, (b, j) = laguerre_chains(0, np.array([x]), np.log([x]), n)
+        ln_w = math.log(2.0 / math.pi) + math.log(abs(b[0])) - (0.0 if j is None else 644.0 * j[0])
+        assert ln_w == pytest.approx(FOCK_LN_W_AT_CUT[n], abs=1e-11)
+        assert math.log(n + 1) + ln_w <= -72.45
+
+    @pytest.mark.parametrize("n", [2, 10, 40])
+    def test_fock_bounds_any_state_past_the_cut(self, n):
+        # the bound above, on random states, evaluated without the cut
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        amps /= np.linalg.norm(amps)
+        fock = states.make_fock(n).amplitudes
+        for radius in (math.sqrt(n) + 6.0, math.sqrt(n) + 7.0):
+            betas = radius * np.exp(2j * math.pi * np.arange(16) / 16)
+            bound = (n + 1) * _wigner_diagonals(fock, np.array([radius + 0.0j]))[0]
+            assert np.max(np.abs(_wigner_diagonals(amps, betas))) <= bound
+
+    @pytest.mark.parametrize("build", [
+        lambda: states.make_fock(3),
+        lambda: states.make_coherent(1.2 + 0.5j, p=2),
+        lambda: states.make_squeezed_vacuum(0.8, 0.4, p=1),
+    ], ids=["fock", "pac", "pasv"])
+    def test_parity_of_the_displaced_state(self, build):
+        # W(b) = (2/pi) sum_m (-1)^m |(D(-b) psi)_m|^2 ties the two users of
+        # the Laguerre chains together; measured at most 2.0e-16 apart
+        st = build()
+        betas = np.array([0.0, 0.7 - 0.3j, -1.1 + 0.9j, 1.6j])
+        got = wigner_values(st.amplitudes, betas)
+        for beta, w in zip(betas, got):
+            c = states.displace(st, -beta).amplitudes
+            sign = (-1.0) ** np.arange(c.shape[0])
+            assert abs(w - (2.0 / math.pi) * np.sum(sign * (c.real**2 + c.imag**2))) <= 1e-14
 
     def test_scaled_chain_regime(self):
         # 4|beta|^2 = 1296 pushes the recurrence seeds below the double

@@ -442,13 +442,13 @@ class TestCutoffRule:
 
 
 class TestDisplace:
-    # |lam|^2 is 0 below |lam| = 2.3e-162, where laguerre_rows cannot run
+    # |lam|^2 is 0 below |lam| = 2.3e-162, where the chains' ln x cannot be taken
     @pytest.mark.parametrize("lam", [0.0, 3.3e-255, 1e-170j])
     def test_zero_is_identity(self, lam):
         st = make_coherent(1.0 + 1.0j)
         assert displace(st, lam) is st
 
-    # 12 - 3i measured 2.4e-14
+    # 12 - 3i measured 1.2e-14
     @pytest.mark.parametrize("lam", [0.9 - 0.4j, 12.0 - 3.0j])
     def test_vacuum_displacement_is_coherent(self, lam):
         got = displace(make_coherent(0.0), lam)
@@ -456,8 +456,8 @@ class TestDisplace:
         n = min(got.cutoff, ref.cutoff) + 1
         assert np.max(np.abs(got.amplitudes[:n] - ref.amplitudes[:n])) <= 1e-12
 
-    # output cutoffs 422, 342 and 676; measured at most 8.1e-14 absolute
-    # and 7.5e-12 relative (Fock 30 by 15)
+    # output cutoffs 422, 342 and 676; measured at most 1.4e-14 absolute
+    # and 1.6e-11 relative (Fock 30 by 15)
     @pytest.mark.parametrize("n,lam", [(10, 12.0), (10, 8.0 + 6.0j), (30, 15.0)])
     def test_large_displacement_matches_mpmath(self, n, lam):
         st = displace(make_fock(n), lam)
@@ -494,13 +494,49 @@ class TestDisplace:
         big = np.abs(ref) > 1e-8
         assert np.max(np.abs(st.amplitudes[big] / ref[big] - 1.0)) <= 1e-12
 
+
+
+class TestLaguerreChains:
+    # the chain _kernels.laguerre_chains runs for the Wigner diagonals (one
+    # k, many x) and for displace (every k, one x)
+
+    @staticmethod
+    def _rows(k, x, lx, last):
+        # (B(n, k, x) with carried entries as 0, carried mask) for each n,
+        # copied, since each yielded array is overwritten by the next step
+        rows = []
+        for b, j in _kernels.laguerre_chains(k, x, lx, last):
+            held = np.zeros(b.shape, bool) if j is None else j > 0
+            rows.append((np.where(held, 0.0, b), held))
+        return rows
+
     @pytest.mark.parametrize("n", [0, 7, 30])
-    def test_laguerre_rows_match_mpmath(self, n):
-        rows = list(_kernels.laguerre_rows(25.0, 30, 125))
+    def test_every_k_at_one_x_matches_mpmath(self, n):
+        # measured at most 4.3e-15 absolute (n = 30)
+        rows = self._rows(np.arange(126), 25.0, math.log(25.0), 30)
         assert len(rows) == 31
         with mpmath.workdps(40):
             ref = [float(_bounded_laguerre(n, k, 25)) for k in range(126)]
-        assert np.max(np.abs(rows[n] - ref)) <= 1e-14
+        assert np.max(np.abs(rows[n][0] - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("k", [0, 1, 17])
+    def test_carried_chains_over_x_match_mpmath(self, k):
+        # every seed e^{-x/2} here is below e^-640, so the chains start
+        # carried scaled and unwind on the way to n = 150.  Unwound values
+        # are within 6.1e-14 relative (k = 17): the rounding of a seed
+        # exponent near -750 alone allows 5.7e-14.  A carried value reads 0,
+        # and its true value is below e^-597.9, where unwinding starts.
+        x = np.linspace(1300.0, 1500.0, 11)
+        rows = self._rows(k, x, np.log(x), 150)
+        assert rows[0][1].any() and not rows[-1][1].any()
+        with mpmath.workdps(40):
+            for n, (row, held) in enumerate(rows):
+                for got, xv, is_held in zip(row, x, held):
+                    want = _bounded_laguerre(n, k, xv)
+                    if is_held:
+                        assert got == 0.0 and mpmath.log(abs(want)) < -597.9
+                    else:
+                        assert abs(got / want - 1) <= 2e-13
 
 
 def _bounded_laguerre(n, k, x):
