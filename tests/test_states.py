@@ -495,7 +495,6 @@ class TestDisplace:
         assert np.max(np.abs(st.amplitudes[big] / ref[big] - 1.0)) <= 1e-12
 
 
-
 class TestLaguerreChains:
     # the chain _kernels.laguerre_chains runs for the Wigner diagonals (one
     # k, many x) and for displace (every k, one x)
