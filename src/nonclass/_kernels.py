@@ -207,7 +207,10 @@ def laguerre_chains(k, x, lx, last):
 # adding +-0 never changes it):
 # - a diagonal whose pair products (-1)^n conj(c_{n+k}) c_n are all exactly
 #   zero (odd k of a squeezed vacuum, photons added or not; k > 0 of a
-#   Fock state) is skipped;
+#   Fock state) is skipped.  A non-zero pair needs c_n and c_{n+k} both
+#   non-zero, so k is a difference of two non-zero indices: a multiple of
+#   their gcd and at most their span.  Every other diagonal is skipped
+#   before its pair list is built, so those examples build none;
 # - a zero pair adds nothing (every other n of a squeezed vacuum, n < p
 #   after adding p photons to a coherent state), and a chain stops at its
 #   last non-zero pair;
@@ -229,6 +232,9 @@ def _wigner_diagonals(amps, betas):
     n_x = x.shape[0]
     lx = np.log(np.where(x > 0.0, x, 1.0))
     c = amps.tolist()
+    nz = np.flatnonzero(amps)
+    span = int(nz[-1] - nz[0]) if nz.size else -1
+    step = max(int(np.gcd.reduce(np.diff(nz))), 1)
     total = np.zeros(n_pt, np.float64)
     ph = np.ones(n_pt, np.complex128)
     at_pt = np.empty(n_pt, np.complex128)
@@ -236,9 +242,11 @@ def _wigner_diagonals(amps, betas):
     acc_re = np.empty(n_x, np.float64)
     acc_im = np.empty(n_x, np.float64)
     tmp = np.empty(n_x, np.float64)
-    for k in range(n_amp):
+    for k in range(span + 1):
         if k > 0:
             ph = ph * u
+        if k % step:
+            continue  # the diagonal adds exact zeros
         pairs = [c[n + k].conjugate() * c[n] for n in range(n_amp - k)]
         pairs[1::2] = [-pair for pair in pairs[1::2]]
         last = max((n for n, pair in enumerate(pairs) if pair), default=-1)

@@ -304,7 +304,7 @@ class TestWignerKernels:
         got = wigner_values(st.amplitudes, np.array([far + 0.0j, far * 1.0j]))
         assert got[0] == 0.0 and got[1] == 0.0
 
-    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 1000, 5000])
     def test_fock_value_at_the_support_cut(self, n):
         # the outermost radius evaluated gives the frozen value (1.6e-13
         # relative at n = 1000), and the next double out is an exact 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.special import eval_laguerre
 
-from nonclass import _kernels, analytic, states
+from nonclass import _kernels, analytic, optimizer, states
 from nonclass.errors import AccuracyError, CutoffError, DomainError
 from nonclass.states import (
     FockState,
@@ -176,6 +176,21 @@ class TestFockAndAddition:
             lhs = abs(_overlap(added, beta)) ** 2
             rhs = abs(beta) ** 4 * abs(_overlap(base, beta)) ** 2 / denom
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_addition_to_built_states(self, p):
+        # add_photons on a state already built: a squeezed vacuum cut at
+        # svs_cutoff_for_moment(r, p) gives the constructor's amplitudes bit
+        # for bit (its tail left uncertified); a coherent state cut for p = 0
+        # loses tail, yet its q_max is within 1e-6 relative of the closed form
+        for r, phi in ((0.3, 0.6), (0.55, 0.6), (1.0, 0.0), (1.0, 0.4), (1.0, 0.6), (2.0, 0.6)):
+            st = add_photons(make_squeezed_vacuum(r, phi, cutoff_override=svs_cutoff_for_moment(r, p)), p)
+            assert st.amplitudes.tobytes() == make_squeezed_vacuum(r, phi, p=p).amplitudes.tobytes()
+            assert st.tail_bound == math.inf
+        for u in (0.1, 0.9, 1.0, 1.5, 3.0):
+            got = optimizer.maximize_q(add_photons(make_coherent(math.sqrt(u)), p)).q_max
+            want = analytic.qmax_pac(analytic.PacParams(p=p, alpha_sq=u))
+            assert abs(got - want) <= 1e-6 * want
 
     def test_zero_addition_is_identity(self):
         st = make_coherent(1.0)
@@ -592,13 +607,15 @@ class TestAntinormalCorrelation:
             want = math.factorial(p) * eval_laguerre(p, -u)
             assert antinormal_correlation(st, p) == pytest.approx(want, rel=1e-9)
 
-    def test_svs_matches_closed_form(self):
-        r = 1.0
-        for p in (1, 2, 3):
-            cut = svs_cutoff_for_moment(r, p)
-            st = make_squeezed_vacuum(r, 0.4, cutoff_override=cut)
-            want = analytic.svs_antinormal(p, r)
-            assert antinormal_correlation(st, p) == pytest.approx(want, rel=1e-9)
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
+    def test_svs_matches_closed_form(self, r):
+        # each moment on the squeezed vacuum cut at svs_cutoff_for_moment(r, p)
+        for p in range(1, 7):
+            st = make_squeezed_vacuum(r, 0.3, cutoff_override=svs_cutoff_for_moment(r, p))
+            got = antinormal_correlation(st, p)
+            assert got == pytest.approx(analytic.svs_antinormal(p, r), rel=1e-9)
+            if p == 1:
+                assert got == pytest.approx(math.cosh(r) ** 2, rel=1e-12)
 
     def test_weights_rescaled_bit_for_bit(self):
         # (n+1)...(n+140) for n <= 38 peaks near 2^950: rescaled, yet equal
