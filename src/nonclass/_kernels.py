@@ -92,41 +92,60 @@ def coherent_overlaps(amps, betas):
 # Bargmann weights: with beta = rho e^{i theta},
 #   <beta|psi> = sum_n c_n w_n(rho) e^{-i n theta},
 #   w_n(rho) = rho^n e^{-rho^2/2} / sqrt(n!) = sqrt(Poisson(n; rho^2)) <= 1,
-# built in the log domain, so no weight underflows before its term is
-# negligible, at any radius.
+# |c_n| of the coherent state |rho>, built and shifted in the log domain,
+# so no weight underflows before its term is negligible, at any radius.
 # ---------------------------------------------------------------------------
 
-def half_log_factorials(n_amp):
-    """1/2 ln n! for n < n_amp, one cumulative sum of 1/2 ln k.
-
-    bargmann_weights takes this table in place of a length, so a caller
-    that needs weights at many radii builds it once.
+def log_sqrt_poisson(rho, n_amp):
+    """ln w_n(rho) for n < n_amp and rho > 0: with mu = rho**2, ln w_M at
+    M = min(floor(mu), n_amp - 1) from Stirling's series to M^-7 (2e-17
+    off), or ln w_0 = -mu/2 when M < 32, then cumulative sums outward of
+    the steps ln(w_j/w_{j-1}), each split into a multiple of 2^-32, whose
+    sums are exact below 2^21, and a remainder.
     """
-    half_lf = np.zeros(n_amp)
-    half_lf[1:] = np.cumsum(0.5 * np.log(np.arange(1.0, n_amp)))
-    return half_lf
-
-
-def bargmann_weights(half_lf, rho):
-    """w_n(rho) for n < len(half_lf), given half_log_factorials(len(half_lf)).
-
-    rho is one radius, giving one row of weights, or a column of radii
-    (shape (k, 1)), giving k rows; each row is bit-identical to the call
-    on its radius alone.  A radius below 0 raises ValueError.  At rho = 0
-    the log of rho^n is 0 for n = 0 and -inf above, so the origin gives
-    w = (1, 0, 0, ...) like any other point.
-    """
-    n_amp = half_lf.shape[0]
-    if np.ndim(rho):
-        log_rho = np.array([[math.log(r) if r != 0.0 else -math.inf] for r in rho[:, 0]])
+    mu, j = rho**2, np.arange(1.0, n_amp)
+    near = j[: int(2.0 * mu)]  # past 2 mu, log1p((mu - j)/j) nears log1p(-1) and cancels
+    steps = np.concatenate((0.5 * np.log1p((mu - near) / near),
+                            math.log(rho) - 0.5 * np.log(j[near.size:])))
+    m = min(math.floor(mu), n_amp - 1)
+    log_w = np.empty(n_amp)
+    if m >= 32:  # sum (m - mu) as one term: it cancels against m log1p((mu - m)/m)
+        rem = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * m * m)) / (m * m)) / (m * m)) / m
+        log_w[m] = 0.5 * (m * math.log1p((mu - m) / m) + (m - mu) - 0.5 * math.log(math.tau * m) - rem)
     else:
-        log_rho = math.log(rho) if rho != 0.0 else -math.inf
+        m, log_w[0] = 0, -0.5 * mu
+    split = np.stack((hi := np.round(steps * 2.0**32) * 2.0**-32, steps - hi))
+    log_w[m + 1:] = log_w[m] + np.cumsum(split[:, m:], axis=1).sum(axis=0)
+    log_w[:m] = log_w[m] - np.cumsum(split[:, :m][:, ::-1], axis=1).sum(axis=0)[::-1]
+    return log_w
+
+
+def bargmann_weights(log_w0, rho0, rho):
+    """w_n(rho) for n < len(log_w0), shifted from log_w0 = log_sqrt_poisson(rho0, ...):
+
+    ln w_n(rho) = ln w_n(rho0) + n ln(rho/rho0) - (rho - rho0)(rho + rho0)/2,
+    the log as log1p of the exact rho - rho0 within a factor 2 of rho0.
+    rho is one radius, giving one row, or a column of radii (shape (k, 1)),
+    giving k rows, each bit-identical to the call on its radius alone.  A
+    radius below 0 raises ValueError; rho = 0 gives (w_0, 0, 0, ...).
+    """
+    n_amp = log_w0.shape[0]
+    if np.ndim(rho):
+        log_ratio = np.array([[_log_ratio(r, rho0)] for r in rho[:, 0]])
+    else:
+        log_ratio = _log_ratio(rho, rho0)
     log_w = np.empty(np.shape(rho)[:1] + (n_amp,))
     log_w[..., 0] = 0.0
-    np.multiply(np.arange(1.0, n_amp), log_rho, out=log_w[..., 1:])
-    log_w -= half_lf
-    log_w -= 0.5 * rho * rho
+    np.multiply(np.arange(1.0, n_amp), log_ratio, out=log_w[..., 1:])
+    log_w += log_w0
+    log_w -= 0.5 * (rho - rho0) * (rho + rho0)
     return np.exp(log_w, out=log_w)
+
+
+def _log_ratio(rho, rho0):
+    if 0.5 * rho0 <= rho <= 2.0 * rho0:
+        return math.log1p((rho - rho0) / rho0)
+    return math.log(rho / rho0) if rho != 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,8 @@ def make_coherent(alpha, cutoff_override=None, p=0):
     _MAX_CUTOFF, raises CutoffError.  alpha = 0 is the vacuum, exact at
     cutoff 0.  c_n = e^{i n theta} w_n, w_n = e^{-mu/2} mu^{n/2}/sqrt(n!), with
     mu = |alpha|^2 and theta = arg alpha as doubles, as one vector: ln w is
-    anchored at 0, or from mu = 32 on at M = floor(mu) by Stirling's series
-    to M^-7 (2e-17 off), and reached outward by cumulative sums of
-    1/2 ln(mu/j), split so the high parts sum exactly; n theta is split too.
+    _kernels.log_sqrt_poisson, anchored near n = mu, and n theta is split
+    so that its high part is exact.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -82,24 +81,10 @@ def make_coherent(alpha, cutoff_override=None, p=0):
     )
     if alpha == 0:
         return _photon_added(make_fock(0, cutoff), p, tail)
-    j = np.arange(1.0, cutoff + 1)
-    near = j[: int(2.0 * mu)]  # past 2 mu, log1p((mu - j)/j) nears log1p(-1) and cancels
-    steps = np.concatenate((0.5 * np.log1p((mu - near) / near),
-                            math.log(abs(alpha)) - 0.5 * np.log(j[near.size:])))
-    m = math.floor(mu) if mu >= 32.0 else 0
-    log_w = np.empty(cutoff + 1)
-    if m:  # sum (m - mu) as one term: it cancels against m log1p((mu - m)/m)
-        rem = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * m * m)) / (m * m)) / (m * m)) / m
-        log_w[m] = 0.5 * (m * math.log1p((mu - m) / m) + (m - mu) - 0.5 * math.log(math.tau * m) - rem)
-    else:
-        log_w[0] = -0.5 * mu
-    hi = np.round(steps * 2.0**32) * 2.0**-32  # their sums are exact below 2^21
-    lo = steps - hi
-    log_w[m + 1:] = log_w[m] + (np.cumsum(hi[m:]) + np.cumsum(lo[m:]))
-    log_w[:m] = log_w[m] - (np.cumsum(hi[:m][::-1]) + np.cumsum(lo[:m][::-1]))[::-1]
     theta, n = math.atan2(alpha.imag, alpha.real), np.arange(cutoff + 1)
     t_hi = float(np.float32(theta))  # n t_hi is exact
-    amps = np.exp(log_w) * np.exp(1j * n * t_hi) * np.exp(1j * n * (theta - t_hi))
+    w = np.exp(_kernels.log_sqrt_poisson(abs(alpha), cutoff + 1))
+    amps = w * np.exp(1j * n * t_hi) * np.exp(1j * n * (theta - t_hi))
     return _photon_added(FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail_in), p, tail)
 
 

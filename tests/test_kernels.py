@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
@@ -11,8 +12,8 @@ from nonclass._kernels import (
     _wigner_diagonals,
     bargmann_weights,
     coherent_overlaps,
-    half_log_factorials,
     laguerre_chains,
+    log_sqrt_poisson,
     wigner_values,
 )
 
@@ -200,13 +201,13 @@ class TestOverlapKernels:
         # photon-added squeezed vacuum peaking at |beta| ~ 45: Q from the
         # Cartesian recurrence against Q from the log-domain weights
         st = states.make_squeezed_vacuum(3.0, 0.0, p=10)
-        half_lf = half_log_factorials(st.cutoff + 1)
+        log_w1 = log_sqrt_poisson(1.0, st.cutoff + 1)
         n = np.arange(st.cutoff + 1)
         for rho in self.FAR_RADII:
             for theta in (0.0, 0.01):
                 beta = complex(rho * math.cos(theta), rho * math.sin(theta))
                 ov = coherent_overlaps(st.amplitudes, np.array([beta]))[0]
-                ref = st.amplitudes @ (bargmann_weights(half_lf, rho) * np.exp(-1j * theta * n))
+                ref = st.amplitudes @ (bargmann_weights(log_w1, 1.0, rho) * np.exp(-1j * theta * n))
                 q, q_ref = abs(ov) ** 2 / math.pi, abs(ref) ** 2 / math.pi
                 assert abs(q - q_ref) <= 1e-9 * q_ref
 
@@ -231,14 +232,72 @@ class TestOverlapKernels:
             assert value.tobytes() == coherent_overlaps(st.amplitudes, np.array([beta]))[0].tobytes()
 
 
+def _log_sqrt_poisson_errors(rho, n_amp, samples=120):
+    """Errors of log_sqrt_poisson(rho, n_amp) against 40-digit mpmath,
+    ln w_n = (n ln mu - mu - ln n!)/2 at mu = rho^2, scaled by 1 + |ln w_n|:
+    the largest over weights a double holds (ln w_n >= -746), and over
+    weights that underflow.  Samples are spread over all n and over
+    mu +- 40 rho, where the weights live.
+    """
+    got = log_sqrt_poisson(rho, n_amp)
+    mu = rho * rho  # exact: every radius below has a short mantissa
+    ns = np.linspace(0, n_amp - 1, samples)
+    ns = np.concatenate((ns, np.clip(np.linspace(mu - 40 * rho, mu + 40 * rho, samples), 0, n_amp - 1)))
+    live = dead = 0.0
+    with mpmath.workdps(40):
+        for n in sorted(set(ns.astype(int).tolist())):
+            want = (n * mpmath.log(mu) - mu - mpmath.loggamma(n + 1)) / 2
+            err = float(abs(got[n] - want) / (1 + abs(want)))
+            if want >= -746:
+                live = max(live, err)
+            else:
+                dead = max(dead, err)
+    return live, dead
+
+
+class TestLogSqrtPoisson:
+    # (rho, n_amp): mu = rho^2 from 9.8e-4 to 1.6e5 at the largest cutoff,
+    # 250,000; mu = 30.25 just below the Stirling anchor, 33.06 just above;
+    # rho = 1 is the search's ring row, -1/2 - 1/2 ln n!; the last three have
+    # mu > n_amp, so the anchor is clamped to n_amp - 1: by Stirling's series
+    # at 49 and 999, and at 0 where n_amp - 1 = 19 is below the series' 32
+    CASES = [(0.03125, 250_001), (1.0, 250_001), (5.5, 250_001), (5.75, 2_000),
+             (37.25, 250_001), (123.375, 250_001), (400.0, 250_001),
+             (10.0, 50), (400.0, 1_000), (8.0, 20)]
+
+    @pytest.mark.parametrize("rho, n_amp", CASES)
+    def test_against_mpmath(self, rho, n_amp):
+        # measured at most 4.3e-16 on live weights and 1.9e-14 on the
+        # others, where past 2^21 the high parts' sums stop being exact
+        live, dead = _log_sqrt_poisson_errors(rho, n_amp)
+        assert live <= 1e-15
+        assert dead <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.3, 5.5, 5.75, 38.0, 301.0, 400.0])
+    def test_coherent_moduli_are_its_exp(self, alpha):
+        # make_coherent takes |c_n| from this one builder: at a real alpha > 0
+        # the amplitudes are its exp bit for bit, and at i alpha, the same
+        # modulus, within rounding of the phase factor wherever w is normal
+        st = states.make_coherent(alpha)
+        w = np.exp(log_sqrt_poisson(alpha, st.cutoff + 1))
+        assert st.amplitudes.real.tobytes() == w.tobytes()
+        assert not st.amplitudes.imag.any()
+        normal = w >= np.finfo(float).tiny
+        turned = np.abs(states.make_coherent(1j * alpha).amplitudes)
+        assert np.allclose(turned[normal], w[normal], rtol=4e-16, atol=0.0)
+
+
 def _weights_one_radius(n_amp, rho):
-    # reference: the weights at one radius with their own cumulative sum
-    # of 1/2 ln k, which the shared table must reproduce bit for bit
-    log_rho = math.log(rho) if rho != 0.0 else -math.inf
+    # reference: the weights at one radius shifted from their own row at
+    # radius 1, which the shared row must reproduce bit for bit
+    if 0.5 <= rho <= 2.0:
+        log_rho = math.log1p(rho - 1.0)
+    else:
+        log_rho = math.log(rho) if rho != 0.0 else -math.inf
     log_w = np.zeros(n_amp)
     k = np.arange(1.0, n_amp)
-    log_w[1:] = k * log_rho - np.cumsum(0.5 * np.log(k))
-    return np.exp(log_w - 0.5 * rho * rho)
+    log_w[1:] = k * log_rho
+    return np.exp(log_w + log_sqrt_poisson(1.0, n_amp) - 0.5 * (rho - 1.0) * (rho + 1.0))
 
 
 class TestBargmannWeights:
@@ -246,19 +305,19 @@ class TestBargmannWeights:
 
     @pytest.mark.parametrize("n_amp", [1, 2, 97, 2026])
     def test_batched_rows_equal_single_radius_calls(self, n_amp):
-        half_lf = half_log_factorials(n_amp)
-        block = bargmann_weights(half_lf, np.array(self.RADII)[:, None])
+        log_w1 = log_sqrt_poisson(1.0, n_amp)
+        block = bargmann_weights(log_w1, 1.0, np.array(self.RADII)[:, None])
         assert block.shape == (len(self.RADII), n_amp)
         for row, rho in zip(block, self.RADII):
-            single = bargmann_weights(half_lf, rho)
+            single = bargmann_weights(log_w1, 1.0, rho)
             assert np.array_equal(row, single)
             assert single.tobytes() == _weights_one_radius(n_amp, rho).tobytes()
 
     def test_origin_and_negative_radius(self):
-        half_lf = half_log_factorials(5)
-        assert np.array_equal(bargmann_weights(half_lf, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
+        log_w1 = log_sqrt_poisson(1.0, 5)
+        assert np.array_equal(bargmann_weights(log_w1, 1.0, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            bargmann_weights(half_lf, -1.0)
+            bargmann_weights(log_w1, 1.0, -1.0)
 
 
 class TestWignerKernels:

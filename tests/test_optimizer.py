@@ -7,12 +7,12 @@ import math
 import hypothesis.strategies as hs
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from nonclass import _kernels, analytic, cli, optimizer, states
 from nonclass.analytic import PacParams, dq_pac, fock_nonclassicality
 from nonclass.cli import StateSpec
-from nonclass.errors import ConvergenceError, DomainError, WindowError
+from nonclass.errors import AccuracyError, ConvergenceError, DomainError, WindowError
 from nonclass.optimizer import OptOptions, maximize_q
 from nonclass.states import add_photons, make_coherent, make_fock, mean_photon
 
@@ -170,11 +170,11 @@ class TestRingStage:
         ov = _kernels.coherent_overlaps(amps, points.ravel()).reshape(points.shape)
         want = ov.real**2 + ov.imag**2
         peak = want.max()
-        half_lf = _kernels.half_log_factorials(amps.size)
-        assert np.max(np.abs(optimizer._ring_values(amps, half_lf, rings) - want)) <= 1e-12 * peak
+        assert np.max(np.abs(optimizer._ring_values(amps, rings) - want)) <= 1e-12 * peak
         for j in range(0, rings.size, 5):
+            log_w0 = _kernels.log_sqrt_poisson(rings[j], amps.size)
             for m in (0, 37, 160):
-                got = amps @ optimizer._bargmann_row(half_lf, rings[j], angles[m])
+                got = amps @ optimizer._bargmann_row(log_w0, rings[j], rings[j], angles[m])
                 assert abs(got - ov[j, m]) <= 1e-12 * math.sqrt(peak)
 
     @pytest.mark.parametrize("rho", [40.0, 45.0, 60.0])
@@ -184,11 +184,11 @@ class TestRingStage:
         n = 2025
         amps = make_fock(n).amplitudes
         want = math.exp(2.0 * n * math.log(rho) - rho * rho - math.lgamma(n + 1.0))
-        half_lf = _kernels.half_log_factorials(amps.size)
-        got = optimizer._ring_values(amps, half_lf, np.array([rho]))
+        got = optimizer._ring_values(amps, np.array([rho]))
         assert np.all(got > 0.0)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-10
-        ov = amps @ optimizer._bargmann_row(half_lf, rho, 0.3)
+        log_w0 = _kernels.log_sqrt_poisson(rho - 0.25, amps.size)
+        ov = amps @ optimizer._bargmann_row(log_w0, rho - 0.25, rho, 0.3)
         assert abs(abs(ov) ** 2 / want - 1.0) <= 1e-10
 
     def test_peak_past_cartesian_underflow(self, capsys):
@@ -208,9 +208,9 @@ def test_kernel_calls_go_through_module_attribute(monkeypatch):
     radii = []
     original = _kernels.bargmann_weights
 
-    def counting(half_lf, rho):
+    def counting(log_w0, rho0, rho):
         radii.extend(np.ravel(rho))
-        return original(half_lf, rho)
+        return original(log_w0, rho0, rho)
 
     def cartesian(amps, betas):
         raise AssertionError("the optimizer called coherent_overlaps")
@@ -232,9 +232,9 @@ def test_newton_polish_builds_each_row_once(monkeypatch):
     points = []
     original = optimizer._bargmann_row
 
-    def recording(half_lf, rho, theta):
+    def recording(log_w0, rho0, rho, theta):
         points.append((rho, theta))
-        return original(half_lf, rho, theta)
+        return original(log_w0, rho0, rho, theta)
 
     monkeypatch.setattr(optimizer, "_bargmann_row", recording)
     maximize_q(add_photons(make_coherent(1.0), 1))
@@ -259,8 +259,8 @@ def test_newton_polish_forms_one_product_per_row(monkeypatch, text):
     rows = []
     original = optimizer._bargmann_row
 
-    def recording(half_lf, rho, theta):
-        rows.append(original(half_lf, rho, theta).view(_RecordedRow))
+    def recording(log_w0, rho0, rho, theta):
+        rows.append(original(log_w0, rho0, rho, theta).view(_RecordedRow))
         return rows[-1]
 
     monkeypatch.setattr(optimizer, "_bargmann_row", recording)
@@ -270,6 +270,56 @@ def test_newton_polish_forms_one_product_per_row(monkeypatch, text):
     n_amp = state.cutoff + 1
     assert len(rows) > 1
     assert _RecordedRow.log == [("matmul", "__call__", ((3, n_amp), (n_amp,)))] * len(rows)
+
+
+class TestLargeAlpha:
+    """Coherent inputs up to |alpha| = 400, photons added or not, where the
+    closed-form dq ~ p^2/(2|alpha|^4) falls to 1e-10 and below: the numeric
+    dq within the certificate's rounding bound of it, and pi q_max never
+    above 1 by more.  Weights from a plain cumulative sum of 1/2 ln k drift
+    enough to read dq 0 (pi Q = 1 + 7.7e-9), 3.74e-10 and 4.74e-9 on the
+    three named inputs, against 1.76e-10, 1.54e-9 and 3.00e-11.
+    """
+
+    BOUND = optimizer._PI_Q_ROUNDING
+
+    @pytest.mark.parametrize("text", ["coherent:re=400,im=0+add=3", "coherent:re=300,im=0+add=5",
+                                      "coherent:re=-211.459,im=-290.380+add=1"])
+    def test_named_inputs_match_their_closed_forms(self, capsys, text):
+        assert cli.main(["dq", "--state", text, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(payload["dq_numeric"] - payload["analytic_dq"]) <= self.BOUND
+        assert math.pi * payload["q_max"] <= 1.0 + self.BOUND
+
+    # heavy states take up to 0.3 s a search, so few examples; p = 0 at 400
+    # has pi q_max nearest 1
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(mod=hs.floats(0.0, 400.0), arg=hs.floats(0.0, 2.0 * math.pi), p=hs.integers(0, 10))
+    @example(mod=400.0, arg=1.0, p=0)
+    def test_dq_over_the_domain(self, mod, arg, p):
+        spec = StateSpec("coherent", {"re": mod * math.cos(arg), "im": mod * math.sin(arg)}, p)
+        rep = maximize_q(cli.build_state(spec))
+        dq_ref, _ = analytic.reference_dq(spec.family, spec.params, p)
+        assert math.pi * rep.q_max <= 1.0 + self.BOUND
+        assert abs(rep.dq - dq_ref) <= self.BOUND
+
+
+@pytest.mark.parametrize("excess, raises", [(1e-11, True), (1e-14, False)])
+def test_pi_q_above_one_past_rounding_is_an_error(monkeypatch, capsys, excess, raises):
+    # weights scaled by 1 + excess put pi q_max of a coherent state about
+    # 2 excess above 1: past the rounding bound that is AccuracyError, exit 2;
+    # inside it dq reads 0
+    state = make_coherent(2.0)
+    original = _kernels.bargmann_weights
+    monkeypatch.setattr(_kernels, "bargmann_weights", lambda *args: original(*args) * (1.0 + excess))
+    if raises:
+        with pytest.raises(AccuracyError, match="exceeds 1"):
+            maximize_q(state)
+        assert cli.main(["dq", "--state", "coherent:re=2,im=0", "--json"]) == 2
+    else:
+        assert maximize_q(state).dq == 0.0
+        assert cli.main(["dq", "--state", "coherent:re=2,im=0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dq_numeric"] == 0.0
 
 
 # the dq_mix domain; derandomized, so every run draws the same examples
