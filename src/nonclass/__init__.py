@@ -35,7 +35,7 @@ from .errors import (
     SpecParseError,
     WindowError,
 )
-from .optimizer import NonclassReport, OptOptions, maximize_q
+from .optimizer import NonclassReport, maximize_q
 from .quasiprob import (
     QGrid,
     grid_quadrature,
@@ -68,7 +68,6 @@ __all__ = [
     "FockState",
     "NonclassError",
     "NonclassReport",
-    "OptOptions",
     "PacParams",
     "PasvParams",
     "PasvQmax",

@@ -166,7 +166,7 @@ def _state_spec(args):
     return spec
 
 
-def _checked_dq(spec, numeric, opts=None):
+def _checked_dq(spec, numeric, target_step=optimizer.TARGET_STEP):
     """(analytic_dq, analytic_source, report) for a StateSpec.
 
     The closed form always comes from analytic.reference_dq, which covers
@@ -175,7 +175,7 @@ def _checked_dq(spec, numeric, opts=None):
     off the closed form raises AccuracyError; without it, report is None
     and no state is built.
     """
-    report = optimizer.maximize_q(build_state(spec), opts) if numeric else None
+    report = optimizer.maximize_q(build_state(spec), target_step) if numeric else None
     analytic_dq, analytic_source = analytic.reference_dq(
         spec.family, spec.params, spec.added_photons
     )
@@ -197,8 +197,8 @@ def _checked_dq(spec, numeric, opts=None):
 
 def cmd_dq(args):
     spec = _state_spec(args)
-    opts = None if args.tol is None else optimizer.OptOptions(target_step=args.tol)
-    analytic_dq, analytic_source, report = _checked_dq(spec, True, opts)
+    optimizer.check_target_step(args.tol)  # before the state is built
+    analytic_dq, analytic_source, report = _checked_dq(spec, True, args.tol)
     if args.json:
         payload = {
             "state_spec": render_state_spec(spec),
@@ -330,7 +330,8 @@ def _build_parser():
 
     p_dq = sub.add_parser("dq", help="non-classicality degree of one state")
     add_state_flags(p_dq)
-    p_dq.add_argument("--tol", type=float, default=None, help="bound on the optimizer's last step")
+    p_dq.add_argument("--tol", type=float, default=optimizer.TARGET_STEP,
+                      help="bound on the Newton polish's last step (default %(default)g)")
     p_dq.add_argument("--json", action="store_true", help="emit the JSON report")
     p_dq.set_defaults(func=cmd_dq)
 

@@ -18,11 +18,10 @@ class DomainError(NonclassError, ValueError):
 
 
 class WindowError(NonclassError):
-    """The search window does not fit the state.
+    """The search disk does not fit the state.
 
-    Either the optimum sits on its boundary (retry with a larger window
-    radius) or its rings are too far apart to see the state (retry with
-    a smaller one).
+    Either the optimum sits on its boundary or its rings are too far
+    apart to see the state.
     """
 
 

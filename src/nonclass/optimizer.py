@@ -29,34 +29,16 @@ from .states import mean_photon
 _RINGS = 50
 _ANGLES = 320
 _MAX_NEWTON_STEPS = 20
+TARGET_STEP = 1e-7  # the default bound on the Newton polish's last step
 _COARSE_WINDOW = ("search rings out to radius {:.4g} are too far apart for this state: "
                   "Q underflows to 0 on every ring, or the Newton step from the best "
-                  "ring point is not finite; decrease window_radius")
+                  "ring point is not finite")
 # terms of ring weights built at once, so peak working memory does not grow with N
 _BLOCK_TERMS = 2**15
 # how far rounding may put pi q_max above 1, the bound of any normalized
 # state: measured at most 2.6e-13 (and dq 3.5e-13 off its closed form) over
 # 330 seeded coherent inputs up to |alpha| = 400, p <= 10 (N up to 2.5e5)
 _PI_Q_ROUNDING = 1e-12
-
-
-@dataclass(frozen=True)
-class OptOptions:
-    """Search controls.
-
-    window_radius is the radius of the search disk about the origin,
-    by default 3*sqrt(<n>)+5, generous for any state whose support the
-    cutoff certifies; target_step bounds the last Newton step.
-    """
-
-    window_radius: float | None = None
-    target_step: float = 1e-7
-
-    def __post_init__(self):
-        if self.window_radius is not None and not 0.0 < self.window_radius < math.inf:
-            raise DomainError(f"window_radius must be finite and positive, got {self.window_radius}")
-        if not 0.0 < self.target_step < math.inf:
-            raise DomainError(f"target_step must be finite and positive, got {self.target_step}")
 
 
 @dataclass(frozen=True)
@@ -137,30 +119,40 @@ def _ring_values(amps, rings):
     return ov.real**2 + ov.imag**2
 
 
-def maximize_q(state, opts=None):
+def _search_radius(state):
+    """3 sqrt(<n>) + 5, generous for any state whose support the cutoff
+    certifies; quasiprob.display_window's square is 2 sqrt(<n>) + 5."""
+    return 3.0 * math.sqrt(max(mean_photon(state), 0.0)) + 5.0
+
+
+def check_target_step(target_step):
+    """Refuse a target_step that is not finite and positive (DomainError)."""
+    if not 0.0 < target_step < math.inf:
+        raise DomainError(f"target_step must be finite and positive, got {target_step}")
+
+
+def maximize_q(state, target_step=TARGET_STEP):
     """Locate the peak Husimi density of a truncated state.
 
-    Raises WindowError when the best coarse point lies on the outermost
-    ring (enlarge window_radius), or when the rings are too far apart to
-    see the state: every ring value is 0, or the Newton step from the
-    best one is not finite (decrease window_radius).  Raises
-    ConvergenceError when the Newton polish has not stopped after
-    _MAX_NEWTON_STEPS steps, and AccuracyError when pi q_max exceeds 1
-    by more than the rounding bound _PI_Q_ROUNDING = 1e-12.
+    The search disk is _search_radius(state); target_step bounds the
+    Newton polish's last step.  Raises WindowError when the best coarse
+    point lies on the outermost ring, or when the rings are too far
+    apart to see the state: every ring value is 0, or the Newton step
+    from the best one is not finite.  Raises ConvergenceError when the
+    Newton polish has not stopped after _MAX_NEWTON_STEPS steps, and
+    AccuracyError when pi q_max exceeds 1 by more than the rounding
+    bound _PI_Q_ROUNDING = 1e-12.
     """
-    if opts is None:
-        opts = OptOptions()
-    radius = opts.window_radius
-    if radius is None:
-        radius = 3.0 * math.sqrt(max(mean_photon(state), 0.0)) + 5.0
+    check_target_step(target_step)
+    radius = _search_radius(state)
     amps = state.amplitudes
     rings = radius * (np.arange(_RINGS) + 0.5) / (_RINGS - 0.5)
     values = _ring_values(amps, rings)
     j, m = divmod(int(np.argmax(values)), _ANGLES)  # first occurrence
     if j == _RINGS - 1:
         raise WindowError(
-            f"Q optimum sits on the search boundary at radius {radius:.4g}; "
-            "increase window_radius"
+            f"Q optimum sits on the search boundary at radius {radius:.4g}: "
+            "the search disk does not hold the peak"
         )
     q = float(values[j, m]) / math.pi
     if q == 0.0:
@@ -185,17 +177,17 @@ def maximize_q(state, opts=None):
                 r, t = -r, t + math.pi
             g_trial = ladder @ _bargmann_row(log_w0, rho0, r, t)
             q_trial = float(g_trial[0].real**2 + g_trial[0].imag**2) / math.pi
-            if q_trial > q or length * s <= opts.target_step:
+            if q_trial > q or length * s <= target_step:
                 break
             s *= 0.5
         step = length * s
         if q_trial > q:
             rho, theta, q, g = r, t, q_trial, g_trial
-        if step <= opts.target_step:
+        if step <= target_step:
             break
     else:
         raise ConvergenceError(f"Newton step {step:.3e} still above target "
-                               f"{opts.target_step:.3e} after {_MAX_NEWTON_STEPS} steps")
+                               f"{target_step:.3e} after {_MAX_NEWTON_STEPS} steps")
     if math.pi * q - 1.0 > _PI_Q_ROUNDING:
         raise AccuracyError(f"pi q_max = 1 + {math.pi * q - 1.0:.3e} exceeds 1 by more than rounding")
     dq = max(0.0, 1.0 - math.pi * q)

@@ -119,7 +119,7 @@ def check_svs_antinormal():
     """Brute-force <a^p a^dag^p> on squeezed vacuum vs closed form (1e-9 rel)."""
     worst = 0.0
     for r in (0.0, 0.5, 1.0, 2.0):
-        cutoff = states.svs_cutoff_for_moment(r, 6) if r > 0 else None
+        cutoff = states.svs_cutoff_for_moment(r, 6)
         st = states.make_squeezed_vacuum(r, 0.35, cutoff_override=cutoff)
         for p in range(0, 7):
             brute = states.antinormal_correlation(st, p)
@@ -133,7 +133,7 @@ def check_svs_antinormal_p1():
     """p=1 correlation equals cosh^2 r to 1e-12 relative."""
     worst = 0.0
     for r in (0.0, 0.5, 1.0, 2.0):
-        cutoff = states.svs_cutoff_for_moment(r, 2) if r > 0 else None
+        cutoff = states.svs_cutoff_for_moment(r, 2)
         st = states.make_squeezed_vacuum(r, 1.2, cutoff_override=cutoff)
         val = states.antinormal_correlation(st, 1)
         worst = max(worst, abs(val - math.cosh(r) ** 2) / math.cosh(r) ** 2)

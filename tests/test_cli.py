@@ -150,6 +150,33 @@ class TestDqCommand:
         assert "target_step must be finite and positive" in captured.err
 
     @pytest.mark.parametrize(
+        "attr, value, text, message",
+        [
+            ("_search_radius", lambda state: 0.5, "coherent:re=2,im=0", "search boundary"),
+            ("_search_radius", lambda state: 1e4, "fock:n=2", "too far apart"),
+            ("_MAX_NEWTON_STEPS", 1, "coherent:re=1,im=0", "still above target"),
+        ],
+        ids=["peak-on-boundary", "rings-too-far-apart", "newton-budget"],
+    )
+    def test_search_failure_exit_code(self, monkeypatch, capsys, attr, value, text, message):
+        # a WindowError or ConvergenceError is a computation error, with no traceback
+        monkeypatch.setattr(optimizer, attr, value)
+        assert cli.main(["dq", "--state", text, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+    def test_sweep_search_failure_writes_no_file(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(optimizer, "_search_radius", lambda state: 0.5)
+        out = tmp_path / "pac.csv"
+        argv = ["sweep", "--family", "pac", "--p-list", "1", "--x-min", "1", "--x-max", "2",
+                "--steps", "3", "--numeric", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "search boundary" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["dq", "--state", "fock:n=1"],
@@ -168,7 +195,7 @@ class TestDqCommand:
         # off it is an error, with both values and a hint on stderr
         q = (1.0 + rel) / (math.pi * math.e)
         report = optimizer.NonclassReport(1.0 + 0.0j, q, 1.0 - math.pi * q, 0.0)
-        monkeypatch.setattr(optimizer, "maximize_q", lambda state, opts=None: report)
+        monkeypatch.setattr(optimizer, "maximize_q", lambda state, target_step: report)
         out = tmp_path / "sweep.csv"
         if argv[0] == "sweep":
             argv = argv + ["--out", str(out)]

@@ -1,6 +1,7 @@
 """Coarse rings plus polar Newton polish: accuracy, determinism, failure modes."""
 
 import cmath
+import inspect
 import json
 import math
 
@@ -13,7 +14,7 @@ from nonclass import _kernels, analytic, cli, optimizer, states
 from nonclass.analytic import PacParams, dq_pac, fock_nonclassicality
 from nonclass.cli import StateSpec
 from nonclass.errors import AccuracyError, ConvergenceError, DomainError, WindowError
-from nonclass.optimizer import OptOptions, maximize_q
+from nonclass.optimizer import TARGET_STEP, maximize_q
 from nonclass.states import add_photons, make_coherent, make_fock, mean_photon
 
 
@@ -50,15 +51,17 @@ class TestMaximizeQ:
         b = maximize_q(st)
         assert a == b  # frozen dataclass, field-wise equality
 
-    def test_tight_window_raises(self):
-        with pytest.raises(WindowError):
-            maximize_q(make_coherent(2.0), OptOptions(window_radius=0.5))
+    def test_tight_window_raises(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_search_radius", lambda state: 0.5)
+        with pytest.raises(WindowError, match="search boundary at radius 0.5"):
+            maximize_q(make_coherent(2.0))
 
     @pytest.mark.parametrize("state", [make_fock(2), make_coherent(3.0)], ids=["fock2", "coherent3"])
-    def test_coarse_window_raises(self, state):
+    def test_coarse_window_raises(self, monkeypatch, state):
         # rings ~200 apart: Q is 0 on every one of them
-        with pytest.raises(WindowError, match="decrease window_radius"):
-            maximize_q(state, OptOptions(window_radius=1e4))
+        monkeypatch.setattr(optimizer, "_search_radius", lambda state: 1e4)
+        with pytest.raises(WindowError, match=r"radius 1e\+04 are too far apart"):
+            maximize_q(state)
 
     def test_non_finite_newton_step_raises(self, monkeypatch):
         monkeypatch.setattr(optimizer, "_polar_newton_step", lambda *a: (math.nan, math.nan))
@@ -76,23 +79,20 @@ class TestMaximizeQ:
             rep.q_max = 0.0
 
 
-class TestOptOptions:
+class TestTargetStep:
     def test_validation(self):
         with pytest.raises(DomainError):
-            OptOptions(window_radius=0.0)
+            maximize_q(make_coherent(1.0), 0.0)
         with pytest.raises(DomainError):
-            OptOptions(target_step=-1e-7)
+            maximize_q(make_coherent(1.0), -1e-7)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["window_radius", "target_step"])
-    def test_non_finite_refused(self, field, bad):
-        with pytest.raises(DomainError, match="finite and positive"):
-            OptOptions(**{field: bad})
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(DomainError, match="target_step must be finite and positive"):
+            maximize_q(make_coherent(1.0), bad)
 
-    def test_defaults_accepted(self):
-        opts = OptOptions()
-        assert opts.window_radius is None
-        assert opts.target_step == 1e-7
+    def test_default(self):
+        assert inspect.signature(maximize_q).parameters["target_step"].default == 1e-7
 
 
 def _rel_qmax_error(spec, q_max):
@@ -121,7 +121,7 @@ class TestNearFock:
     def test_matches_closed_form(self, spec):
         rep = maximize_q(cli.build_state(spec))
         assert _rel_qmax_error(spec, rep.q_max) <= 1e-6
-        assert rep.final_step <= OptOptions().target_step
+        assert rep.final_step <= TARGET_STEP
 
     @pytest.mark.parametrize(
         "text", ["svs:r=0.001204,phi=2.992263+add=9", "svs:r=2.394305e-05,phi=3.657521+add=6"]
@@ -147,7 +147,7 @@ class TestOrigin:
     def test_peak_value_and_final_step(self, state, q_ref):
         rep = maximize_q(state)
         assert abs(rep.q_max - q_ref) <= 1e-12
-        assert rep.final_step <= OptOptions().target_step
+        assert rep.final_step <= TARGET_STEP
 
 
 # |beta| past which the Cartesian overlap seed e^{-|beta|^2/2} underflows
@@ -390,7 +390,8 @@ class TestInvariants:
     @_INVARIANT
     @given(spec=_SPECS)
     def test_dq_in_the_unit_interval(self, spec):
-        # Q <= 1/pi, so the clip of 1 - pi q_max to [0, 1] removes rounding only
+        # Q <= 1/pi: dq reads 0 only where pi q_max passes 1 by at most
+        # _PI_Q_ROUNDING (1e-12); past that maximize_q raises AccuracyError
         rep = maximize_q(cli.build_state(spec))
         assert 0.0 <= rep.dq <= 1.0
         assert -1e-15 <= 1.0 - math.pi * rep.q_max <= 1.0
