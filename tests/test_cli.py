@@ -149,6 +149,11 @@ class TestDqCommand:
         assert captured.out == ""
         assert "target_step must be finite and positive" in captured.err
 
+    def test_bad_tol_refused_before_the_state_is_built(self, capsys):
+        # r = 5 needs a cutoff past the cap (exit 2 once built)
+        assert cli.main(["dq", "--state", "svs:r=5,phi=0", "--tol", "nan"]) == 64
+        assert "target_step must be finite and positive, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "attr, value, text, message",
         [
