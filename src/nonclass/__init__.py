@@ -12,10 +12,9 @@ everything against closed forms.
 
 from .analytic import (
     FockNonclassicality,
-    PacParams,
-    PasvParams,
     PasvQmax,
     SqueezeLimits,
+    dq_from_qmax,
     dq_pac,
     fock_nonclassicality,
     pasv_dq,
@@ -68,8 +67,6 @@ __all__ = [
     "FockState",
     "NonclassError",
     "NonclassReport",
-    "PacParams",
-    "PasvParams",
     "PasvQmax",
     "QGrid",
     "SpecParseError",
@@ -78,6 +75,7 @@ __all__ = [
     "add_photons",
     "antinormal_correlation",
     "displace",
+    "dq_from_qmax",
     "dq_pac",
     "fock_nonclassicality",
     "grid_quadrature",

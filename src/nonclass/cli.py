@@ -218,11 +218,14 @@ def cmd_dq(args):
 
 
 def cmd_grid(args):
-    state = build_state(_state_spec(args))
-    if args.window is not None:
-        window = tuple(args.window)
+    spec = _state_spec(args)
+    # refuse a bad --res or --window before a heavy state is built
+    if args.window is None:
+        quasiprob.check_resolution(args.res)
     else:
-        window = quasiprob.display_window(state)
+        quasiprob.check_window(args.window, args.res)
+    state = build_state(spec)
+    window = quasiprob.display_window(state) if args.window is None else tuple(args.window)
     if args.what == "q":
         grid = quasiprob.q_grid(state, window, args.res)
     else:

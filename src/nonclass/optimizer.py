@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .analytic import dq_from_qmax
 from .errors import AccuracyError, ConvergenceError, DomainError, WindowError
 from .states import mean_photon
 
@@ -46,11 +47,11 @@ class NonclassReport:
     """Result of a Q maximization.
 
     beta_max is where the Newton polish stopped, q_max the Husimi density
-    there, dq = 1 - pi * q_max, or 0 where rounding puts pi * q_max above
-    1 by at most _PI_Q_ROUNDING (1e-12), and final_step (at most
-    target_step) the length of the last accepted Newton step, or of the
-    shortest trial when none raised Q.  analytic.reference_dq gives the
-    closed form, where a family has one.
+    there, dq = analytic.dq_from_qmax(q_max), the one dq rule (0 where
+    rounding puts pi * q_max above 1 by at most 1e-12), and final_step
+    (at most target_step) the length of the last accepted Newton step, or
+    of the shortest trial when none raised Q.  analytic.reference_dq gives
+    the closed form, where a family has one.
     """
 
     beta_max: complex
@@ -190,5 +191,4 @@ def maximize_q(state, target_step=TARGET_STEP):
                                f"{target_step:.3e} after {_MAX_NEWTON_STEPS} steps")
     if math.pi * q - 1.0 > _PI_Q_ROUNDING:
         raise AccuracyError(f"pi q_max = 1 + {math.pi * q - 1.0:.3e} exceeds 1 by more than rounding")
-    dq = max(0.0, 1.0 - math.pi * q)
-    return NonclassReport(cmath.rect(rho, theta), q, dq, float(step))
+    return NonclassReport(cmath.rect(rho, theta), q, dq_from_qmax(q), float(step))

@@ -8,7 +8,6 @@ it cannot prove, |v| >= 1 among them, go through '%.17g' one at a time.
 """
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -18,10 +17,13 @@ def _atomic_write(path, chunks):
 
     The file appears under its name only once every chunk is written; on
     any failure, the failure of the chunk iterable included, the
-    temporary file is removed and path is left as it was.
+    temporary file is removed and path is left as it was.  The file gets
+    the mode open(path, "wb") gives a new one, 0o666 less the umask
+    (tempfile.mkstemp would make it 0o600).
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nonclass-", suffix=".tmp")
+    tmp = os.path.join(directory, f".nonclass-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:

@@ -110,7 +110,20 @@ def q_value(state, beta):
     return float(out[0])
 
 
-def _check_window(window, resolution):
+def check_resolution(resolution):
+    """resolution as an int: DomainError unless a positive integer with res^2 <= MAX_GRID_CELLS."""
+    if resolution < 1 or resolution != int(resolution):
+        raise DomainError(f"resolution must be a positive integer, got {resolution}")
+    if int(resolution) ** 2 > MAX_GRID_CELLS:
+        raise DomainError(
+            f"resolution {resolution} gives {int(resolution) ** 2} cells, "
+            f"above the limit {MAX_GRID_CELLS}"
+        )
+    return int(resolution)
+
+
+def check_window(window, resolution):
+    """(x_min, x_max, y_min, y_max, res) of a grid; DomainError for a bad window or resolution."""
     x_min, x_max, y_min, y_max = map(float, window)
     if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
         raise DomainError(f"window bounds must be finite, got {(x_min, x_max, y_min, y_max)}")
@@ -120,14 +133,7 @@ def _check_window(window, resolution):
         raise DomainError(
             f"window width and height must be finite, got {x_max - x_min} and {y_max - y_min}"
         )
-    if resolution < 1 or resolution != int(resolution):
-        raise DomainError(f"resolution must be a positive integer, got {resolution}")
-    if int(resolution) ** 2 > MAX_GRID_CELLS:
-        raise DomainError(
-            f"resolution {resolution} gives {int(resolution) ** 2} cells, "
-            f"above the limit {MAX_GRID_CELLS}"
-        )
-    return x_min, x_max, y_min, y_max, int(resolution)
+    return x_min, x_max, y_min, y_max, check_resolution(resolution)
 
 
 def q_grid(state, window, resolution):
@@ -138,7 +144,7 @@ def q_grid(state, window, resolution):
     points have the bits of the same rows of the whole lattice, and each
     cell equals q_value at its center.
     """
-    x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
+    x_min, x_max, y_min, y_max, res = check_window(window, resolution)
     xs, ys = _cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res)
     vals = np.empty((res, res))
     rows = max(1, _BLOCK_POINTS // res)
@@ -150,7 +156,7 @@ def q_grid(state, window, resolution):
 
 def wigner_grid(state, window, resolution):
     """Wigner function on the cell-center lattice of a window."""
-    x_min, x_max, y_min, y_max, res = _check_window(window, resolution)
+    x_min, x_max, y_min, y_max, res = check_window(window, resolution)
     betas = _row_major(_cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res))
     vals = _kernels.wigner_values(state.amplitudes, betas)
     return QGrid(x_min, x_max, y_min, y_max, res, vals.reshape(res, res))

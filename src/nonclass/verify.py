@@ -79,7 +79,7 @@ def check_pac_numeric():
     for p in _PAC_GRID_P:
         for u in _PAC_GRID_U:
             rep = optimizer.maximize_q(states.make_coherent(math.sqrt(u), p=p))
-            ana = analytic.qmax_pac(analytic.PacParams(p=p, alpha_sq=u))
+            ana = analytic.qmax_pac(p, u)
             worst = max(worst, abs(rep.q_max - ana) / ana)
             dq[(p, u)] = rep.dq
     elapsed = time.perf_counter() - start
@@ -105,10 +105,10 @@ def check_pac_dq_monotone_analytic():
     us = np.linspace(0.0, 10.0, 51)
     ok = True
     for p in (1, 5, 10):
-        vals = [analytic.dq_pac(analytic.PacParams(p=p, alpha_sq=float(u))) for u in us]
+        vals = [analytic.dq_pac(p, u) for u in us]
         ok = ok and all(a > b for a, b in zip(vals, vals[1:]))
     for u in (0.0, 0.5, 2.0, 10.0):
-        vals = [analytic.dq_pac(analytic.PacParams(p=p, alpha_sq=u)) for p in range(1, 11)]
+        vals = [analytic.dq_pac(p, u) for p in range(1, 11)]
         ok = ok and all(a < b for a, b in zip(vals, vals[1:]))
     return CheckResult("pac_dq_monotone_closed_form", ok, "51-point intensity grid, p=1..10")
 
@@ -154,7 +154,7 @@ def check_pasv_numeric():
     for p in _PASV_GRID_P:
         for r in _PASV_GRID_R:
             rep = _pasv_report(p, r)
-            ana = analytic.pasv_qmax(analytic.PasvParams(p=p, r=r)).qmax
+            ana = analytic.pasv_qmax(p, r).qmax
             worst = max(worst, abs(rep.q_max - ana) / ana)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6
@@ -171,7 +171,7 @@ def check_pasv_maximizer():
         for r in _PASV_GRID_R:
             rep = _pasv_report(p, r)
             b = rep.beta_max
-            target = analytic.pasv_qmax(analytic.PasvParams(p=p, r=r)).beta_max_modulus_sq
+            target = analytic.pasv_qmax(p, r).beta_max_modulus_sq
             worst_mod = max(worst_mod, abs(abs(b) ** 2 - target) / target)
             worst_arg = max(worst_arg, _angle_dist_mod_pi(np.angle(b), 0.3))
     ok = worst_mod <= 1e-3 and worst_arg <= 1e-3
@@ -194,12 +194,12 @@ def check_enhancement_ratios():
         expect_p2 = (16.0 / 3.0) * math.exp(-2.0) / (
             1.0 + (2.0 / 3.0) * math.exp(-2.0 * r) + math.exp(-4.0 * r)
         )
-        got_p1 = analytic.pasv_qmax(analytic.PasvParams(p=1, r=r)).qmax / base
-        got_p2 = analytic.pasv_qmax(analytic.PasvParams(p=2, r=r)).qmax / base
+        got_p1 = analytic.pasv_qmax(1, r).qmax / base
+        got_p2 = analytic.pasv_qmax(2, r).qmax / base
         ok = ok and abs(got_p1 - expect_p1) <= 1e-12 and abs(got_p2 - expect_p2) <= 1e-12
         ok = ok and got_p1 < 1.0 and got_p2 < 1.0
         for p in range(1, 21):
-            ok = ok and analytic.pasv_qmax(analytic.PasvParams(p=p, r=r)).qmax < base
+            ok = ok and analytic.pasv_qmax(p, r).qmax < base
     return CheckResult("pasv_enhancement_ratios_below_one", ok, "p<=20, r in [0,6]")
 
 
@@ -226,7 +226,7 @@ def check_strong_squeezing():
     """r=30 pasv ratio matches the limit (1e-8 rel); p=1e4 limit is 1/sqrt(2)."""
     worst = 0.0
     for p in range(1, 11):
-        ratio = analytic.pasv_qmax(analytic.PasvParams(p=p, r=30.0)).qmax / analytic.svs_qmax(30.0)
+        ratio = analytic.pasv_qmax(p, 30.0).qmax / analytic.svs_qmax(30.0)
         limit = analytic.strong_squeezing_limits(p).ratio_to_svs
         worst = max(worst, abs(ratio - limit) / limit)
     big = analytic.strong_squeezing_limits(10_000).ratio_to_svs
@@ -242,15 +242,12 @@ def check_strong_squeezing():
 def check_pasv_dq_minimum():
     """p=1 degree vs mean occupancy: interior minimum near 1/3, endpoints pinned."""
     xs = np.linspace(0.0, 3.0, 30001)
-    vals = [
-        analytic.pasv_dq(analytic.PasvParams(p=1, r=math.asinh(math.sqrt(float(x)))))
-        for x in xs
-    ]
+    vals = [analytic.pasv_dq(1, math.asinh(math.sqrt(float(x)))) for x in xs]
     i = int(np.argmin(vals))
     interior = 0 < i < len(xs) - 1
     x_star, dq_star = float(xs[i]), float(vals[i])
     at_zero = abs(vals[0] - (1.0 - 1.0 / math.e)) <= 1e-12
-    tail = [analytic.pasv_dq(analytic.PasvParams(p=1, r=r)) for r in (2.0, 4.0, 8.0, 12.0)]
+    tail = [analytic.pasv_dq(1, r) for r in (2.0, 4.0, 8.0, 12.0)]
     rising = all(a < b for a, b in zip(tail, tail[1:])) and tail[-1] > 0.999
     ok = (
         interior

@@ -11,10 +11,9 @@ from scipy.special import eval_laguerre, gammaln
 
 from nonclass.analytic import (
     PAC_FOCK_THRESHOLD,
-    PacParams,
-    PasvParams,
     _log_cosh,
     _log_svs_moment_scaled,
+    dq_from_qmax,
     dq_pac,
     fock_nonclassicality,
     log_moment_ratios,
@@ -79,34 +78,26 @@ class TestPac:
     @pytest.mark.parametrize("u", [1e-13, 0.1, 0.9, 3.0, 10.0])
     def test_against_numeric_oracle(self, p, u):
         want = _pac_q_along_real_axis(p, u)
-        got = qmax_pac(PacParams(p=p, alpha_sq=u))
+        got = qmax_pac(p=p, alpha_sq=u)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_fock_limit(self):
         for p in (1, 3, 7):
-            got = qmax_pac(PacParams(p=p, alpha_sq=0.0))
+            got = qmax_pac(p=p, alpha_sq=0.0)
             assert got == fock_nonclassicality(p).qmax
 
     def test_branch_switch_is_gentle(self):
         # sqrt cusp at alpha_sq = 0 means ~2 sqrt(p u) relative slack
-        below = qmax_pac(PacParams(p=2, alpha_sq=PAC_FOCK_THRESHOLD / 10.0))
-        above = qmax_pac(PacParams(p=2, alpha_sq=PAC_FOCK_THRESHOLD * 10.0))
+        below = qmax_pac(p=2, alpha_sq=PAC_FOCK_THRESHOLD / 10.0)
+        above = qmax_pac(p=2, alpha_sq=PAC_FOCK_THRESHOLD * 10.0)
         assert abs(above - below) / below <= 1e-3
 
     def test_zero_added_photons(self):
-        assert qmax_pac(PacParams(p=0, alpha_sq=3.0)) == 1.0 / math.pi
-        assert dq_pac(PacParams(p=0, alpha_sq=3.0)) == 0.0
+        assert qmax_pac(p=0, alpha_sq=3.0) == 1.0 / math.pi
+        assert dq_pac(p=0, alpha_sq=3.0) == 0.0
 
     def test_dq_clamped_to_unit_interval(self):
-        assert 0.0 <= dq_pac(PacParams(p=50, alpha_sq=0.01)) <= 1.0
-
-    def test_params_validation(self):
-        with pytest.raises(DomainError):
-            PacParams(p=-1, alpha_sq=1.0)
-        with pytest.raises(DomainError):
-            PacParams(p=1, alpha_sq=-0.5)
-        with pytest.raises(DomainError):
-            PacParams(p=1, alpha_sq=math.inf)
+        assert 0.0 <= dq_pac(p=50, alpha_sq=0.01) <= 1.0
 
 
 class TestSvs:
@@ -163,29 +154,29 @@ class TestSvs:
 class TestPasv:
     def test_ratio_identity_p1(self):
         for r in (0.1, 0.5, 1.0, 2.0, 4.0):
-            got = math.pi * math.cosh(r) * pasv_qmax(PasvParams(p=1, r=r)).qmax
+            got = math.pi * math.cosh(r) * pasv_qmax(p=1, r=r).qmax
             want = (2.0 / math.e) / (1.0 + math.exp(-2.0 * r))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_ratio_identity_p2(self):
         for r in (0.1, 0.7, 1.5, 3.0):
             s = math.exp(-2.0 * r)
-            got = math.pi * math.cosh(r) * pasv_qmax(PasvParams(p=2, r=r)).qmax
+            got = math.pi * math.cosh(r) * pasv_qmax(p=2, r=r).qmax
             want = (16.0 / 3.0) * math.exp(-2.0) / (1.0 + (2.0 / 3.0) * s + s * s)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_maximizer_radius(self):
         for p, r in [(1, 0.4), (2, 1.0), (5, 2.0)]:
-            got = pasv_qmax(PasvParams(p=p, r=r)).beta_max_modulus_sq
+            got = pasv_qmax(p=p, r=r).beta_max_modulus_sq
             assert got == pytest.approx(p * math.exp(r) * math.cosh(r), rel=1e-14)
 
     def test_reduces_to_fock_at_zero_squeezing(self):
         for p in (1, 2, 6):
-            got = pasv_qmax(PasvParams(p=p, r=0.0)).qmax
+            got = pasv_qmax(p=p, r=0.0).qmax
             assert got == pytest.approx(fock_nonclassicality(p).qmax, rel=1e-14)
 
     def test_p0_is_plain_svs(self):
-        res = pasv_qmax(PasvParams(p=0, r=1.3))
+        res = pasv_qmax(p=0, r=1.3)
         assert res.qmax == svs_qmax(1.3)
         assert res.beta_max_modulus_sq == 0.0
 
@@ -194,16 +185,10 @@ class TestPasv:
         # dq = 1 - 3 sqrt(3) / (4 e)
         r_star = math.asinh(1.0 / math.sqrt(3.0))
         want = 1.0 - 3.0 * math.sqrt(3.0) / (4.0 * math.e)
-        assert pasv_dq(PasvParams(p=1, r=r_star)) == pytest.approx(want, rel=1e-10)
+        assert pasv_dq(p=1, r=r_star) == pytest.approx(want, rel=1e-10)
         # nearby points sit above the minimum
         for dr in (-0.05, 0.05):
-            assert pasv_dq(PasvParams(p=1, r=r_star + dr)) > want
-
-    def test_params_validation(self):
-        with pytest.raises(DomainError):
-            PasvParams(p=1, r=-1.0)
-        with pytest.raises(DomainError):
-            PasvParams(p=-2, r=1.0)
+            assert pasv_dq(p=1, r=r_star + dr) > want
 
 
 class TestStrongSqueezing:
@@ -234,7 +219,7 @@ class TestStrongSqueezing:
     def test_deep_squeeze_approaches_limit(self):
         r = 30.0
         for p in range(1, 11):
-            got = math.pi * math.cosh(r) * pasv_qmax(PasvParams(p=p, r=r)).qmax
+            got = math.pi * math.cosh(r) * pasv_qmax(p=p, r=r).qmax
             want = strong_squeezing_limits(p).ratio_to_svs
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -249,7 +234,7 @@ class TestReferenceDq:
 
     def test_pac_routing(self):
         dq, tag = reference_dq("coherent", {"re": 1.0, "im": 1.0}, 2)
-        assert dq == pytest.approx(dq_pac(PacParams(p=2, alpha_sq=2.0)), rel=1e-15)
+        assert dq == pytest.approx(dq_pac(p=2, alpha_sq=2.0), rel=1e-15)
         assert tag == "pac(p=2, alpha_sq=2.0)"
 
     def test_svs_routing(self):
@@ -267,7 +252,7 @@ class TestReferenceDq:
 
     def test_pasv_routing(self):
         dq, tag = reference_dq("svs", {"r": 0.8, "phi": 0.0}, 1)
-        assert dq == pytest.approx(pasv_dq(PasvParams(p=1, r=0.8)), rel=1e-15)
+        assert dq == pytest.approx(pasv_dq(p=1, r=0.8), rel=1e-15)
         assert tag == "pasv(p=1, r=0.8)"
 
     def test_fock_routing_includes_added_photons(self):
@@ -278,6 +263,39 @@ class TestReferenceDq:
 
     def test_unknown_family(self):
         assert reference_dq("thermal", {"nbar": 1.0}, 0) is None
+
+    def test_alpha_sq_overflow_is_a_domain_error(self):
+        # make_coherent refuses the same input with the same message
+        with pytest.raises(DomainError, match="overflows a double"):
+            reference_dq("coherent", {"re": 1e200, "im": 0.0}, 1)
+
+
+def test_dq_from_qmax():
+    assert dq_from_qmax(0.0) == 1.0
+    # rounding may put a numeric pi q_max just above 1
+    assert dq_from_qmax((1.0 + 1e-13) / math.pi) == 0.0
+
+
+# every closed form refuses a p that is not a non-negative integer (p >= 1
+# for the Fock and strong-squeezing forms) and an r or alpha_sq that is not
+# finite and >= 0
+_BAD_P = (-1, 2.5, math.inf, math.nan)
+_BAD_X = (-0.5, math.inf, math.nan)
+_P_AND_X = (qmax_pac, dq_pac, pasv_qmax, pasv_dq, svs_antinormal)
+_OUT_OF_DOMAIN = (
+    [(form, (p, 1.0)) for form in _P_AND_X for p in _BAD_P]
+    + [(form, (1, x)) for form in _P_AND_X for x in _BAD_X]
+    + [(svs_qmax, (x,)) for x in _BAD_X]
+    + [(form, (p,)) for form in (fock_nonclassicality, strong_squeezing_limits) for p in _BAD_P]
+)
+
+
+@pytest.mark.parametrize(
+    "form, args", _OUT_OF_DOMAIN, ids=[f"{form.__name__}{args}" for form, args in _OUT_OF_DOMAIN]
+)
+def test_closed_forms_refuse_out_of_domain(form, args):
+    with pytest.raises(DomainError):
+        form(*args)
 
 
 # --- special functions of the closed forms ---------------------------------
@@ -454,7 +472,7 @@ class TestMomentRange:
     @pytest.mark.parametrize("p", [1100, 2000, 5000])
     @pytest.mark.parametrize("r", [0.3, 1.0, 3.0])
     def test_large_p_pasv_against_mpmath(self, p, r):
-        got = pasv_qmax(PasvParams(p=p, r=r)).qmax
+        got = pasv_qmax(p=p, r=r).qmax
         assert got == pytest.approx(_pasv_qmax_mpmath(p, r), rel=1e-10)
 
     @pytest.mark.parametrize("r, want", [
@@ -472,14 +490,14 @@ class TestMomentRange:
     def test_deep_squeeze_pinned(self, r, want):
         # values of the former series evaluation, p = 1, 3, 10, 1000
         for p, value in zip((1, 3, 10, 1000), want):
-            assert pasv_qmax(PasvParams(p=p, r=r)).qmax == pytest.approx(value, rel=1e-11)
+            assert pasv_qmax(p=p, r=r).qmax == pytest.approx(value, rel=1e-11)
 
     @pytest.mark.parametrize("r", [400.0, 711.0, 1e4])
     def test_past_the_double_range_is_inf(self, r):
         for p in (1, 3, 200):
             assert svs_antinormal(p, r) == math.inf
-            res = pasv_qmax(PasvParams(p=p, r=r))
+            res = pasv_qmax(p=p, r=r)
             assert res.beta_max_modulus_sq == math.inf
             assert 0.0 <= res.qmax < 1e-170
-            assert pasv_dq(PasvParams(p=p, r=r)) == 1.0
+            assert pasv_dq(p=p, r=r) == 1.0
         assert svs_antinormal(200, 5.0) == math.inf

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from nonclass import _kernels, cli, optimizer, quasiprob, states, verify
-from nonclass.analytic import PacParams, PasvParams, pasv_dq, pasv_qmax, qmax_pac
+from nonclass.analytic import pasv_dq, pasv_qmax, qmax_pac
 from nonclass.cli import StateSpec, parse_state_spec, render_state_spec
 from nonclass.errors import DomainError, SpecParseError
 
@@ -119,7 +119,7 @@ class TestDqCommand:
         assert cli.main(["dq", "--state", "svs:r=1,phi=0+add=1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["analytic_source"] == "pasv(p=1, r=1.0)"
-        want = pasv_dq(PasvParams(p=1, r=1.0))
+        want = pasv_dq(p=1, r=1.0)
         assert abs(payload["dq_numeric"] - want) <= 1e-6
 
     @pytest.mark.parametrize(
@@ -272,7 +272,7 @@ class TestDqCommand:
         text = "svs:r=2.49724,phi=3.051618+add=5"
         assert cli.main(["dq", "--state", text, "--json"]) == 0
         q_max = json.loads(capsys.readouterr().out)["q_max"]
-        assert abs(q_max - pasv_qmax(PasvParams(p=5, r=2.49724)).qmax) <= 1e-6 * q_max
+        assert abs(q_max - pasv_qmax(p=5, r=2.49724).qmax) <= 1e-6 * q_max
 
     def test_norm_check_failure_exit_code(self, monkeypatch, capsys):
         # a builder whose amplitudes drift, so the squared norm misses 1 by
@@ -292,10 +292,22 @@ class TestDqCommand:
         # squared norm missed 1 by 9e-11 (exit 2)
         assert cli.main(["dq", "--state", "coherent:re=38,im=0", "--json"]) == 0
         q_max = json.loads(capsys.readouterr().out)["q_max"]
-        assert abs(q_max - qmax_pac(PacParams(p=0, alpha_sq=38.0**2))) <= 1e-6 * q_max
+        assert abs(q_max - qmax_pac(p=0, alpha_sq=38.0**2)) <= 1e-6 * q_max
 
 
 class TestGridCommand:
+    @pytest.mark.parametrize("state", ["svs:r=5,phi=0", "fock:n=2"])
+    @pytest.mark.parametrize(
+        "flags", [["--res", "5000"], ["--window", "0", "0", "-1", "1"]], ids=["res", "window"]
+    )
+    def test_bad_res_or_window_refused_before_the_state(self, tmp_path, capsys, state, flags):
+        # svs r = 5 needs a cutoff past the limit, so building it first
+        # would exit 2 where the flag is at fault
+        out = tmp_path / "g.csv"
+        assert cli.main(["grid", "--state", state, *flags, "--out", str(out)]) == 64
+        assert "error: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_shape_and_order(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         code = cli.main(
@@ -346,7 +358,7 @@ class TestGridCommand:
         cell = 6.0 / 121.0
         assert math.hypot(px, py) == pytest.approx(want_r, abs=cell)
         assert px == pytest.approx(py, abs=cell)  # along the diagonal
-        qmax = qmax_pac(PacParams(p=1, alpha_sq=8.0))
+        qmax = qmax_pac(p=1, alpha_sq=8.0)
         assert peak == pytest.approx(qmax, rel=1e-3)
 
     def test_wigner_grid_fock1(self, tmp_path, capsys):
@@ -482,7 +494,7 @@ class TestSweepCommand:
         assert len(rows) == 61
         for r in rows:
             x = float(r[0])
-            want = pasv_dq(PasvParams(p=1, r=math.asinh(math.sqrt(x))))
+            want = pasv_dq(p=1, r=math.asinh(math.sqrt(x)))
             assert float(r[2]) == pytest.approx(want, rel=1e-12)
         best = min(rows, key=lambda r: float(r[2]))
         assert abs(float(best[0]) - 1.0 / 3.0) <= 0.05

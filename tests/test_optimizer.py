@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from nonclass import _kernels, analytic, cli, optimizer, states
-from nonclass.analytic import PacParams, dq_pac, fock_nonclassicality
+from nonclass.analytic import dq_pac, fock_nonclassicality
 from nonclass.cli import StateSpec
 from nonclass.errors import AccuracyError, ConvergenceError, DomainError, WindowError
 from nonclass.optimizer import TARGET_STEP, maximize_q
@@ -42,7 +42,7 @@ class TestMaximizeQ:
     def test_pac_matches_closed_form(self):
         st = add_photons(make_coherent(math.sqrt(0.9)), 2)
         rep = maximize_q(st)
-        want = dq_pac(PacParams(p=2, alpha_sq=0.9))
+        want = dq_pac(p=2, alpha_sq=0.9)
         assert abs(rep.dq - want) <= 1e-6
 
     def test_deterministic(self):

@@ -1,6 +1,8 @@
 """CSV output: the exact '%.17g' encoder, grid and sweep files, atomic writes."""
 
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -158,3 +160,24 @@ class TestGridEncoding:
         with pytest.raises(MemoryError):
             output._atomic_write(str(out), chunks())
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid", "--state", "fock:n=1", "--res", "11"],
+            ["sweep", "--family", "pac", "--x-min", "0", "--x-max", "1", "--steps", "3"],
+        ],
+        ids=["grid", "sweep"],
+    )
+    def test_mode_is_that_of_a_new_file(self, tmp_path, capsys, argv):
+        # 0o666 less the umask, as open(path, "wb") makes it, whether the
+        # path is new or rewritten
+        out = tmp_path / "f.csv"
+        umask = os.umask(0o022)
+        try:
+            for _ in range(2):
+                assert cli.main(argv + ["--out", str(out)]) == 0
+                assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        finally:
+            os.umask(umask)
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]

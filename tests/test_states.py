@@ -189,7 +189,7 @@ class TestFockAndAddition:
             assert st.tail_bound == math.inf
         for u in (0.1, 0.9, 1.0, 1.5, 3.0):
             got = optimizer.maximize_q(add_photons(make_coherent(math.sqrt(u)), p)).q_max
-            want = analytic.qmax_pac(analytic.PacParams(p=p, alpha_sq=u))
+            want = analytic.qmax_pac(p=p, alpha_sq=u)
             assert abs(got - want) <= 1e-6 * want
 
     def test_zero_addition_is_identity(self):
