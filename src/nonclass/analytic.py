@@ -20,6 +20,7 @@ apart from the squeezed vacuum's -expm1(-ln cosh r) in reference_dq,
 which keeps its relative accuracy as r -> 0.
 """
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -35,11 +36,11 @@ from .errors import DomainError
 PAC_FOCK_THRESHOLD = 1e-200
 
 
-def _photons(p, least=0):
-    """p as an int; DomainError unless p is an integer >= least."""
-    if not (p >= least and p % 1 == 0):  # nan fails the first test, inf % 1 is nan
-        raise DomainError(f"p must be an integer >= {least}, got {p}")
-    return int(p)
+def _integer(name, x, least=0):
+    """x as an int; DomainError unless x is an integer >= least."""
+    if not (x >= least and x % 1 == 0):  # nan fails the first test, inf % 1 is nan
+        raise DomainError(f"{name} must be an integer >= {least}, got {x}")
+    return int(x)
 
 
 def _nonnegative(name, x):
@@ -47,6 +48,23 @@ def _nonnegative(name, x):
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"{name} must be finite and >= 0, got {x}")
     return float(x)
+
+
+def _alpha_sq(alpha):
+    """abs(alpha)**2; DomainError unless alpha is finite and that square fits a double."""
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        raise DomainError(f"|alpha|^2 overflows a double for alpha={alpha}") from None
+
+
+def _squeeze(r, phi):
+    """r as a float; DomainError unless r is finite and >= 0 and phi is finite."""
+    if not math.isfinite(phi):
+        raise DomainError(f"squeeze angle phi must be finite, got {phi}")
+    return _nonnegative("r", r)
 
 
 def dq_from_qmax(q):
@@ -113,7 +131,7 @@ def fock_nonclassicality(p):
     qmax = (1/pi)(1/p!)(p/e)^p, dq = dq_from_qmax(qmax), and the large-p
     asymptote dq ~ 1 - 1/sqrt(2 pi p).
     """
-    p = _photons(p, 1)
+    p = _integer("p", p, 1)
     qmax = math.exp(p * math.log(p) - p - math.lgamma(p + 1)) / math.pi
     dq_asymptotic = 1.0 - 1.0 / math.sqrt(2.0 * math.pi * p)
     return FockNonclassicality(qmax=qmax, dq=dq_from_qmax(qmax), dq_asymptotic=dq_asymptotic)
@@ -126,7 +144,7 @@ def qmax_pac(p, alpha_sq):
     exp[-(|a|^2/4)(sqrt(1+4p/|a|^2)-1)^2], with the Fock limit taken for
     alpha_sq below PAC_FOCK_THRESHOLD.
     """
-    p, u = _photons(p), _nonnegative("alpha_sq", alpha_sq)
+    p, u = _integer("p", p), _nonnegative("alpha_sq", alpha_sq)
     if p == 0:
         return 1.0 / math.pi
     if u < PAC_FOCK_THRESHOLD:
@@ -160,7 +178,7 @@ def svs_antinormal(p, r):
     p! (cosh r)^{2p} 2F1(-p/2, -(p-1)/2; 1; tanh^2 r), from the moment
     path; math.inf past the double range.
     """
-    p, r = _photons(p), _nonnegative("r", r)
+    p, r = _integer("p", p), _nonnegative("r", r)
     if p == 0:
         return 1.0
     log_moment = _log_svs_moment_scaled(p, r) + 2.0 * p * _log_cosh(r)
@@ -178,7 +196,7 @@ def pasv_qmax(p, r):
     is math.inf past the double range.  The squeeze angle phi only
     rotates the maximizer, so the peak depends on p and r alone.
     """
-    p, r = _photons(p), _nonnegative("r", r)
+    p, r = _integer("p", p), _nonnegative("r", r)
     if p == 0:
         return PasvQmax(qmax=svs_qmax(r), beta_max_modulus_sq=0.0)
     log_ratio = p * (math.log(p) + r - 1.0 - _log_cosh(r)) - _log_svs_moment_scaled(p, r)
@@ -200,7 +218,7 @@ def strong_squeezing_limits(p):
     limit of pi cosh(r) qmax_pasv; ratio_successive compares p+1 with p:
     (1/e)(1+1/p)^p (p+1)/(p+1/2), always below 1.
     """
-    p = _photons(p, 1)
+    p = _integer("p", p, 1)
     ratio_to_svs = math.exp(
         p * math.log(p) - p + 0.5 * math.log(math.pi) - math.lgamma(p + 0.5)
     )
@@ -216,24 +234,24 @@ def reference_dq(family, params, added_photons):
     Returns (dq, source_tag) or None when no closed form covers the
     combination.  The CLI's dq and sweep subcommands both take their
     closed-form value from here and check a numeric degree against it.
+    Every argument cli.build_state refuses with DomainError is refused
+    here with DomainError too, by the same checks.
     """
-    p = int(added_photons)
+    p = _integer("added_photons", added_photons)
     if family == "coherent":
+        alpha = complex(params["re"], params["im"])
+        _alpha_sq(alpha)  # refuses what make_coherent refuses
         if p == 0:
             return 0.0, "coherent"
-        re, im = float(params["re"]), float(params["im"])
-        try:
-            u = re**2 + im**2
-        except OverflowError:
-            raise DomainError(f"|alpha|^2 overflows a double for alpha={complex(re, im)}") from None
+        u = alpha.real**2 + alpha.imag**2
         return dq_pac(p, u), f"pac(p={p}, alpha_sq={u!r})"
     if family == "svs":
-        r = float(params["r"])
+        r = _squeeze(params["r"], params["phi"])
         if p == 0:
             return -math.expm1(-_log_cosh(r)), f"svs(r={r!r})"
         return pasv_dq(p, r), f"pasv(p={p}, r={r!r})"
     if family == "fock":
-        n_total = int(params["n"]) + p
+        n_total = _integer("n", params["n"]) + p
         if n_total == 0:
             return 0.0, "fock(0)"
         return fock_nonclassicality(n_total).dq, f"fock(p={n_total})"

@@ -88,9 +88,7 @@ def parse_state_spec(text):
     cut = text.rfind("+add=")
     if cut != -1:
         body = text[:cut]
-        added = _parse_int(text[cut + 5 :], cut + 5)
-        if added < 0:
-            raise DomainError("added photon count must be >= 0")
+        added = analytic._integer("added_photons", _parse_int(text[cut + 5 :], cut + 5))
     colon = body.find(":")
     if colon == -1:
         raise SpecParseError("missing ':' after family name", position=len(body))
@@ -120,10 +118,10 @@ def parse_state_spec(text):
     for key in keys:
         if key not in params:
             raise SpecParseError(f"missing key {key!r} for {family}", position=len(body))
-    if family == "svs" and params["r"] < 0.0:
-        raise DomainError("squeezing parameter r must be >= 0")
-    if family == "fock" and params["n"] < 0:
-        raise DomainError("photon number n must be >= 0")
+    if family == "svs":
+        analytic._nonnegative("r", params["r"])
+    if family == "fock":
+        analytic._integer("n", params["n"])
     return StateSpec(family=family, params=params, added_photons=added)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, analytic
 from .errors import DomainError
 from .states import mean_photon
 
@@ -45,8 +45,12 @@ class QGrid:
     x_max: float
     y_min: float
     y_max: float
-    resolution: int
     values: np.ndarray
+
+    @property
+    def resolution(self):
+        """Cells a side."""
+        return self.values.shape[0]
 
     def cell_widths(self):
         """(dx, dy), the sides of one cell."""
@@ -111,15 +115,11 @@ def q_value(state, beta):
 
 
 def check_resolution(resolution):
-    """resolution as an int: DomainError unless a positive integer with res^2 <= MAX_GRID_CELLS."""
-    if resolution < 1 or resolution != int(resolution):
-        raise DomainError(f"resolution must be a positive integer, got {resolution}")
-    if int(resolution) ** 2 > MAX_GRID_CELLS:
-        raise DomainError(
-            f"resolution {resolution} gives {int(resolution) ** 2} cells, "
-            f"above the limit {MAX_GRID_CELLS}"
-        )
-    return int(resolution)
+    """resolution as an int: DomainError unless an integer >= 1 with res^2 <= MAX_GRID_CELLS."""
+    res = analytic._integer("resolution", resolution, 1)
+    if res**2 > MAX_GRID_CELLS:
+        raise DomainError(f"resolution {res} gives {res**2} cells, above the limit {MAX_GRID_CELLS}")
+    return res
 
 
 def check_window(window, resolution):
@@ -151,7 +151,7 @@ def q_grid(state, window, resolution):
     for start in range(0, res, rows):
         out = vals[start : start + rows].reshape(-1)  # a view: whole rows are contiguous
         _husimi(state.amplitudes, _row_major(xs, ys[start : start + rows]), out)
-    return QGrid(x_min, x_max, y_min, y_max, res, vals)
+    return QGrid(x_min, x_max, y_min, y_max, vals)
 
 
 def wigner_grid(state, window, resolution):
@@ -159,7 +159,7 @@ def wigner_grid(state, window, resolution):
     x_min, x_max, y_min, y_max, res = check_window(window, resolution)
     betas = _row_major(_cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res))
     vals = _kernels.wigner_values(state.amplitudes, betas)
-    return QGrid(x_min, x_max, y_min, y_max, res, vals.reshape(res, res))
+    return QGrid(x_min, x_max, y_min, y_max, vals.reshape(res, res))
 
 
 def grid_quadrature(grid):

@@ -30,27 +30,32 @@ _ROUNDING_MARGIN = 1.0 + 1e-6
 class FockState:
     """Truncated Fock expansion of a pure single-mode state.
 
-    amplitudes: complex coefficients c_0..c_cutoff.
-    tail_bound: certified upper bound on the discarded probability mass.
+    amplitudes: complex coefficients c_0..c_cutoff, a non-empty 1-D vector.
+    tail_bound: certified upper bound on the discarded probability mass,
+    >= 0 (math.inf where nothing finite can be certified).
     """
 
     amplitudes: np.ndarray
-    cutoff: int
     tail_bound: float
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        if self.cutoff < 0 or amps.shape != (self.cutoff + 1,):
-            raise ValueError("amplitude vector must have length cutoff+1")
+        if amps.ndim != 1 or amps.size == 0:
+            raise DomainError(f"amplitudes must be a non-empty 1-D vector, got shape {amps.shape}")
         if not 0.0 <= self.tail_bound:
-            raise ValueError("tail_bound must be nonnegative")
+            raise DomainError(f"tail_bound must be >= 0, got {self.tail_bound}")
         total = self.norm_sq()
         if not (1.0 - self.tail_bound - 5e-15 <= total <= 1.0 + 1e-12 + 5e-15):
             raise AccuracyError(
                 f"squared norm {total} outside [1-tail_bound, 1+1e-12]"
             )
+
+    @property
+    def cutoff(self):
+        """N, the largest photon number the vector holds."""
+        return self.amplitudes.size - 1
 
     def norm_sq(self):
         return float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2))
@@ -69,13 +74,8 @@ def make_coherent(alpha, cutoff_override=None, p=0):
     _kernels.log_sqrt_poisson, anchored near n = mu, and n theta is split
     so that its high part is exact.
     """
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise DomainError("alpha must be finite")
-    try:
-        mu = abs(alpha) ** 2
-    except OverflowError:
-        raise DomainError(f"|alpha|^2 overflows a double for alpha={alpha}") from None
+    alpha, p = complex(alpha), analytic._integer("p", p)
+    mu = analytic._alpha_sq(alpha)
     cutoff, tail_in, tail = _gaussian_cutoff(
         mu, 0.0, p, cutoff_override, alpha == 0, f"|alpha|^2={mu:.6g}"
     )
@@ -85,7 +85,7 @@ def make_coherent(alpha, cutoff_override=None, p=0):
     t_hi = float(np.float32(theta))  # n t_hi is exact
     w = np.exp(_kernels.log_sqrt_poisson(abs(alpha), cutoff + 1))
     amps = w * np.exp(1j * n * t_hi) * np.exp(1j * n * (theta - t_hi))
-    return _photon_added(FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail_in), p, tail)
+    return _photon_added(FockState(amps, tail_in), p, tail)
 
 
 def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
@@ -99,6 +99,7 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
     Cutoffs, tail_bound and r = 0 are as in make_coherent.
     """
     _check_squeeze(r, phi)
+    p = analytic._integer("p", p)
     cutoff, tail_in, tail = _gaussian_cutoff(0.0, math.sinh(r) ** 2, p, cutoff_override,
                                              r == 0.0, f"r={r}")
     if r == 0.0:  # t = 0 has no logarithm
@@ -109,7 +110,7 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[::2] = np.exp(m * hi) * np.exp(m * (z - hi)) * math.exp(-0.5 * analytic._log_cosh(r))
     amps[2::2] *= np.cumprod(np.sqrt((2.0 * m[1:] - 1.0) / (2.0 * m[1:])))
-    return _photon_added(FockState(amplitudes=amps, cutoff=cutoff, tail_bound=tail_in), p, tail)
+    return _photon_added(FockState(amps, tail_in), p, tail)
 
 
 def svs_cutoff_for_moment(r, p):
@@ -121,6 +122,7 @@ def svs_cutoff_for_moment(r, p):
     one's, since (n+q+1)...(n+p) rises with n.
     """
     _check_squeeze(r, 0.0)
+    p = analytic._integer("p", p)
     return _gaussian_cutoff(0.0, math.sinh(r) ** 2, p, None, r == 0.0, f"r={r}")[0]
 
 
@@ -128,18 +130,6 @@ def _check_cutoff(cutoff):
     if cutoff > _MAX_CUTOFF:
         raise CutoffError(f"cutoff {cutoff:.6g} exceeds the limit {_MAX_CUTOFF}")
     return cutoff
-
-
-def _check_override(cutoff_override):
-    if cutoff_override != int(cutoff_override) or int(cutoff_override) < 0:
-        raise DomainError(f"cutoff_override must be a nonnegative integer, got {cutoff_override}")
-    return _check_cutoff(int(cutoff_override))
-
-
-def _check_count(p, what):
-    if p < 0 or p != int(p):
-        raise DomainError(f"{what} must be a nonnegative integer, got {p}")
-    return int(p)
 
 
 def _check_squeeze(r, phi):
@@ -150,11 +140,7 @@ def _check_squeeze(r, phi):
     at most _MAX_CUTOFF // 2 + 1 pairs.  ln cosh r is analytic._log_cosh,
     which cannot overflow, so the check runs before any cosh r.
     """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"squeeze modulus r must be finite and >= 0, got {r}")
-    if not math.isfinite(phi):
-        raise DomainError("squeeze angle phi must be finite")
-    if analytic._log_cosh(r) > math.log(_MAX_CUTOFF // 2 + 1):
+    if analytic._log_cosh(analytic._squeeze(r, phi)) > math.log(_MAX_CUTOFF // 2 + 1):
         raise CutoffError(
             f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
             "reduce r or supply amplitudes another way"
@@ -181,8 +167,7 @@ def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
     vacuum is exact at any cutoff; its N is 0.  A mu or N + p past
     _MAX_CUTOFF raises CutoffError before anything that size is built.
     """
-    p = _check_count(p, "photon count")
-    cutoff = 0 if cutoff_override is None else _check_override(cutoff_override)
+    cutoff = 0 if cutoff_override is None else analytic._integer("cutoff_override", cutoff_override)
     _check_cutoff(cutoff + p)
     if vacuum:
         return cutoff, 0.0, 0.0
@@ -243,13 +228,13 @@ def make_fock(p, cutoff_override=None):
     A cutoff_override below p raises DomainError, a cutoff past
     _MAX_CUTOFF CutoffError.
     """
-    p = _check_count(p, "Fock index")
-    cutoff = _check_cutoff(p) if cutoff_override is None else _check_override(cutoff_override)
-    if cutoff < p:
+    p = analytic._integer("p", p)
+    cutoff = p if cutoff_override is None else analytic._integer("cutoff_override", cutoff_override)
+    if _check_cutoff(cutoff) < p:
         raise DomainError("cutoff_override below the photon number")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[p] = 1.0
-    return FockState(amplitudes=amps, cutoff=cutoff, tail_bound=0.0)
+    return FockState(amps, 0.0)
 
 
 def _addition_weights(state, p):
@@ -282,7 +267,7 @@ def add_photons(state, p):
     build coherent and squeezed inputs with their constructors' p instead.
     An output cutoff past _MAX_CUTOFF raises CutoffError.
     """
-    p = _check_count(p, "photon count")
+    p = analytic._integer("p", p)
     return _photon_added(state, p, 0.0 if state.tail_bound == 0.0 else math.inf)
 
 
@@ -297,7 +282,7 @@ def _photon_added(state, p, tail_bound):
     norm_sq_inv = float(np.sum((c.real**2 + c.imag**2) * weight))
     out = np.zeros(state.cutoff + p + 1, dtype=np.complex128)
     out[p:] = c * np.sqrt(weight) / math.sqrt(norm_sq_inv)
-    return FockState(amplitudes=out, cutoff=state.cutoff + p, tail_bound=tail_bound)
+    return FockState(out, tail_bound)
 
 
 def displace(state, lam):
@@ -344,11 +329,7 @@ def displace(state, lam):
             "wide for the enlarged cutoff"
         )
     mass_loss = max(norm_in * norm_in - norm_out * norm_out, 0.0)
-    return FockState(
-        amplitudes=out,
-        cutoff=out_cutoff,
-        tail_bound=state.tail_bound + mass_loss + 1e-15,
-    )
+    return FockState(out, state.tail_bound + mass_loss + 1e-15)
 
 
 def rotate(state, theta):
@@ -357,13 +338,13 @@ def rotate(state, theta):
         raise DomainError("rotation angle must be finite")
     n = np.arange(state.cutoff + 1, dtype=np.float64)
     out = state.amplitudes * np.exp(-1j * theta * n)
-    return FockState(amplitudes=out, cutoff=state.cutoff, tail_bound=state.tail_bound)
+    return FockState(out, state.tail_bound)
 
 
 def antinormal_correlation(state, p):
     """<a^p (a^dag)^p> = sum_n |c_n|^2 (n+1)...(n+p) on the truncated state."""
     c = state.amplitudes
-    weight, shift = _addition_weights(state, _check_count(p, "p"))
+    weight, shift = _addition_weights(state, analytic._integer("p", p))
     with np.errstate(over="ignore"):  # a moment past the double range is inf
         return float(np.ldexp(np.sum((c.real**2 + c.imag**2) * weight), shift))
 

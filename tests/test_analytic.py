@@ -287,6 +287,12 @@ _OUT_OF_DOMAIN = (
     + [(form, (1, x)) for form in _P_AND_X for x in _BAD_X]
     + [(svs_qmax, (x,)) for x in _BAD_X]
     + [(form, (p,)) for form in (fock_nonclassicality, strong_squeezing_limits) for p in _BAD_P]
+    # reference_dq refuses what cli.build_state refuses, on every branch
+    + [(reference_dq, ("svs", {"r": r, "phi": 0.0}, 0)) for r in _BAD_X]
+    + [(reference_dq, ("svs", {"r": 1.0, "phi": phi}, 0)) for phi in (math.inf, math.nan)]
+    + [(reference_dq, ("coherent", {"re": re, "im": 0.0}, 0)) for re in (math.inf, math.nan)]
+    + [(reference_dq, ("fock", {"n": n}, p)) for n, p in ((1.5, 1), (-3, 5), (math.inf, 0))]
+    + [(reference_dq, ("coherent", {"re": 1.0, "im": 0.0}, p)) for p in (1.5, math.nan)]
 )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from nonclass import _kernels, cli, optimizer, quasiprob, states, verify
+from nonclass import _kernels, analytic, cli, optimizer, quasiprob, states, verify
 from nonclass.analytic import pasv_dq, pasv_qmax, qmax_pac
 from nonclass.cli import StateSpec, parse_state_spec, render_state_spec
 from nonclass.errors import DomainError, SpecParseError
@@ -83,6 +83,35 @@ class TestSpecGrammar:
     def test_negative_squeeze_is_domain_error(self):
         with pytest.raises(DomainError):
             parse_state_spec("svs:r=-1,phi=0")
+
+
+# small valid values and the specials -1, inf, nan and 1.5, in every
+# argument of a StateSpec built directly, past the grammar's own checks
+_SPECIAL = hs.sampled_from([-1, math.inf, math.nan, 1.5])
+_REAL = hs.one_of(hs.floats(-2.0, 2.0), _SPECIAL)
+_COUNT = hs.one_of(hs.integers(0, 3), _SPECIAL)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spec=hs.one_of(
+    hs.builds(lambda re, im, p: StateSpec("coherent", {"re": re, "im": im}, p), _REAL, _REAL, _COUNT),
+    hs.builds(lambda r, phi, p: StateSpec("svs", {"r": r, "phi": phi}, p),
+              hs.one_of(hs.floats(0.0, 1.0), _SPECIAL), _REAL, _COUNT),
+    hs.builds(lambda n, p: StateSpec("fock", {"n": n}, p), _COUNT, _COUNT),
+))
+def test_both_dq_paths_refuse_the_same_specs(spec):
+    # the numeric dq searches cli.build_state's state, the closed form is
+    # analytic.reference_dq's: each raises DomainError exactly when the other does
+    def refuses(compute):
+        try:
+            compute()
+        except DomainError:
+            return True
+        return False
+
+    numeric = refuses(lambda: cli.build_state(spec))
+    closed_form = refuses(lambda: analytic.reference_dq(spec.family, spec.params, spec.added_photons))
+    assert numeric == closed_form
 
 
 class TestDqCommand:
@@ -281,7 +310,7 @@ class TestDqCommand:
 
         def drifted(alpha, cutoff_override=None, p=0):
             st = original(alpha, cutoff_override, p)
-            return states.FockState(st.amplitudes * (1.0 - 1e-10), st.cutoff, st.tail_bound)
+            return states.FockState(st.amplitudes * (1.0 - 1e-10), st.tail_bound)
 
         monkeypatch.setattr(states, "make_coherent", drifted)
         assert cli.main(["dq", "--state", "coherent:re=38,im=0"]) == 2
@@ -585,7 +614,7 @@ class TestVerifyCommand:
             st = build(r, phi, cutoff_override)
             amps = st.amplitudes.copy()
             amps[2::4] *= -1.0
-            return states.FockState(amplitudes=amps, cutoff=st.cutoff, tail_bound=st.tail_bound)
+            return states.FockState(amps, st.tail_bound)
 
         monkeypatch.setattr(states, "make_squeezed_vacuum", corrupted)
         monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_svs_q_closed_form,))

@@ -136,7 +136,7 @@ class TestGridEncoding:
 
     def test_signed_zeros(self, tmp_path):
         values = np.array([[0.0, -0.0, 0.25], [-0.0, -1e-300, 0.0]])
-        grid = quasiprob.QGrid(-1.0, 2.0, -1.0, 0.5, 3, np.vstack([values, -values[:1]]))
+        grid = quasiprob.QGrid(-1.0, 2.0, -1.0, 0.5, np.vstack([values, -values[:1]]))
         out = tmp_path / "z.csv"
         output.write_grid(str(out), grid)
         assert out.read_bytes() == _grid_csv_oracle(grid)

@@ -28,7 +28,7 @@ def test_q_bounded_above():
     rng = np.random.default_rng(31)
     amps = rng.normal(size=12) + 1j * rng.normal(size=12)
     amps /= np.linalg.norm(amps)
-    st = states.FockState(amplitudes=amps, cutoff=11, tail_bound=0.0)
+    st = states.FockState(amps, 0.0)
     for _ in range(200):
         pt = complex(float(rng.normal(0, 2)), float(rng.normal(0, 2)))
         assert q_value(st, pt) <= 1.0 / math.pi + 1e-12
@@ -211,6 +211,19 @@ def test_non_finite_window_rejected(make, position, bound):
     window[position] = bound
     with pytest.raises(DomainError, match="window bounds must be finite"):
         make(states.make_fock(1), tuple(window), 3)
+
+
+# every grid refuses a resolution that is inf or nan, as it refuses 0 or 1.5
+_OUT_OF_DOMAIN = [(make, res) for make in (q_grid, wigner_grid, wigner_min_scan)
+                  for res in (math.inf, math.nan)]
+
+
+@pytest.mark.parametrize(
+    "make, res", _OUT_OF_DOMAIN, ids=[f"{make.__name__}({res})" for make, res in _OUT_OF_DOMAIN]
+)
+def test_grids_refuse_out_of_domain(make, res):
+    with pytest.raises(DomainError):
+        make(states.make_fock(1), (-1.0, 1.0, -1.0, 1.0), res)
 
 
 def test_window_validation():

@@ -642,18 +642,59 @@ class TestAntinormalCorrelation:
         assert antinormal_correlation(st, 400) == math.inf
 
 
+# every entry point refuses a count or cutoff_override that is inf or nan,
+# as it refuses -1 or 1.5
+_NOT_FINITE = (math.inf, math.nan)
+_OUT_OF_DOMAIN = (
+    [("make_fock", make_fock, (x,)) for x in _NOT_FINITE]
+    + [("make_fock", make_fock, (1, x)) for x in _NOT_FINITE]
+    + [("make_coherent", make_coherent, (1.0, x)) for x in _NOT_FINITE]
+    + [("make_coherent", make_coherent, (1.0, None, x)) for x in _NOT_FINITE]
+    + [("make_squeezed_vacuum", make_squeezed_vacuum, (0.5, 0.0, x)) for x in _NOT_FINITE]
+    + [("make_squeezed_vacuum", make_squeezed_vacuum, (0.5, 0.0, None, x)) for x in _NOT_FINITE]
+    + [("add_photons", lambda p: add_photons(make_fock(1), p), (x,)) for x in _NOT_FINITE]
+    + [("antinormal_correlation", lambda p: antinormal_correlation(make_fock(1), p), (x,))
+       for x in _NOT_FINITE]
+    + [("svs_cutoff_for_moment", svs_cutoff_for_moment, (0.5, x)) for x in _NOT_FINITE]
+)
+
+
+@pytest.mark.parametrize(
+    "entry, args", [case[1:] for case in _OUT_OF_DOMAIN],
+    ids=[f"{name}{args}" for name, _, args in _OUT_OF_DOMAIN],
+)
+def test_entry_points_refuse_out_of_domain(entry, args):
+    with pytest.raises(DomainError):
+        entry(*args)
+
+
+def test_integral_float_counts_build_the_integer_state():
+    # 2.0 passes the integer check, so the constructors must use it as 2
+    for build in (lambda p: make_coherent(1.0, p=p), lambda p: make_squeezed_vacuum(0.5, 0.3, p=p)):
+        assert build(2.0).amplitudes.tobytes() == build(2).amplitudes.tobytes()
+
+
 class TestFockStateValidation:
     def test_norm_leak_beyond_tail_rejected(self):
         amps = np.zeros(5, dtype=complex)
         amps[0] = 0.9
         with pytest.raises(AccuracyError, match="squared norm"):
-            FockState(amplitudes=amps, cutoff=4, tail_bound=1e-12)
+            FockState(amps, 1e-12)
 
-    def test_length_mismatch_rejected(self):
-        amps = np.zeros(5, dtype=complex)
-        amps[0] = 1.0
-        with pytest.raises(ValueError):
-            FockState(amplitudes=amps, cutoff=3, tail_bound=0.0)
+    @pytest.mark.parametrize("amps", [np.ones((1, 1)), np.zeros(0)])
+    def test_vector_must_be_one_dimensional_and_non_empty(self, amps):
+        with pytest.raises(DomainError, match="non-empty 1-D vector"):
+            FockState(amps, 0.0)
+
+    @pytest.mark.parametrize("tail_bound", [-1e-12, math.nan])
+    def test_tail_bound_must_be_nonnegative(self, tail_bound):
+        with pytest.raises(DomainError, match="tail_bound"):
+            FockState(np.ones(1), tail_bound)
+
+    def test_cutoff_follows_the_vector(self):
+        # inf is a valid tail_bound: add_photons certifies it
+        st = FockState(np.array([0.6, 0.8j, 0.0]), math.inf)
+        assert st.cutoff == 2
 
     def test_amplitudes_read_only(self):
         st = make_fock(2)
