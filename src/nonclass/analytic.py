@@ -16,8 +16,8 @@ stay within 1.2e-13 relative for p <= 20 and 6e-12 for p up to 1000, and
 the pasv one within 8e-11 for p up to 20000.
 
 Every degree, closed form or numeric, is dq_from_qmax of a peak density,
-apart from the squeezed vacuum's -expm1(-ln cosh r) in reference_dq,
-which keeps its relative accuracy as r -> 0.
+apart from the squeezed vacuum's -expm1(-ln cosh r), its reference in
+`families`, which keeps its relative accuracy as r -> 0.
 """
 
 import cmath
@@ -50,21 +50,20 @@ def _nonnegative(name, x):
     return float(x)
 
 
+def _finite(name, x):
+    """x unchanged; DomainError unless x, real or complex, is finite."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x}")
+    return x
+
+
 def _alpha_sq(alpha):
     """abs(alpha)**2; DomainError unless alpha is finite and that square fits a double."""
-    if not cmath.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
+    _finite("alpha", alpha)
     try:
         return abs(alpha) ** 2
     except OverflowError:
         raise DomainError(f"|alpha|^2 overflows a double for alpha={alpha}") from None
-
-
-def _squeeze(r, phi):
-    """r as a float; DomainError unless r is finite and >= 0 and phi is finite."""
-    if not math.isfinite(phi):
-        raise DomainError(f"squeeze angle phi must be finite, got {phi}")
-    return _nonnegative("r", r)
 
 
 def dq_from_qmax(q):
@@ -75,7 +74,6 @@ def dq_from_qmax(q):
 class FockNonclassicality(NamedTuple):
     qmax: float
     dq: float
-    dq_asymptotic: float
 
 
 class PasvQmax(NamedTuple):
@@ -128,13 +126,11 @@ def _log_cosh(r):
 def fock_nonclassicality(p):
     """Peak Husimi density and degree for the Fock state |p>.
 
-    qmax = (1/pi)(1/p!)(p/e)^p, dq = dq_from_qmax(qmax), and the large-p
-    asymptote dq ~ 1 - 1/sqrt(2 pi p).
+    qmax = (1/pi)(1/p!)(p/e)^p and dq = dq_from_qmax(qmax).
     """
     p = _integer("p", p, 1)
     qmax = math.exp(p * math.log(p) - p - math.lgamma(p + 1)) / math.pi
-    dq_asymptotic = 1.0 - 1.0 / math.sqrt(2.0 * math.pi * p)
-    return FockNonclassicality(qmax=qmax, dq=dq_from_qmax(qmax), dq_asymptotic=dq_asymptotic)
+    return FockNonclassicality(qmax=qmax, dq=dq_from_qmax(qmax))
 
 
 def qmax_pac(p, alpha_sq):
@@ -229,30 +225,16 @@ def strong_squeezing_limits(p):
 
 
 def reference_dq(family, params, added_photons):
-    """Analytic degree for a (family, params, added photons) description.
+    """Closed-form (dq, source_tag) from the family's record (families.FAMILIES).
 
-    Returns (dq, source_tag) or None when no closed form covers the
-    combination.  The CLI's dq and sweep subcommands both take their
-    closed-form value from here and check a numeric degree against it.
-    Every argument cli.build_state refuses with DomainError is refused
-    here with DomainError too, by the same checks.
+    params go through the record's checks, as in cli.build_state, so each
+    path refuses the same arguments with DomainError; so does a family
+    with no record.  The CLI's dq and sweep take their closed form from here.
     """
+    from . import families  # families imports states, which imports this module
+
     p = _integer("added_photons", added_photons)
-    if family == "coherent":
-        alpha = complex(params["re"], params["im"])
-        _alpha_sq(alpha)  # refuses what make_coherent refuses
-        if p == 0:
-            return 0.0, "coherent"
-        u = alpha.real**2 + alpha.imag**2
-        return dq_pac(p, u), f"pac(p={p}, alpha_sq={u!r})"
-    if family == "svs":
-        r = _squeeze(params["r"], params["phi"])
-        if p == 0:
-            return -math.expm1(-_log_cosh(r)), f"svs(r={r!r})"
-        return pasv_dq(p, r), f"pasv(p={p}, r={r!r})"
-    if family == "fock":
-        n_total = _integer("n", params["n"]) + p
-        if n_total == 0:
-            return 0.0, "fock(0)"
-        return fock_nonclassicality(n_total).dq, f"fock(p={n_total})"
-    return None
+    if family not in families.FAMILIES:
+        raise DomainError(f"unknown family {family!r}")
+    record = families.FAMILIES[family]
+    return record.reference(record.checked(params), p)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analytic, optimizer, output, quasiprob, states, verify
+from . import analytic, families, optimizer, output, quasiprob, verify
 from .errors import (
     AccuracyError,
     ConvergenceError,
@@ -32,12 +32,6 @@ from .errors import (
     SpecParseError,
     WindowError,
 )
-
-_FAMILY_KEYS = {
-    "coherent": ("re", "im"),
-    "svs": ("r", "phi"),
-    "fock": ("n",),
-}
 
 # relative gap between the numeric and the closed-form q_max past which
 # dq fails: the tolerance of verify's q_max checks and the benchmark's answer checks
@@ -55,49 +49,42 @@ class StateSpec:
     cutoff_override: Optional[int] = None
 
 
-_SWEEP_X = {"pac": "alpha_sq", "pasv": "mean_occupancy", "fock": "p"}
 # rows one sweep may hold (steps x p values); its points and rows are
 # built in memory before the CSV is written
 MAX_SWEEP_ROWS = 1_000_000
 
 
-def _parse_float(text, pos):
-    if not _FLOAT_RE.fullmatch(text):
-        raise SpecParseError(f"expected a number, got {text!r}", position=pos)
-    return float(text)
-
-
-def _parse_int(text, pos):
-    if not _INT_RE.fullmatch(text):
-        raise SpecParseError(f"expected an integer, got {text!r}", position=pos)
-    return int(text)
+def _parse_number(text, pos, integer):
+    if not (_INT_RE if integer else _FLOAT_RE).fullmatch(text):
+        kind = "an integer" if integer else "a number"
+        raise SpecParseError(f"expected {kind}, got {text!r}", position=pos)
+    return int(text) if integer else float(text)
 
 
 def parse_state_spec(text):
     """Parse `<family>:<k>=<v>[,<k>=<v>]*[+add=<p>]` into a StateSpec.
 
-    Malformed text raises SpecParseError carrying the offending position;
-    well-formed but out-of-range values (negative r, negative n) raise
-    DomainError.  The cutoff override is not part of the grammar; it
-    travels as a CLI flag.
+    The family's record gives the keys, which of them are integers, and
+    the check of each value.  Malformed text raises SpecParseError
+    carrying the offending position; a well-formed value that fails its
+    check (negative r, negative n) raises DomainError.  The cutoff
+    override is not part of the grammar; it travels as a CLI flag.
     """
     if not text:
         raise SpecParseError("empty state spec", position=0)
-    body = text
-    added = 0
+    body, added = text, 0
     cut = text.rfind("+add=")
     if cut != -1:
-        body = text[:cut]
-        added = analytic._integer("added_photons", _parse_int(text[cut + 5 :], cut + 5))
+        body, p_text = text[:cut], text[cut + 5 :]
+        added = analytic._integer("added_photons", _parse_number(p_text, cut + 5, integer=True))
     colon = body.find(":")
     if colon == -1:
         raise SpecParseError("missing ':' after family name", position=len(body))
     family = body[:colon]
-    if family not in _FAMILY_KEYS:
+    record = families.FAMILIES.get(family)
+    if record is None:
         raise SpecParseError(f"unknown family {family!r}", position=0)
-    keys = _FAMILY_KEYS[family]
-    params = {}
-    pos = colon + 1
+    params, pos = {}, colon + 1
     rest = body[colon + 1 :]
     if not rest:
         raise SpecParseError("missing parameters", position=pos)
@@ -105,73 +92,49 @@ def parse_state_spec(text):
         if "=" not in chunk:
             raise SpecParseError(f"expected key=value, got {chunk!r}", position=pos)
         key, _, value = chunk.partition("=")
-        if key not in keys:
+        if key not in record.checks:
             raise SpecParseError(f"unknown key {key!r} for {family}", position=pos)
         if key in params:
             raise SpecParseError(f"duplicate key {key!r}", position=pos)
         value_pos = pos + len(key) + 1
-        if key == "n":
-            params[key] = _parse_int(value, value_pos)
-        else:
-            params[key] = _parse_float(value, value_pos)
+        params[key] = _parse_number(value, value_pos, record.checks[key] is analytic._integer)
         pos += len(chunk) + 1
-    for key in keys:
+    for key in record.checks:
         if key not in params:
             raise SpecParseError(f"missing key {key!r} for {family}", position=len(body))
-    if family == "svs":
-        analytic._nonnegative("r", params["r"])
-    if family == "fock":
-        analytic._integer("n", params["n"])
-    return StateSpec(family=family, params=params, added_photons=added)
-
-
-def _fmt_param(value):
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    return StateSpec(family=family, params=record.checked(params), added_photons=added)
 
 
 def render_state_spec(spec):
     """Inverse of parse_state_spec: parse(render(s)) == s for grammar specs."""
-    body = ",".join(f"{k}={_fmt_param(spec.params[k])}" for k in _FAMILY_KEYS[spec.family])
-    text = f"{spec.family}:{body}"
-    if spec.added_photons:
-        text += f"+add={spec.added_photons}"
-    return text
+    checks = families.FAMILIES[spec.family].checks
+    body = ",".join(
+        f"{k}={spec.params[k]}" if check is analytic._integer else f"{k}={float(spec.params[k])!r}"
+        for k, check in checks.items()
+    )
+    return f"{spec.family}:{body}" + (f"+add={spec.added_photons}" if spec.added_photons else "")
 
 
 def build_state(spec):
-    """Materialize a StateSpec as a truncated Fock-basis state."""
-    cutoff, p = spec.cutoff_override, spec.added_photons
-    if spec.family == "coherent":
-        alpha = complex(spec.params["re"], spec.params["im"])
-        return states.make_coherent(alpha, cutoff_override=cutoff, p=p)
-    if spec.family == "svs":
-        r, phi = spec.params["r"], spec.params["phi"]
-        return states.make_squeezed_vacuum(r, phi, cutoff_override=cutoff, p=p)
-    if spec.family == "fock":
-        return states.add_photons(states.make_fock(spec.params["n"], cutoff_override=cutoff), p)
-    raise DomainError(f"unknown family {spec.family!r}")
+    """Materialize a StateSpec as a truncated Fock-basis state, by its family's record."""
+    record = families.FAMILIES[spec.family]
+    return record.build(record.checked(spec.params), spec.cutoff_override, spec.added_photons)
 
 
 # --- subcommands -------------------------------------------------------------
 
 def _state_spec(args):
     """The --state spec with the --cutoff override attached."""
-    spec = parse_state_spec(args.state)
-    if args.cutoff is not None:
-        spec = replace(spec, cutoff_override=args.cutoff)
-    return spec
+    return replace(parse_state_spec(args.state), cutoff_override=args.cutoff)
 
 
 def _checked_dq(spec, numeric, target_step=optimizer.TARGET_STEP):
     """(analytic_dq, analytic_source, report) for a StateSpec.
 
-    The closed form always comes from analytic.reference_dq, which covers
-    every family the grammar accepts.  With numeric, the state is built
-    and searched first, and a q_max more than _AGREEMENT_REL_TOL relative
-    off the closed form raises AccuracyError; without it, report is None
-    and no state is built.
+    The closed form comes from analytic.reference_dq.  With numeric, the
+    state is built and searched first, and a q_max more than
+    _AGREEMENT_REL_TOL relative off the closed form raises AccuracyError;
+    without it, report is None and no state is built.
     """
     report = optimizer.maximize_q(build_state(spec), target_step) if numeric else None
     analytic_dq, analytic_source = analytic.reference_dq(
@@ -234,43 +197,33 @@ def cmd_grid(args):
 
 def _sweep_points(args):
     """The sweep's rows as (x, p, StateSpec), checked against its domain."""
-    p_list = []
-    pos = 0
+    p_list, pos = [], 0
     for tok in args.p_list.split(","):
         if tok:
-            p_list.append(_parse_int(tok, pos))
+            p = _parse_number(tok, pos, integer=True)
+            p_list.append(analytic._integer("added photon counts", p))
         pos += len(tok) + 1
-    family = args.family
+    record = families.sweeps()[args.family]
+    sweep = record.sweep
     if args.steps < 2:
         raise DomainError("sweep needs at least 2 steps")
-    rows = args.steps * (len(p_list) if family in ("pac", "pasv") else 1)
+    rows = args.steps * (1 if sweep.x_is_p else len(p_list))
     if rows > MAX_SWEEP_ROWS:
         raise DomainError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
     for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
-        if not math.isfinite(x):
-            raise DomainError(f"{flag} must be finite, got {x}")
+        analytic._finite(flag, x)
     if args.x_min > args.x_max:
         raise DomainError("x_min must not exceed x_max")
-    if family in ("pac", "pasv") and not p_list:
-        raise DomainError("p_list must be non-empty for pac/pasv sweeps")
-    if any(p < 0 for p in p_list):
-        raise DomainError("added photon counts must be >= 0")
-    if family in ("pac", "pasv") and args.x_min < 0.0:
-        raise DomainError(f"{_SWEEP_X[family]} must be >= 0")
+    if not (sweep.x_is_p or p_list):
+        raise DomainError(f"p_list must be non-empty for {sweep.name} sweeps")
     xs = [float(x) for x in np.linspace(args.x_min, args.x_max, args.steps)]
-    if family == "fock":
-        points = []
-        for x in xs:
-            n = int(round(x))
-            if abs(x - n) > 1e-9 or n < 0:
-                raise DomainError("fock sweeps need a non-negative integer x grid")
-            points.append((x, n, StateSpec("fock", {"n": n})))
-        return points
-    if family == "pac":
-        return [(x, p, StateSpec("coherent", {"re": math.sqrt(x), "im": 0.0}, p))
-                for p in p_list for x in xs]
-    return [(x, p, StateSpec("svs", {"r": math.asinh(math.sqrt(x)), "phi": 0.0}, p))
-            for p in p_list for x in xs]
+    if not sweep.x_is_p:
+        analytic._nonnegative(sweep.x_name, args.x_min)
+        return [(x, p, StateSpec(record.name, sweep.params(x), p)) for p in p_list for x in xs]
+    ns = [int(round(x)) for x in xs]
+    if any(abs(x - n) > 1e-9 or n < 0 for x, n in zip(xs, ns)):
+        raise DomainError(f"{sweep.name} sweeps need a non-negative integer x grid")
+    return [(x, n, StateSpec(record.name, sweep.params(n))) for x, n in zip(xs, ns)]
 
 
 def cmd_sweep(args):
@@ -356,7 +309,7 @@ def _build_parser():
     p_grid.set_defaults(func=cmd_grid)
 
     p_sweep = sub.add_parser("sweep", help="degree curves over a parameter range")
-    p_sweep.add_argument("--family", choices=("pac", "pasv", "fock"), required=True)
+    p_sweep.add_argument("--family", choices=tuple(families.sweeps()), required=True)
     p_sweep.add_argument("--p-list", default="1", help="comma-separated added-photon counts")
     p_sweep.add_argument("--x-min", type=float, required=True)
     p_sweep.add_argument("--x-max", type=float, required=True)

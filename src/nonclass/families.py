@@ -1,0 +1,70 @@
+"""The state families, one record each; parse, render, build, reference and sweep read FAMILIES.
+
+checks maps each spec key, in spec order, to the analytic check of its
+value (a key checked by analytic._integer is an integer).  build(params,
+cutoff_override, p) calls its constructor as states.<name> when it runs;
+reference(params, p) is the closed form, (dq, source tag).  A sweep's x
+is >= 0 with rows over --p-list, or with x_is_p x is p, an integer, with
+no photons added.  A new family is one more record.
+"""
+
+import math
+from typing import Callable, NamedTuple, Optional
+
+from . import analytic, states
+
+
+class Sweep(NamedTuple):
+    name: str  # the sweep --family choice
+    x_name: str
+    params: Callable  # x -> the family's params
+    x_is_p: bool = False
+
+
+class Family(NamedTuple):
+    name: str
+    checks: dict
+    build: Callable
+    reference: Callable
+    sweep: Optional[Sweep] = None
+
+    def checked(self, params):
+        """params with every value through its check; DomainError for the first bad one."""
+        return {key: check(key, params[key]) for key, check in self.checks.items()}
+
+
+def _coherent_dq(v, p):
+    alpha = complex(v["re"], v["im"])
+    analytic._alpha_sq(alpha)  # refuses what make_coherent refuses
+    u = alpha.real**2 + alpha.imag**2
+    return (analytic.dq_pac(p, u), f"pac(p={p}, alpha_sq={u!r})") if p else (0.0, "coherent")
+
+
+def _svs_dq(v, p):
+    if p == 0:  # -expm1(-ln cosh r), not dq_from_qmax: relative accuracy as r -> 0
+        return -math.expm1(-analytic._log_cosh(v["r"])), f"svs(r={v['r']!r})"
+    return analytic.pasv_dq(p, v["r"]), f"pasv(p={p}, r={v['r']!r})"
+
+
+def _fock_dq(v, p):
+    n = v["n"] + p
+    return (analytic.fock_nonclassicality(n).dq, f"fock(p={n})") if n else (0.0, "fock(0)")
+
+
+FAMILIES = {f.name: f for f in (
+    Family("coherent", {"re": analytic._finite, "im": analytic._finite},
+           lambda v, cutoff, p: states.make_coherent(complex(v["re"], v["im"]), cutoff, p),
+           _coherent_dq, Sweep("pac", "alpha_sq", lambda x: {"re": math.sqrt(x), "im": 0.0})),
+    Family("svs", {"r": analytic._nonnegative, "phi": analytic._finite},
+           lambda v, cutoff, p: states.make_squeezed_vacuum(v["r"], v["phi"], cutoff, p),
+           _svs_dq, Sweep("pasv", "mean_occupancy",
+                          lambda x: {"r": math.asinh(math.sqrt(x)), "phi": 0.0})),
+    Family("fock", {"n": analytic._integer},
+           lambda v, cutoff, p: states.add_photons(states.make_fock(v["n"], cutoff), p),
+           _fock_dq, Sweep("fock", "p", lambda n: {"n": n}, x_is_p=True)),
+)}
+
+
+def sweeps():
+    """{sweep name: record} for the records with a sweep axis, in table order."""
+    return {f.sweep.name: f for f in FAMILIES.values() if f.sweep is not None}

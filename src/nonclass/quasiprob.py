@@ -14,7 +14,6 @@ a square symmetric window share one radius and the Wigner kernel runs
 each of its chains once per orbit.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -106,9 +105,7 @@ def display_window(state):
 
 def q_value(state, beta):
     """Husimi density at one complex point beta; a non-finite beta raises DomainError."""
-    beta = complex(beta)
-    if not cmath.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
+    beta = analytic._finite("beta", complex(beta))
     out = np.empty(1)
     _husimi(state.amplitudes, np.array([beta]), out)
     return float(out[0])
@@ -124,9 +121,7 @@ def check_resolution(resolution):
 
 def check_window(window, resolution):
     """(x_min, x_max, y_min, y_max, res) of a grid; DomainError for a bad window or resolution."""
-    x_min, x_max, y_min, y_max = map(float, window)
-    if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
-        raise DomainError(f"window bounds must be finite, got {(x_min, x_max, y_min, y_max)}")
+    x_min, x_max, y_min, y_max = (analytic._finite("window bounds", float(x)) for x in window)
     if not (x_min < x_max and y_min < y_max):
         raise DomainError("window must satisfy x_min < x_max and y_min < y_max")
     if not (math.isfinite(x_max - x_min) and math.isfinite(y_max - y_min)):

@@ -133,14 +133,15 @@ def _check_cutoff(cutoff):
 
 
 def _check_squeeze(r, phi):
-    """DomainError for a bad r or phi; CutoffError when no cutoff up to
-    _MAX_CUTOFF can hold squeeze r.
+    """DomainError unless r is finite and >= 0 and phi is finite;
+    CutoffError when no cutoff up to _MAX_CUTOFF can hold squeeze r.
 
     Each pair carries mass |c_2m|^2 <= 1/cosh r, and such a cutoff keeps
     at most _MAX_CUTOFF // 2 + 1 pairs.  ln cosh r is analytic._log_cosh,
     which cannot overflow, so the check runs before any cosh r.
     """
-    if analytic._log_cosh(analytic._squeeze(r, phi)) > math.log(_MAX_CUTOFF // 2 + 1):
+    analytic._finite("phi", float(phi))
+    if analytic._log_cosh(analytic._nonnegative("r", r)) > math.log(_MAX_CUTOFF // 2 + 1):
         raise CutoffError(
             f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
             "reduce r or supply amplitudes another way"
@@ -299,9 +300,7 @@ def displace(state, lam):
     1e-8), AccuracyError is raised.  An output cutoff past _MAX_CUTOFF
     raises CutoffError.
     """
-    lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise DomainError("displacement must be finite")
+    lam = analytic._finite("displacement", complex(lam))
     mod = abs(lam)
     x = mod * mod
     # |lam|^2 underflows to 0 only below |lam| = 2.3e-162, where D(lam) moves
@@ -334,8 +333,7 @@ def displace(state, lam):
 
 def rotate(state, theta):
     """Apply the phase-space rotation c_n -> e^{-i n theta} c_n."""
-    if not math.isfinite(theta):
-        raise DomainError("rotation angle must be finite")
+    analytic._finite("rotation angle", float(theta))
     n = np.arange(state.cutoff + 1, dtype=np.float64)
     out = state.amplitudes * np.exp(-1j * theta * n)
     return FockState(out, state.tail_bound)

@@ -45,13 +45,14 @@ class TestFock:
         assert all(0.0 < d < 1.0 for d in dqs)
 
     def test_asymptote(self):
+        # dq ~ 1 - 1/sqrt(2 pi p) at large p
         res = fock_nonclassicality(200)
-        assert abs(res.dq - res.dq_asymptotic) <= 1e-4
+        assert abs(res.dq - (1.0 - 1.0 / math.sqrt(2.0 * math.pi * 200))) <= 1e-4
 
     def test_large_p_stays_finite(self):
         res = fock_nonclassicality(10000)
         assert 0.0 < res.qmax < 1.0 / math.pi
-        assert res.dq == pytest.approx(res.dq_asymptotic, abs=2e-6)
+        assert res.dq == pytest.approx(1.0 - 1.0 / math.sqrt(2.0 * math.pi * 10000), abs=2e-6)
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
@@ -262,7 +263,8 @@ class TestReferenceDq:
         assert reference_dq("fock", {"n": 0}, 0) == (0.0, "fock(0)")
 
     def test_unknown_family(self):
-        assert reference_dq("thermal", {"nbar": 1.0}, 0) is None
+        with pytest.raises(DomainError, match="unknown family 'thermal'"):
+            reference_dq("thermal", {"nbar": 1.0}, 0)
 
     def test_alpha_sq_overflow_is_a_domain_error(self):
         # make_coherent refuses the same input with the same message

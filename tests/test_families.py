@@ -1,0 +1,92 @@
+"""The family records: every dispatch site reads the one table."""
+
+import json
+
+import pytest
+
+from nonclass import analytic, cli, families, states
+from nonclass.errors import DomainError, SpecParseError
+
+_SPECS = {
+    "coherent": "coherent:re=0.8,im=-0.3+add=1",
+    "svs": "svs:r=0.5,phi=0.4+add=2",
+    "fock": "fock:n=2+add=1",
+}
+_CONSTRUCTORS = {
+    "coherent": {"make_coherent"},
+    "svs": {"make_squeezed_vacuum"},
+    "fock": {"make_fock", "add_photons"},
+}
+
+
+def test_every_family_has_a_spec_here():
+    assert set(_SPECS) == set(families.FAMILIES) == set(_CONSTRUCTORS)
+
+
+@pytest.mark.parametrize("family", sorted(_SPECS))
+def test_wrappers_by_module_attribute_see_every_call(monkeypatch, capsys, family):
+    # a tracer wraps the constructors and the closed form by module
+    # attribute; the records must call them through the module, not
+    # through references taken at import
+    seen = []
+
+    def wrap(module, name):
+        original = getattr(module, name)
+
+        def traced(*args, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, traced)
+
+    for name in ("make_coherent", "make_squeezed_vacuum", "make_fock", "add_photons"):
+        wrap(states, name)
+    wrap(analytic, "reference_dq")
+    assert cli.main(["dq", "--state", _SPECS[family], "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["state_spec"] == _SPECS[family]
+    assert set(seen) == _CONSTRUCTORS[family] | {"reference_dq"}
+    assert seen.count("reference_dq") == 1
+
+
+def test_a_new_family_needs_only_a_record(monkeypatch, capsys):
+    number = families.Family(
+        "number",
+        {"k": analytic._integer},
+        lambda v, cutoff, p: states.add_photons(states.make_fock(v["k"], cutoff), p),
+        lambda v, p: (analytic.fock_nonclassicality(v["k"] + p).dq, f"number(k={v['k'] + p})"),
+    )
+    monkeypatch.setitem(families.FAMILIES, "number", number)
+    assert cli.main(["dq", "--state", "number:k=3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["state_spec"] == "number:k=3"
+    assert report["analytic_source"] == "number(k=3)"
+    assert report["analytic_dq"] == analytic.fock_nonclassicality(3).dq
+    assert abs(report["dq_numeric"] - report["analytic_dq"]) <= 1e-9
+    spec = cli.parse_state_spec("number:k=3+add=2")
+    assert cli.render_state_spec(spec) == "number:k=3+add=2"
+    assert analytic.reference_dq("number", {"k": 3}, 2)[1] == "number(k=5)"
+    with pytest.raises(SpecParseError, match="expected an integer"):
+        cli.parse_state_spec("number:k=3.5")
+    with pytest.raises(DomainError, match="k must be an integer >= 0"):
+        cli.parse_state_spec("number:k=-1")
+
+
+def test_family_choices_are_the_sweep_names(capsys):
+    names = tuple(f.sweep.name for f in families.FAMILIES.values() if f.sweep is not None)
+    assert names == tuple(families.sweeps()) == ("pac", "pasv", "fock")
+    argv = ["sweep", "--family", "bogus", "--x-min", "0", "--x-max", "1", "--out", "never.csv"]
+    assert cli.main(argv) == 64
+    assert f"(choose from {', '.join(map(repr, names))})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("coherent:re=1e999,im=0", "re must be finite, got inf"),
+    ("coherent:re=0,im=-1e999", "im must be finite, got -inf"),
+    ("svs:r=1e999,phi=0", "r must be finite and >= 0, got inf"),
+    ("svs:r=1,phi=1e999", "phi must be finite, got inf"),
+    ("fock:n=-3", "n must be an integer >= 0, got -3"),
+])
+def test_parse_runs_each_value_through_its_check(text, message):
+    with pytest.raises(DomainError, match=message):
+        cli.parse_state_spec(text)
+
