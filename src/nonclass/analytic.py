@@ -231,10 +231,10 @@ def reference_dq(family, params, added_photons):
     path refuses the same arguments with DomainError; so does a family
     with no record.  The CLI's dq and sweep take their closed form from here.
     """
-    from . import families  # families imports states, which imports this module
-
     p = _integer("added_photons", added_photons)
-    if family not in families.FAMILIES:
-        raise DomainError(f"unknown family {family!r}")
-    record = families.FAMILIES[family]
+    record = families.record(family)
     return record.reference(record.checked(params), p)
+
+
+# last: families reads this module's checks when it builds its table
+from . import families  # noqa: E402

@@ -107,7 +107,7 @@ def parse_state_spec(text):
 
 def render_state_spec(spec):
     """Inverse of parse_state_spec: parse(render(s)) == s for grammar specs."""
-    checks = families.FAMILIES[spec.family].checks
+    checks = families.record(spec.family).checks
     body = ",".join(
         f"{k}={spec.params[k]}" if check is analytic._integer else f"{k}={float(spec.params[k])!r}"
         for k, check in checks.items()
@@ -116,9 +116,13 @@ def render_state_spec(spec):
 
 
 def build_state(spec):
-    """Materialize a StateSpec as a truncated Fock-basis state, by its family's record."""
-    record = families.FAMILIES[spec.family]
-    return record.build(record.checked(spec.params), spec.cutoff_override, spec.added_photons)
+    """Materialize a StateSpec as a truncated Fock-basis state, by its family's record.
+
+    Runs reference_dq's checks, so both refuse the same specs.
+    """
+    p = analytic._integer("added_photons", spec.added_photons)
+    record = families.record(spec.family)
+    return record.build(record.checked(spec.params), spec.cutoff_override, p)
 
 
 # --- subcommands -------------------------------------------------------------

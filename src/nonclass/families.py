@@ -5,13 +5,15 @@ value (a key checked by analytic._integer is an integer).  build(params,
 cutoff_override, p) calls its constructor as states.<name> when it runs;
 reference(params, p) is the closed form, (dq, source tag).  A sweep's x
 is >= 0 with rows over --p-list, or with x_is_p x is p, an integer, with
-no photons added.  A new family is one more record.
+no photons added.  A new family is one more record, whose build is one
+constructor call (a photon-added number state is built as |n+p>).
 """
 
 import math
 from typing import Callable, NamedTuple, Optional
 
 from . import analytic, states
+from .errors import DomainError
 
 
 class Sweep(NamedTuple):
@@ -60,9 +62,17 @@ FAMILIES = {f.name: f for f in (
            _svs_dq, Sweep("pasv", "mean_occupancy",
                           lambda x: {"r": math.asinh(math.sqrt(x)), "phi": 0.0})),
     Family("fock", {"n": analytic._integer},
-           lambda v, cutoff, p: states.add_photons(states.make_fock(v["n"], cutoff), p),
+           lambda v, cutoff, p: states.make_fock(v["n"] + p, None if cutoff is None else cutoff + p),
            _fock_dq, Sweep("fock", "p", lambda n: {"n": n}, x_is_p=True)),
 )}
+
+
+def record(family):
+    """The record of family; DomainError when it has none."""
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise DomainError(f"unknown family {family!r}") from None
 
 
 def sweeps():

@@ -69,7 +69,9 @@ def make_coherent(alpha, cutoff_override=None, p=0):
     tail_bound certifies the returned state's own discarded mass.  A
     cutoff_override that cannot certify TAIL_TARGET, or a cutoff past
     _MAX_CUTOFF, raises CutoffError.  alpha = 0 is the vacuum, exact at
-    cutoff 0.  c_n = e^{i n theta} w_n, w_n = e^{-mu/2} mu^{n/2}/sqrt(n!), with
+    cutoff 0; with p photons added it is the number state |p>, built by
+    make_fock at cutoff + p, not by the photon-addition pass.
+    c_n = e^{i n theta} w_n, w_n = e^{-mu/2} mu^{n/2}/sqrt(n!), with
     mu = |alpha|^2 and theta = arg alpha as doubles, as one vector: ln w is
     _kernels.log_sqrt_poisson, anchored near n = mu, and n theta is split
     so that its high part is exact.
@@ -79,8 +81,8 @@ def make_coherent(alpha, cutoff_override=None, p=0):
     cutoff, tail_in, tail = _gaussian_cutoff(
         mu, 0.0, p, cutoff_override, alpha == 0, f"|alpha|^2={mu:.6g}"
     )
-    if alpha == 0:
-        return _photon_added(make_fock(0, cutoff), p, tail)
+    if alpha == 0:  # (a^dag)^p |0> is |p>
+        return make_fock(p, cutoff + p)
     theta, n = math.atan2(alpha.imag, alpha.real), np.arange(cutoff + 1)
     t_hi = float(np.float32(theta))  # n t_hi is exact
     w = np.exp(_kernels.log_sqrt_poisson(abs(alpha), cutoff + 1))
@@ -102,8 +104,8 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
     p = analytic._integer("p", p)
     cutoff, tail_in, tail = _gaussian_cutoff(0.0, math.sinh(r) ** 2, p, cutoff_override,
                                              r == 0.0, f"r={r}")
-    if r == 0.0:  # t = 0 has no logarithm
-        return _photon_added(make_fock(0, cutoff), p, tail)
+    if r == 0.0:  # the vacuum, as in make_coherent; t = 0 has no logarithm
+        return make_fock(p, cutoff + p)
     log_t = math.log(math.tanh(r)) if r < 0.5 else math.log1p(-2.0 / (math.exp(2.0 * r) + 1.0))
     z = complex(log_t, phi if abs(phi) < 2.0**100 else math.fmod(phi, math.tau))
     m, hi = np.arange(cutoff // 2 + 1), complex(np.complex64(z))  # m hi is exact
@@ -266,7 +268,9 @@ def add_photons(state, p):
     An exact input (tail_bound 0) stays exact.  Any other input certifies
     math.inf: no finite bound is true without the input's moments, so
     build coherent and squeezed inputs with their constructors' p instead.
-    An output cutoff past _MAX_CUTOFF raises CutoffError.
+    An output cutoff past _MAX_CUTOFF raises CutoffError.  A photon-added
+    number state is |n+p>: make_fock(n + p) builds it exactly, where this
+    pass may round its lone amplitude to 1 - 2^-53.
     """
     p = analytic._integer("p", p)
     return _photon_added(state, p, 0.0 if state.tail_bound == 0.0 else math.inf)

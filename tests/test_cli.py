@@ -324,6 +324,65 @@ class TestDqCommand:
         assert abs(q_max - qmax_pac(p=0, alpha_sq=38.0**2)) <= 1e-6 * q_max
 
 
+def _number_state_argvs():
+    # the photon-addition pass returned squared norm nan on the first three
+    # (its rescaled weights underflowed), then a seeded handful of number
+    # states with overrides up to n + 500, and vacua with p up to 20000
+    argvs = [
+        ["--state", "fock:n=3+add=3000", "--cutoff", "400"],
+        ["--state", "coherent:re=0,im=0+add=20000", "--cutoff", "2000"],
+        ["--state", "svs:r=0,phi=0+add=5000", "--cutoff", "600"],
+    ]
+    rng = np.random.default_rng(33)
+    for _ in range(4):
+        n, p = int(rng.integers(0, 2001)), int(rng.integers(1, 5001))
+        argvs.append(["--state", f"fock:n={n}+add={p}", "--cutoff", str(n + int(rng.integers(0, 501)))])
+    for family in ("coherent:re=0,im=0", "svs:r=0,phi=0"):
+        argvs.append(["--state", f"{family}+add={int(rng.integers(1, 20001))}"])
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _number_state_argvs(), ids=lambda argv: " ".join(argv[1::2]))
+def test_photon_added_number_states_meet_the_fock_closed_form(capsys, argv):
+    # |n> with p photons added is |n+p>; the CLI's own agreement check has
+    # passed on exit 0, and the closed form it used is the Fock one
+    assert cli.main(["dq", *argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    spec = parse_state_spec(argv[1])
+    dq = analytic.fock_nonclassicality(spec.params.get("n", 0) + spec.added_photons).dq
+    q_ref = (1.0 - dq) / math.pi
+    assert abs(payload["q_max"] - q_ref) <= 1e-6 * q_ref
+    assert abs(payload["analytic_dq"] - dq) <= 1e-12
+
+
+def _domain_lattice():
+    # coherent |alpha| in [0, 400], svs r in [0, 4.4], Fock n <= 2000, p <= 10,
+    # with the heaviest corners (|alpha| = 400 and r = 4.4 at p = 10) included
+    rng = np.random.default_rng(1010)
+    ps = [int(p) for p in rng.integers(0, 11, size=40)]
+    phases = [float(x) for x in rng.uniform(-math.pi, math.pi, size=40)]
+    ps[13] = ps[26] = 10
+    specs = []
+    for i, mod in enumerate(np.linspace(0.0, 400.0, 14)):
+        alpha = float(mod) * complex(math.cos(phases[i]), math.sin(phases[i]))
+        specs.append(StateSpec("coherent", {"re": alpha.real, "im": alpha.imag}, ps[i]))
+    for i, r in enumerate(np.linspace(0.0, 4.4, 13), 14):
+        specs.append(StateSpec("svs", {"r": float(r), "phi": phases[i]}, ps[i]))
+    for i, n in enumerate(np.linspace(0, 2000, 13).round(), 27):
+        specs.append(StateSpec("fock", {"n": int(n)}, ps[i]))
+    return [render_state_spec(spec) for spec in specs]
+
+
+def test_every_spec_on_the_domain_lattice_exits_zero(capsys):
+    failures = []
+    for text in _domain_lattice():
+        code = cli.main(["dq", "--state", text, "--json"])
+        captured = capsys.readouterr()
+        if code != 0:
+            failures.append((text, code, captured.err))
+    assert failures == []
+
+
 class TestGridCommand:
     @pytest.mark.parametrize("state", ["svs:r=5,phi=0", "fock:n=2"])
     @pytest.mark.parametrize(

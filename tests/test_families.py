@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nonclass import analytic, cli, families, states
+from nonclass.cli import StateSpec
 from nonclass.errors import DomainError, SpecParseError
 
 _SPECS = {
@@ -15,7 +17,7 @@ _SPECS = {
 _CONSTRUCTORS = {
     "coherent": {"make_coherent"},
     "svs": {"make_squeezed_vacuum"},
-    "fock": {"make_fock", "add_photons"},
+    "fock": {"make_fock"},
 }
 
 
@@ -52,7 +54,7 @@ def test_a_new_family_needs_only_a_record(monkeypatch, capsys):
     number = families.Family(
         "number",
         {"k": analytic._integer},
-        lambda v, cutoff, p: states.add_photons(states.make_fock(v["k"], cutoff), p),
+        lambda v, cutoff, p: states.make_fock(v["k"] + p, None if cutoff is None else cutoff + p),
         lambda v, p: (analytic.fock_nonclassicality(v["k"] + p).dq, f"number(k={v['k'] + p})"),
     )
     monkeypatch.setitem(families.FAMILIES, "number", number)
@@ -90,3 +92,45 @@ def test_parse_runs_each_value_through_its_check(text, message):
     with pytest.raises(DomainError, match=message):
         cli.parse_state_spec(text)
 
+
+@pytest.mark.parametrize("call", [
+    cli.build_state,
+    cli.render_state_spec,
+    lambda spec: analytic.reference_dq(spec.family, spec.params, spec.added_photons),
+], ids=["build_state", "render_state_spec", "reference_dq"])
+def test_a_family_with_no_record_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="unknown family 'thermal'"):
+        call(StateSpec("thermal", {"nbar": 1.0}))
+
+
+def test_number_states_are_built_as_the_photon_addition_pass_built_them(monkeypatch):
+    # |n> with p photons added is |n+p>: the Fock record and the vacuum
+    # branches build it with make_fock, never through the addition pass,
+    # at the pass's cutoff and tail_bound and with its amplitudes, apart
+    # from a lone amplitude the pass rounds to 1 - 2^-53
+    rng = np.random.default_rng(33)
+    cases = []
+    for _ in range(200):
+        n, p = int(rng.integers(0, 31)), int(rng.integers(1, 301))
+        cutoff = None if rng.random() < 0.5 else n + int(rng.integers(0, 20))
+        cases.append((n, p, cutoff, StateSpec("fock", {"n": n}, p, cutoff)))
+        cases.append((0, p, cutoff, StateSpec("coherent", {"re": 0.0, "im": 0.0}, p, cutoff)))
+        cases.append((0, p, cutoff, StateSpec("svs", {"r": 0.0, "phi": 0.0}, p, cutoff)))
+    passed = [(n, p, states.add_photons(states.make_fock(n, cutoff), p), spec)
+              for n, p, cutoff, spec in cases]
+
+    def refuse(*args):
+        raise AssertionError("a number state went through the photon-addition pass")
+
+    monkeypatch.setattr(states, "_photon_added", refuse)
+    rounded = 0
+    for n, p, old, spec in passed:
+        new = cli.build_state(spec)
+        assert (new.cutoff, new.tail_bound) == (old.cutoff, old.tail_bound)
+        assert new.amplitudes[n + p] == 1.0
+        amps = old.amplitudes.copy()
+        if amps[n + p] != 1.0:
+            assert amps[n + p] == 1.0 - 2.0**-53
+            amps[n + p], rounded = 1.0, rounded + 1
+        assert new.amplitudes.tobytes() == amps.tobytes()
+    assert 0 < rounded < len(passed)
