@@ -14,7 +14,7 @@ from .analytic import (
     FockNonclassicality,
     PasvQmax,
     SqueezeLimits,
-    dq_from_qmax,
+    dq_from_log_fidelity,
     dq_pac,
     fock_nonclassicality,
     pasv_dq,
@@ -75,7 +75,7 @@ __all__ = [
     "add_photons",
     "antinormal_correlation",
     "displace",
-    "dq_from_qmax",
+    "dq_from_log_fidelity",
     "dq_pac",
     "fock_nonclassicality",
     "grid_quadrature",

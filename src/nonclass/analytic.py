@@ -15,9 +15,9 @@ of `states` reads the same ratios.  Measured against 40-digit mpmath
 stay within 1.2e-13 relative for p <= 20 and 6e-12 for p up to 1000, and
 the pasv one within 8e-11 for p up to 20000.
 
-Every degree, closed form or numeric, is dq_from_qmax of a peak density,
-apart from the squeezed vacuum's -expm1(-ln cosh r), its reference in
-`families`, which keeps its relative accuracy as r -> 0.
+Each closed form computes ln F, F = pi qmax, and its qmax is e^{ln F}/pi.
+Every degree, closed form or numeric, is dq_from_log_fidelity(ln F), which
+stays accurate relative as F -> 1 wherever ln F does, as -ln cosh r does.
 """
 
 import cmath
@@ -66,9 +66,9 @@ def _alpha_sq(alpha):
         raise DomainError(f"|alpha|^2 overflows a double for alpha={alpha}") from None
 
 
-def dq_from_qmax(q):
-    """dq = 1 - pi q of a peak Husimi density q >= 0, with a rounding past 1/pi clipped to 0."""
-    return max(0.0, 1.0 - math.pi * q)
+def dq_from_log_fidelity(log_f):
+    """dq = 1 - F = -expm1(ln F) of a fidelity F = pi qmax; a rounding past F = 1 gives 0."""
+    return max(0.0, -math.expm1(log_f))
 
 
 class FockNonclassicality(NamedTuple):
@@ -123,14 +123,31 @@ def _log_cosh(r):
     return math.log1p(2.0 * math.sinh(0.5 * r) ** 2)
 
 
+def _log_fock_fidelity(p):
+    """ln F of the Fock state |p>, p an int >= 1: p ln p - p - ln p!."""
+    return p * math.log(p) - p - math.lgamma(p + 1)
+
+
 def fock_nonclassicality(p):
     """Peak Husimi density and degree for the Fock state |p>.
 
-    qmax = (1/pi)(1/p!)(p/e)^p and dq = dq_from_qmax(qmax).
+    qmax = (1/pi)(1/p!)(p/e)^p and dq = dq_from_log_fidelity(ln pi qmax).
     """
-    p = _integer("p", p, 1)
-    qmax = math.exp(p * math.log(p) - p - math.lgamma(p + 1)) / math.pi
-    return FockNonclassicality(qmax=qmax, dq=dq_from_qmax(qmax))
+    log_f = _log_fock_fidelity(_integer("p", p, 1))
+    return FockNonclassicality(qmax=math.exp(log_f) / math.pi, dq=dq_from_log_fidelity(log_f))
+
+
+def _log_pac_fidelity(p, alpha_sq):
+    """ln F of a p-photon-added coherent state; see qmax_pac."""
+    p, u = _integer("p", p), _nonnegative("alpha_sq", alpha_sq)
+    if p == 0:
+        return 0.0
+    if u < PAC_FOCK_THRESHOLD:
+        return _log_fock_fidelity(p)
+    s = math.sqrt(1.0 + 4.0 * p / u)
+    log_peak_sq = math.log(u / 4.0) + 2.0 * math.log1p(s)  # ln |beta_max|^2
+    exponent = (u / 4.0) * (s - 1.0) ** 2
+    return p * log_peak_sq - exponent - math.fsum(log_moment_ratios(u, 0.0, p))
 
 
 def qmax_pac(p, alpha_sq):
@@ -140,32 +157,17 @@ def qmax_pac(p, alpha_sq):
     exp[-(|a|^2/4)(sqrt(1+4p/|a|^2)-1)^2], with the Fock limit taken for
     alpha_sq below PAC_FOCK_THRESHOLD.
     """
-    p, u = _integer("p", p), _nonnegative("alpha_sq", alpha_sq)
-    if p == 0:
-        return 1.0 / math.pi
-    if u < PAC_FOCK_THRESHOLD:
-        return fock_nonclassicality(p).qmax
-    s = math.sqrt(1.0 + 4.0 * p / u)
-    log_peak_sq = math.log(u / 4.0) + 2.0 * math.log1p(s)  # ln |beta_max|^2
-    exponent = (u / 4.0) * (s - 1.0) ** 2
-    log_q = (
-        p * log_peak_sq
-        - exponent
-        - math.fsum(log_moment_ratios(u, 0.0, p))
-        - math.log(math.pi)
-    )
-    return math.exp(log_q)
+    return math.exp(_log_pac_fidelity(p, alpha_sq)) / math.pi
 
 
 def dq_pac(p, alpha_sq):
-    """Geometric degree of a photon-added coherent state, dq_from_qmax(qmax_pac)."""
-    return dq_from_qmax(qmax_pac(p, alpha_sq))
+    """Geometric degree of a photon-added coherent state, dq_from_log_fidelity of its ln F."""
+    return dq_from_log_fidelity(_log_pac_fidelity(p, alpha_sq))
 
 
 def svs_qmax(r):
     """Peak Husimi density 1/(pi cosh r) of the squeezed vacuum (at beta=0)."""
-    r = _nonnegative("r", r)
-    return math.exp(-_log_cosh(r)) / math.pi
+    return math.exp(_log_pasv_fidelity(0, r)) / math.pi
 
 
 def svs_antinormal(p, r):
@@ -184,6 +186,14 @@ def svs_antinormal(p, r):
         return math.inf
 
 
+def _log_pasv_fidelity(p, r):
+    """ln F of a p-photon-added squeezed vacuum; at p = 0 the squeezed vacuum's -ln cosh r."""
+    p, r = _integer("p", p), _nonnegative("r", r)
+    if p == 0:
+        return -_log_cosh(r)
+    return p * (math.log(p) + r - 1.0 - _log_cosh(r)) - _log_svs_moment_scaled(p, r) - _log_cosh(r)
+
+
 def pasv_qmax(p, r):
     """Peak Husimi density of a p-photon-added squeezed vacuum.
 
@@ -192,19 +202,15 @@ def pasv_qmax(p, r):
     is math.inf past the double range.  The squeeze angle phi only
     rotates the maximizer, so the peak depends on p and r alone.
     """
-    p, r = _integer("p", p), _nonnegative("r", r)
-    if p == 0:
-        return PasvQmax(qmax=svs_qmax(r), beta_max_modulus_sq=0.0)
-    log_ratio = p * (math.log(p) + r - 1.0 - _log_cosh(r)) - _log_svs_moment_scaled(p, r)
-    qmax = svs_qmax(r) * math.exp(log_ratio)
+    qmax = math.exp(_log_pasv_fidelity(p, r)) / math.pi
     # the product overflows to inf from r ~ 355; math.exp(r) would raise past 709
-    beta_sq = p * math.exp(r) * math.cosh(r) if r < 700.0 else math.inf
+    beta_sq = 0.0 if p == 0 else p * math.exp(r) * math.cosh(r) if r < 700.0 else math.inf
     return PasvQmax(qmax=qmax, beta_max_modulus_sq=beta_sq)
 
 
 def pasv_dq(p, r):
-    """Geometric degree of a photon-added squeezed vacuum, dq_from_qmax(pasv_qmax)."""
-    return dq_from_qmax(pasv_qmax(p, r).qmax)
+    """Geometric degree of a photon-added squeezed vacuum, dq_from_log_fidelity of its ln F."""
+    return dq_from_log_fidelity(_log_pasv_fidelity(p, r))
 
 
 def strong_squeezing_limits(p):
@@ -227,13 +233,15 @@ def strong_squeezing_limits(p):
 def reference_dq(family, params, added_photons):
     """Closed-form (dq, source_tag) from the family's record (families.FAMILIES).
 
-    params go through the record's checks, as in cli.build_state, so each
-    path refuses the same arguments with DomainError; so does a family
-    with no record.  The CLI's dq and sweep take their closed form from here.
+    dq is dq_from_log_fidelity of the record's (ln F, source_tag).  params
+    go through the record's checks, as in cli.build_state, so each path
+    refuses the same arguments with DomainError; so does a family with no
+    record.  The CLI's dq and sweep take their closed form from here.
     """
     p = _integer("added_photons", added_photons)
     record = families.record(family)
-    return record.reference(record.checked(params), p)
+    log_f, tag = record.reference(record.checked(params), p)
+    return dq_from_log_fidelity(log_f), tag
 
 
 # last: families reads this module's checks when it builds its table

@@ -3,10 +3,10 @@
 checks maps each spec key, in spec order, to the analytic check of its
 value (a key checked by analytic._integer is an integer).  build(params,
 cutoff_override, p) calls its constructor as states.<name> when it runs;
-reference(params, p) is the closed form, (dq, source tag).  A sweep's x
-is >= 0 with rows over --p-list, or with x_is_p x is p, an integer, with
-no photons added.  A new family is one more record, whose build is one
-constructor call (a photon-added number state is built as |n+p>).
+reference(params, p) is the closed form (ln F, source tag), F = pi qmax.
+A sweep's x is >= 0 with rows over --p-list, or with x_is_p x is p, an
+integer, with no photons added.  A new family is one more record, whose
+build is one constructor call (a photon-added number state is built as |n+p>).
 """
 
 import math
@@ -35,35 +35,35 @@ class Family(NamedTuple):
         return {key: check(key, params[key]) for key, check in self.checks.items()}
 
 
-def _coherent_dq(v, p):
+def _coherent_ref(v, p):
     alpha = complex(v["re"], v["im"])
     analytic._alpha_sq(alpha)  # refuses what make_coherent refuses
     u = alpha.real**2 + alpha.imag**2
-    return (analytic.dq_pac(p, u), f"pac(p={p}, alpha_sq={u!r})") if p else (0.0, "coherent")
+    tag = f"pac(p={p}, alpha_sq={u!r})" if p else "coherent"
+    return (analytic._log_pac_fidelity(p, u) if p else 0.0), tag
 
 
-def _svs_dq(v, p):
-    if p == 0:  # -expm1(-ln cosh r), not dq_from_qmax: relative accuracy as r -> 0
-        return -math.expm1(-analytic._log_cosh(v["r"])), f"svs(r={v['r']!r})"
-    return analytic.pasv_dq(p, v["r"]), f"pasv(p={p}, r={v['r']!r})"
+def _svs_ref(v, p):
+    tag = f"pasv(p={p}, r={v['r']!r})" if p else f"svs(r={v['r']!r})"
+    return analytic._log_pasv_fidelity(p, v["r"]), tag
 
 
-def _fock_dq(v, p):
+def _fock_ref(v, p):
     n = v["n"] + p
-    return (analytic.fock_nonclassicality(n).dq, f"fock(p={n})") if n else (0.0, "fock(0)")
+    return (analytic._log_fock_fidelity(n), f"fock(p={n})") if n else (0.0, "fock(0)")
 
 
 FAMILIES = {f.name: f for f in (
     Family("coherent", {"re": analytic._finite, "im": analytic._finite},
            lambda v, cutoff, p: states.make_coherent(complex(v["re"], v["im"]), cutoff, p),
-           _coherent_dq, Sweep("pac", "alpha_sq", lambda x: {"re": math.sqrt(x), "im": 0.0})),
+           _coherent_ref, Sweep("pac", "alpha_sq", lambda x: {"re": math.sqrt(x), "im": 0.0})),
     Family("svs", {"r": analytic._nonnegative, "phi": analytic._finite},
            lambda v, cutoff, p: states.make_squeezed_vacuum(v["r"], v["phi"], cutoff, p),
-           _svs_dq, Sweep("pasv", "mean_occupancy",
-                          lambda x: {"r": math.asinh(math.sqrt(x)), "phi": 0.0})),
+           _svs_ref, Sweep("pasv", "mean_occupancy",
+                           lambda x: {"r": math.asinh(math.sqrt(x)), "phi": 0.0})),
     Family("fock", {"n": analytic._integer},
            lambda v, cutoff, p: states.make_fock(v["n"] + p, None if cutoff is None else cutoff + p),
-           _fock_dq, Sweep("fock", "p", lambda n: {"n": n}, x_is_p=True)),
+           _fock_ref, Sweep("fock", "p", lambda n: {"n": n}, x_is_p=True)),
 )}
 
 

@@ -13,7 +13,7 @@ from nonclass.analytic import (
     PAC_FOCK_THRESHOLD,
     _log_cosh,
     _log_svs_moment_scaled,
-    dq_from_qmax,
+    dq_from_log_fidelity,
     dq_pac,
     fock_nonclassicality,
     log_moment_ratios,
@@ -272,10 +272,16 @@ class TestReferenceDq:
             reference_dq("coherent", {"re": 1e200, "im": 0.0}, 1)
 
 
-def test_dq_from_qmax():
-    assert dq_from_qmax(0.0) == 1.0
+def test_dq_from_log_fidelity():
+    assert dq_from_log_fidelity(-math.inf) == 1.0
     # rounding may put a numeric pi q_max just above 1
-    assert dq_from_qmax((1.0 + 1e-13) / math.pi) == 0.0
+    assert dq_from_log_fidelity(math.log1p(1e-13)) == 0.0
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-5, 0.5, 3.0])
+def test_svs_reference_is_minus_expm1_of_minus_log_cosh(r):
+    dq, _ = reference_dq("svs", {"r": r, "phi": 0.0}, 0)
+    assert dq == -math.expm1(-_log_cosh(r))
 
 
 # every closed form refuses a p that is not a non-negative integer (p >= 1

@@ -55,7 +55,7 @@ def test_a_new_family_needs_only_a_record(monkeypatch, capsys):
         "number",
         {"k": analytic._integer},
         lambda v, cutoff, p: states.make_fock(v["k"] + p, None if cutoff is None else cutoff + p),
-        lambda v, p: (analytic.fock_nonclassicality(v["k"] + p).dq, f"number(k={v['k'] + p})"),
+        lambda v, p: (analytic._log_fock_fidelity(v["k"] + p), f"number(k={v['k'] + p})"),
     )
     monkeypatch.setitem(families.FAMILIES, "number", number)
     assert cli.main(["dq", "--state", "number:k=3", "--json"]) == 0
