@@ -240,24 +240,27 @@ def make_fock(p, cutoff_override=None):
     return FockState(amps, 0.0)
 
 
-def _addition_weights(state, p):
-    """(weight, shift) with weight[n] 2^shift = (n+1)...(n+p), n = 0..cutoff.
+def _raised_amplitudes(state, p):
+    """(b, shift) with b_n 2^shift = c_n sqrt((n+1)...(n+p)), n = 0..cutoff.
 
-    These are the weights (a^dag)^p puts on |c_n|^2.  The running product
-    is scaled by 2^-600 each time its last, largest entry passes 2^900, so
-    it never overflows.  Scaling by a power of two commutes with rounding:
-    weight is the unscaled product times 2^-shift bit for bit, and a
-    product that never passes 2^900 has shift 0.
+    (a^dag)^p puts b_n 2^shift on |n+p>.  The factors sqrt(n+k) multiply in
+    one k at a time under a running bound on max |b_n| (a FockState's
+    amplitudes are below 2 in modulus); past 2^450 the true maximum replaces
+    it, and b is scaled by 2^-300 if that passes too.  So |b|^2 sums without
+    overflow, and b is scaled by its largest entry, not by the largest weight,
+    which may sit where c_n is 0: a Gaussian input's mass stays normal.
+    Power-of-two scaling commutes with rounding: an entry that stays normal is
+    the unscaled product times 2^-shift bit for bit.
     """
-    n = np.arange(state.cutoff + 1, dtype=np.float64)
-    weight = np.ones_like(n)
-    shift = 0
+    b, shift, bound = state.amplitudes.copy(), 0, 2.0
     for k in range(1, p + 1):
-        weight *= n + k
-        if weight[-1] > 2.0**900:
-            weight *= 2.0**-600
-            shift += 600
-    return weight, shift
+        b *= np.sqrt(np.arange(k, state.cutoff + k + 1.0))  # sqrt(n + k)
+        bound *= math.sqrt(state.cutoff + k)
+        if bound > 2.0**450:
+            bound = float(np.max(np.abs(b)))
+        if bound > 2.0**450:
+            b, bound, shift = b * 2.0**-300, bound * 2.0**-300, shift + 300
+    return b, shift
 
 
 def add_photons(state, p):
@@ -282,11 +285,9 @@ def _photon_added(state, p, tail_bound):
     if p == 0:
         return state
     _check_cutoff(state.cutoff + p)
-    weight, _ = _addition_weights(state, p)  # both sums below take the same 2^shift
-    c = state.amplitudes
-    norm_sq_inv = float(np.sum((c.real**2 + c.imag**2) * weight))
+    b, _ = _raised_amplitudes(state, p)
     out = np.zeros(state.cutoff + p + 1, dtype=np.complex128)
-    out[p:] = c * np.sqrt(weight) / math.sqrt(norm_sq_inv)
+    out[p:] = b / math.sqrt(float(np.sum(b.real**2 + b.imag**2)))
     return FockState(out, tail_bound)
 
 
@@ -345,10 +346,9 @@ def rotate(state, theta):
 
 def antinormal_correlation(state, p):
     """<a^p (a^dag)^p> = sum_n |c_n|^2 (n+1)...(n+p) on the truncated state."""
-    c = state.amplitudes
-    weight, shift = _addition_weights(state, analytic._integer("p", p))
+    b, shift = _raised_amplitudes(state, analytic._integer("p", p))
     with np.errstate(over="ignore"):  # a moment past the double range is inf
-        return float(np.ldexp(np.sum((c.real**2 + c.imag**2) * weight), shift))
+        return float(np.ldexp(np.sum(b.real**2 + b.imag**2), 2 * shift))
 
 
 def mean_photon(state):

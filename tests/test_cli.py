@@ -383,6 +383,20 @@ def test_every_spec_on_the_domain_lattice_exits_zero(capsys):
     assert failures == []
 
 
+@pytest.mark.parametrize("text,q_ref", [
+    ("coherent:re=1,im=0+add=1000", lambda: qmax_pac(1000, 1.0)),
+    ("coherent:re=1,im=0+add=2000", lambda: qmax_pac(2000, 1.0)),
+    ("svs:r=0.5,phi=0+add=800", lambda: pasv_qmax(800, 0.5).qmax),
+])
+def test_many_photons_added_to_a_gaussian_input(capsys, text, q_ref):
+    # the addition pass scales the raised amplitudes by their own largest
+    # entry, so the low-n mass of a Gaussian input survives a large p;
+    # measured within 1.2e-12 relative of the closed form
+    assert cli.main(["dq", "--state", text, "--json"]) == 0
+    q_max = json.loads(capsys.readouterr().out)["q_max"]
+    assert abs(q_max - q_ref()) <= 1e-10 * q_ref()
+
+
 class TestGridCommand:
     @pytest.mark.parametrize("state", ["svs:r=5,phi=0", "fock:n=2"])
     @pytest.mark.parametrize(

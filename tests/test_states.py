@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import hypothesis.strategies as hs
 import mpmath
@@ -617,28 +618,31 @@ class TestAntinormalCorrelation:
             if p == 1:
                 assert got == pytest.approx(math.cosh(r) ** 2, rel=1e-12)
 
-    def test_weights_rescaled_bit_for_bit(self):
-        # (n+1)...(n+140) for n <= 38 peaks near 2^950: rescaled, yet equal
-        # to the unscaled running product times 2^-shift
-        st = make_coherent(1.0, cutoff_override=38)
-        weight, shift = states._addition_weights(st, 140)
-        assert shift == 600
+    def test_raised_amplitudes_rescaled_bit_for_bit(self):
+        # c_n sqrt((n+1)...(n+200)) for n <= 38 peaks near 2^636: rescaled,
+        # yet every entry, a normal double, equals the unscaled running
+        # product times 2^-shift
+        st = make_coherent(1.0 + 0.5j, cutoff_override=38)
+        raised, shift = states._raised_amplitudes(st, 200)
+        assert shift == 300
         n = np.arange(st.cutoff + 1, dtype=np.float64)
-        plain = np.ones_like(n)
-        for k in range(1, 141):
-            plain *= n + k
-        assert np.ldexp(weight, shift).tobytes() == plain.tobytes()
+        plain = st.amplitudes.copy()
+        for k in range(1, 201):
+            plain *= np.sqrt(n + k)
+        parts = np.abs(np.concatenate([raised.real, raised.imag]))
+        assert np.all(parts[parts != 0.0] >= np.finfo(np.float64).tiny)
+        assert (raised * 2.0**shift).tobytes() == plain.tobytes()
 
-    def test_weights_past_double_range(self):
-        # (n+1)...(n+400) overflows a double; weight 2^shift keeps it to
-        # rounding, and the moment itself is reported as inf
+    def test_raised_amplitudes_past_double_range(self):
+        # c_n^2 (n+1)...(n+400) overflows a double; raised 2^shift keeps it
+        # to rounding, and the moment itself is reported as inf
         st = make_coherent(1.0)
-        weight, shift = states._addition_weights(st, 400)
-        assert weight.max() <= 2.0**900
+        raised, shift = states._raised_amplitudes(st, 400)
+        assert np.abs(raised).max() <= 2.0**460
         for n in (0, 10, st.cutoff):
-            num, den = float(weight[n]).as_integer_ratio()
-            ratio = num * 2**shift / (den * math.prod(range(n + 1, n + 401)))
-            assert abs(ratio - 1.0) <= 400 * 2.0**-52
+            sq = Fraction(raised[n].real) ** 2 * 4**shift
+            want_sq = Fraction(st.amplitudes[n].real) ** 2 * math.prod(range(n + 1, n + 401))
+            assert abs(math.sqrt(sq / want_sq) - 1.0) <= 400 * 2.0**-52
         assert antinormal_correlation(st, 400) == math.inf
 
 
