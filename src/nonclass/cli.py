@@ -146,7 +146,7 @@ def _checked_dq(spec, numeric, target_step=optimizer.TARGET_STEP):
     )
     if not numeric:
         return analytic_dq, analytic_source, None
-    # the one q <- dq round trip left; perfbench/checks.py, which is pinned, repeats it
+    # the one dq -> q inverse left in src; the benchmark's perfbench/checks.py takes the same
     q_ref = (1.0 - analytic_dq) / math.pi
     rel = abs(report.q_max - q_ref) / q_ref
     if not rel <= _AGREEMENT_REL_TOL:

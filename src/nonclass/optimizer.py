@@ -50,8 +50,8 @@ class NonclassReport:
     there, dq = analytic.dq_from_log_fidelity(ln(pi q_max)), the closed
     forms' dq rule too (0 where rounding puts pi q_max above 1 by at most
     1e-12), and final_step (at most target_step) the length of the last
-    accepted Newton step, or of the shortest trial when none raised Q.  analytic.reference_dq gives
-    the closed form, where a family has one.
+    accepted Newton step, or of the shortest trial when none raised Q.
+    analytic.reference_dq gives the closed form, where a family has one.
     """
 
     beta_max: complex
