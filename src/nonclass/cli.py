@@ -37,7 +37,8 @@ from .errors import (
 # dq fails: the tolerance of verify's q_max checks and the benchmark's answer checks
 _AGREEMENT_REL_TOL = 1e-6
 
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_UNSIGNED = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+_FLOAT_RE = re.compile(r"[+-]?" + _UNSIGNED)
 _INT_RE = re.compile(r"[+-]?\d+")
 
 
@@ -268,7 +269,7 @@ class _Parser(argparse.ArgumentParser):
         # it matches this pattern, whose default (Python 3.10 to 3.13) has
         # no exponent, so "--window -1e-3 1 -1 1" would stop at "-1e-3".
         # Any negative number in the spec grammar's float syntax is a value.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-" + _UNSIGNED + "$")
 
     def error(self, message):
         raise _UsageExit(message)

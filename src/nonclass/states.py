@@ -100,10 +100,9 @@ def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
     rounded t; the factorial ratio is a cumulative product of sqrt((2j-1)/(2j)).
     Cutoffs, tail_bound and r = 0 are as in make_coherent.
     """
-    _check_squeeze(r, phi)
-    p = analytic._integer("p", p)
-    cutoff, tail_in, tail = _gaussian_cutoff(0.0, math.sinh(r) ** 2, p, cutoff_override,
-                                             r == 0.0, f"r={r}")
+    analytic._finite("phi", float(phi))
+    sigma, p = _squeeze_sigma(r), analytic._integer("p", p)
+    cutoff, tail_in, tail = _gaussian_cutoff(0.0, sigma, p, cutoff_override, r == 0.0, f"r={r}")
     if r == 0.0:  # the vacuum, as in make_coherent; t = 0 has no logarithm
         return make_fock(p, cutoff + p)
     log_t = math.log(math.tanh(r)) if r < 0.5 else math.log1p(-2.0 / (math.exp(2.0 * r) + 1.0))
@@ -123,9 +122,8 @@ def svs_cutoff_for_moment(r, p):
     the q-photon-added state discards, which is no more than the p-photon
     one's, since (n+q+1)...(n+p) rises with n.
     """
-    _check_squeeze(r, 0.0)
-    p = analytic._integer("p", p)
-    return _gaussian_cutoff(0.0, math.sinh(r) ** 2, p, None, r == 0.0, f"r={r}")[0]
+    sigma, p = _squeeze_sigma(r), analytic._integer("p", p)
+    return _gaussian_cutoff(0.0, sigma, p, None, r == 0.0, f"r={r}")[0]
 
 
 def _check_cutoff(cutoff):
@@ -134,20 +132,9 @@ def _check_cutoff(cutoff):
     return cutoff
 
 
-def _check_squeeze(r, phi):
-    """DomainError unless r is finite and >= 0 and phi is finite;
-    CutoffError when no cutoff up to _MAX_CUTOFF can hold squeeze r.
-
-    Each pair carries mass |c_2m|^2 <= 1/cosh r, and such a cutoff keeps
-    at most _MAX_CUTOFF // 2 + 1 pairs.  ln cosh r is analytic._log_cosh,
-    which cannot overflow, so the check runs before any cosh r.
-    """
-    analytic._finite("phi", float(phi))
-    if analytic._log_cosh(analytic._nonnegative("r", r)) > math.log(_MAX_CUTOFF // 2 + 1):
-        raise CutoffError(
-            f"r={r} needs a cutoff beyond {_MAX_CUTOFF}; "
-            "reduce r or supply amplitudes another way"
-        )
+def _squeeze_sigma(r):
+    """sinh^2 r, at min(r, 20) so it cannot overflow; DomainError unless r is finite and >= 0."""
+    return math.sinh(min(analytic._nonnegative("r", r), 20.0)) ** 2
 
 
 def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
@@ -163,33 +150,37 @@ def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
     min over 1 <= k <= _MOMENT_ORDERS of
     M_{p+k} / (M_p (N+p+2)...(N+p+k+1)), compared in logs.  N is the
     least cutoff, or cutoff_override, at which that bound times
-    _ROUNDING_MARGIN is at most TAIL_TARGET; tail is that product, and
-    input tail the same for p = 0 at N.  The margin covers rounding: the
-    log ratios drift at most a few ulps per recurrence step, under 3e-8
-    over the p + _MOMENT_ORDERS steps for any p up to _MAX_CUTOFF.  The
-    vacuum is exact at any cutoff; its N is 0.  A mu or N + p past
-    _MAX_CUTOFF raises CutoffError before anything that size is built.
+    _ROUNDING_MARGIN is at most TAIL_TARGET; tail is that product, the same
+    bits whether N was searched or given, and input tail the same for p = 0
+    at N.  The margin covers rounding: the log ratios drift at most a few
+    ulps per recurrence step, under 3e-8 over the p + _MOMENT_ORDERS steps
+    for any p up to _MAX_CUTOFF.  The vacuum is exact at any cutoff; its N
+    is 0.  An input whose <n> = mu + sigma passes _MAX_CUTOFF gets the one
+    refusal, with or without cutoff_override, before any bound is formed; an
+    N + p past _MAX_CUTOFF raises CutoffError before anything that size is built.
     """
     cutoff = 0 if cutoff_override is None else analytic._integer("cutoff_override", cutoff_override)
     _check_cutoff(cutoff + p)
     if vacuum:
         return cutoff, 0.0, 0.0
     beyond = CutoffError(f"moment-aware cutoff for {label}, p={p} exceeds {_MAX_CUTOFF}")
-    if mu > _MAX_CUTOFF:  # a mean photon number mu leaves about half the mass past N < mu
+    # no N up to the cap holds <n> past it: about half a Poisson's mass lies
+    # past any N < mu; as C(2m, m)/4^m <= 1/sqrt(pi m), at most 399/cosh r of
+    # a squeezed vacuum lies at n <= _MAX_CUTOFF, and sinh^2 r > _MAX_CUTOFF
+    # means cosh r > 500; added photons only move mass up
+    if mu + sigma > _MAX_CUTOFF:
         raise beyond
     log_ratios = analytic.log_moment_ratios(mu, sigma, p + _MOMENT_ORDERS)
     log_target = math.log(TAIL_TARGET / _ROUNDING_MARGIN)
     if cutoff_override is None:
         # order k passes once N + p + 2 >= e^x_k and fails while
-        # N + p + k + 1 < e^x_k, so the least N lies in [lo, hi]; one
-        # step of slack each way absorbs the rounding of exp
+        # N + p + k + 1 < e^x_k, so the least N lies in [lo, hi], empty if
+        # lo > hi; one step of slack each way absorbs the rounding of exp
         orders = np.arange(1, _MOMENT_ORDERS + 1)
         x = (np.cumsum(log_ratios[p:]) - log_target) / orders
         reach = np.exp(np.minimum(x, 30.0))  # e^30 is far past the cap
         lo = max(math.ceil(float(np.min(reach - orders))) - p - 2, 0)
         hi = min(max(math.ceil(float(np.min(reach))) - p - 1, 0), _MAX_CUTOFF - p)
-        if lo > hi:
-            raise beyond
         bounds = _log_tail_bounds(log_ratios, p, lo, hi)
         passing = np.flatnonzero(bounds <= log_target)
         if passing.size == 0:
@@ -201,8 +192,6 @@ def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
     tail = _certificate(log_bound)
     if log_bound > log_target:
         raise CutoffError(f"cutoff {cutoff} certifies tail {tail:.3e} > 1e-12 for {label}, p={p}")
-    if p == 0:
-        return cutoff, tail, tail
     return cutoff, _certificate(_log_tail_bounds(log_ratios, 0, cutoff, cutoff)[0]), tail
 
 
@@ -215,13 +204,12 @@ def _log_tail_bounds(log_ratios, p, lo, hi):
     """ln of the tail bound of _gaussian_cutoff at each input cutoff N = lo..hi.
 
     Row N is the least over k of ln M_{p+k} - ln M_p - ln((N+p+2)...(N+p+k+1)),
-    the products taken as differences of one prefix sum of logs.
+    each product row N's own cumulative sum of logs, so no row's bits depend
+    on lo or hi: a searched N certifies the tail that N gets as an override.
     """
     moments = np.cumsum(log_ratios[p : p + _MOMENT_ORDERS])
-    factors = np.arange(lo + p + 2, hi + p + _MOMENT_ORDERS + 2, dtype=np.float64)
-    prefix = np.concatenate(([0.0], np.cumsum(np.log(factors))))
-    rows = np.arange(hi - lo + 1)[:, None]
-    products = prefix[rows + np.arange(1, _MOMENT_ORDERS + 1)] - prefix[rows]
+    first = np.arange(lo + p + 2, hi + p + 3, dtype=np.float64)[:, None]
+    products = np.cumsum(np.log(first + np.arange(_MOMENT_ORDERS)), axis=1)
     return np.min(moments - products, axis=1)
 
 

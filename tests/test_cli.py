@@ -72,13 +72,18 @@ class TestSpecGrammar:
             ("fock:m=1", 5),  # unknown key, at the chunk
             ("fock:n=1,n=2", 9),  # duplicate, at the second chunk
             ("fock:n=abc", 7),  # bad value, after 'n='
+            ("", 0),  # empty spec
+            ("svs:", 4),  # no parameters after the colon
+            ("svs:r=1,phi", 8),  # a chunk without '='
         ],
     )
-    def test_error_positions(self, text, pos):
+    def test_error_positions(self, capsys, text, pos):
         with pytest.raises(SpecParseError) as exc:
             parse_state_spec(text)
         assert exc.value.position == pos
-        assert f"position {pos}" in str(exc.value)
+        assert str(exc.value).endswith(f" (at position {pos})")
+        assert cli.main(["dq", "--state", text]) == 64
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_negative_squeeze_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -272,20 +277,21 @@ class TestDqCommand:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, p",
         [
-            ["--state", "svs:r=800,phi=0"],
-            ["--state", "svs:r=800,phi=0+add=2"],
-            ["--state", "svs:r=800,phi=0", "--cutoff", "10"],
+            (["--state", "svs:r=800,phi=0"], 0),
+            (["--state", "svs:r=800,phi=0+add=2"], 2),
+            (["--state", "svs:r=800,phi=0", "--cutoff", "10"], 0),
         ],
         ids=["auto", "added", "override"],
     )
-    def test_squeeze_past_cosh_range_exit_code(self, capsys, argv):
-        # cosh 800 overflows a double: the squeeze is refused before it is taken
+    def test_squeeze_past_cosh_range_exit_code(self, capsys, argv, p):
+        # cosh 800 overflows a double: the squeeze is refused before it is
+        # taken, by the one refusal of a mean photon number past the cap
         assert cli.main(["dq", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: r=800.0 needs a cutoff beyond")
+        assert captured.err.startswith(f"error: moment-aware cutoff for r=800.0, p={p} exceeds 250000")
 
     def test_moment_cutoff_past_the_cap_exit_code(self, capsys):
         # the moment-aware search stops at the cap, so the refusal names the
@@ -395,6 +401,18 @@ def test_many_photons_added_to_a_gaussian_input(capsys, text, q_ref):
     assert cli.main(["dq", "--state", text, "--json"]) == 0
     q_max = json.loads(capsys.readouterr().out)["q_max"]
     assert abs(q_max - q_ref()) <= 1e-10 * q_ref()
+
+
+def test_input_underflow_past_the_p_bound_fails_loudly(capsys):
+    # past the squeezed-vacuum p bound: the input's amplitudes are subnormal
+    # from n = 1832 and 0 past n = 1924, inside the raised mass, which
+    # centres near n = 1719; the agreement check refuses the wrong q_max
+    assert cli.main(["dq", "--state", "svs:r=0.5,phi=0+add=2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: numeric and closed form disagree for svs:r=0.5,phi=0.0+add=2000"
+    )
 
 
 class TestGridCommand:
@@ -646,6 +664,20 @@ class TestSweepCommand:
         assert code == 64
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag} must be finite")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p-list", "1", "--x-min", "0", "--x-max", "1", "--steps", "1"],
+         "sweep needs at least 2 steps"),
+        (["--p-list", "1", "--x-min", "2", "--x-max", "1", "--steps", "3"],
+         "x_min must not exceed x_max"),
+        (["--p-list", ",", "--x-min", "0", "--x-max", "1", "--steps", "3"],
+         "p_list must be non-empty for pac sweeps"),
+    ], ids=["one-step", "reversed-range", "empty-p-list"])
+    def test_bad_sweep_grid_exit_code(self, tmp_path, capsys, flags, message):
+        code = cli.main(["sweep", "--family", "pac", *flags, "--out", str(tmp_path / "s.csv")])
+        assert code == 64
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_p_list_token(self, tmp_path, capsys):

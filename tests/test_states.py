@@ -392,7 +392,7 @@ class TestCutoffRule:
         ratios = analytic.log_moment_ratios(mu, sigma, p + states._MOMENT_ORDERS)
         bounds = states._log_tail_bounds(ratios, p, max(cutoff - 1, 0), cutoff)
         assert bounds[-1] <= _log_target() < (bounds[0] if cutoff else math.inf)
-        assert tail == pytest.approx(math.exp(bounds[-1]) * states._ROUNDING_MARGIN, rel=1e-12)
+        assert tail == math.exp(bounds[-1]) * states._ROUNDING_MARGIN
 
     @pytest.mark.parametrize("p", [0, 1, 10])
     def test_measured_cutoffs(self, p):
@@ -413,7 +413,7 @@ class TestCutoffRule:
     def test_override_certified_by_the_same_bound(self):
         auto = make_squeezed_vacuum(1.0, 0.3, p=2)
         same = make_squeezed_vacuum(1.0, 0.3, cutoff_override=auto.cutoff - 2, p=2)
-        assert same.tail_bound == pytest.approx(auto.tail_bound, rel=1e-12)
+        assert same.tail_bound == auto.tail_bound
         assert same.amplitudes.tobytes() == auto.amplitudes.tobytes()
         deeper = make_coherent(1.5, cutoff_override=80, p=3)
         assert 0.0 < deeper.tail_bound < make_coherent(1.5, p=3).tail_bound
@@ -421,6 +421,40 @@ class TestCutoffRule:
             make_squeezed_vacuum(1.0, 0.3, cutoff_override=auto.cutoff - 3, p=2)
         with pytest.raises(CutoffError, match="certifies tail"):
             make_coherent(1.0, cutoff_override=12, p=5)
+
+    def test_searched_cutoff_certifies_its_override_tail(self):
+        # each tail-bound row is its own cumulative sum of logs, so the
+        # search and an override of the cutoff it picks certify the same bits
+        rng = np.random.default_rng(35)
+        differ = []
+        for draw in range(2000):
+            p = int(rng.integers(0, 11))
+            if draw % 2:
+                make, args = make_coherent, (complex(*rng.normal(0.0, 6.0, 2)),)
+            else:
+                make, args = make_squeezed_vacuum, (rng.uniform(0.0, 3.5), rng.uniform(0.0, 2.0 * math.pi))
+            auto = make(*args, p=p)
+            if make(*args, cutoff_override=auto.cutoff - p, p=p).tail_bound != auto.tail_bound:
+                differ.append(draw)
+        assert differ == []
+
+    def test_coherent_refusal_when_no_window_row_passes(self):
+        # the search window is non-empty here, but none of its rows passes
+        with pytest.raises(CutoffError) as info:
+            make_coherent(math.sqrt(162284.0), p=10)
+        assert str(info.value) == "moment-aware cutoff for |alpha|^2=162284, p=10 exceeds 250000"
+
+    @pytest.mark.parametrize("cutoff", [None, 10])
+    @pytest.mark.parametrize("build, label", [
+        (lambda c: make_squeezed_vacuum(8.0, 0.0, cutoff_override=c), "r=8.0"),
+        (lambda c: make_squeezed_vacuum(800.0, 0.0, cutoff_override=c), "r=800.0"),
+        (lambda c: make_coherent(600.0, cutoff_override=c), "|alpha|^2=360000"),
+    ], ids=["svs-8", "svs-800", "coherent-600"])
+    def test_one_refusal_past_the_cap(self, build, label, cutoff):
+        # <n> past the cap: one refusal, with or without an override
+        with pytest.raises(CutoffError) as info:
+            build(cutoff)
+        assert str(info.value) == f"moment-aware cutoff for {label}, p=0 exceeds 250000"
 
     @pytest.mark.parametrize("r, p", [(4.831454028841108, 1), (4.8314540311694145, 1), (6.0, 3)])
     def test_refusal_at_the_cap(self, r, p):
