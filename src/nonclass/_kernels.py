@@ -96,13 +96,18 @@ def coherent_overlaps(amps, betas):
 # so no weight underflows before its term is negligible, at any radius.
 # ---------------------------------------------------------------------------
 
+def split_cumsum(steps, out):
+    """Cumulative sums of steps into out, each step split into a multiple of
+    2^-32, whose sums are exact below 2^21, and a remainder summed apart."""
+    hi = np.rint(steps * 2.0**32) * 2.0**-32
+    lo = steps - hi
+    return np.add(np.add.accumulate(hi, out=hi), np.add.accumulate(lo, out=lo), out=out)
+
+
 def log_sqrt_poisson(rho, n_amp):
     """ln w_n(rho) for n < n_amp and rho > 0: with mu = rho**2, ln w_M at
-    M = min(floor(mu), n_amp - 1) from Stirling's series to M^-7 (2e-17
-    off), or ln w_0 = -mu/2 when M < 32, then cumulative sums outward of
-    the steps ln(w_j/w_{j-1}), each split into a multiple of 2^-32, whose
-    sums are exact below 2^21, and a remainder.
-    """
+    M = min(floor(mu), n_amp - 1) from Stirling's series to M^-7 (2e-17 off),
+    or ln w_0 = -mu/2 when M < 32, then split_cumsum outward of ln(w_j/w_{j-1})."""
     mu, j = rho**2, np.arange(1.0, n_amp)
     near = j[: int(2.0 * mu)]  # past 2 mu, log1p((mu - j)/j) nears log1p(-1) and cancels
     steps = np.concatenate((0.5 * np.log1p((mu - near) / near),
@@ -112,11 +117,11 @@ def log_sqrt_poisson(rho, n_amp):
     if m >= 32:  # sum (m - mu) as one term: it cancels against m log1p((mu - m)/m)
         rem = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * m * m)) / (m * m)) / (m * m)) / m
         log_w[m] = 0.5 * (m * math.log1p((mu - m) / m) + (m - mu) - 0.5 * math.log(math.tau * m) - rem)
+        np.subtract(log_w[m], split_cumsum(steps[m - 1 :: -1], log_w[m - 1 :: -1]), out=log_w[m - 1 :: -1])
     else:
         m, log_w[0] = 0, -0.5 * mu
-    split = np.stack((hi := np.round(steps * 2.0**32) * 2.0**-32, steps - hi))
-    log_w[m + 1:] = log_w[m] + np.cumsum(split[:, m:], axis=1).sum(axis=0)
-    log_w[:m] = log_w[m] - np.cumsum(split[:, :m][:, ::-1], axis=1).sum(axis=0)[::-1]
+    split_cumsum(steps[m:], log_w[m + 1 :])
+    log_w[m + 1 :] += log_w[m]
     return log_w
 
 

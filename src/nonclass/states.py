@@ -4,7 +4,8 @@ A state is a vector of Fock amplitudes c_0..c_N with a certified bound on
 the probability mass the truncation discarded.  Fock states are exact.
 Coherent states and squeezed vacua, with or without photons added, take
 their cutoffs from one rule (_gaussian_cutoff), which keeps that bound
-below TAIL_TARGET.  Operations are exact linear maps on the truncated
+below TAIL_TARGET, and their amplitudes from one log-domain routine
+(_gaussian_state).  Operations are exact linear maps on the truncated
 vector.
 """
 
@@ -17,8 +18,7 @@ from . import _kernels, analytic
 from .errors import AccuracyError, CutoffError, DomainError
 
 TAIL_TARGET = 1e-12
-# largest cutoff any constructor builds, chosen or overridden; checked
-# before anything is allocated
+# largest cutoff any constructor builds, checked before anything is allocated
 _MAX_CUTOFF = 250_000
 # moment orders k the tail bound of _gaussian_cutoff tries
 _MOMENT_ORDERS = 64
@@ -64,64 +64,83 @@ class FockState:
 def make_coherent(alpha, cutoff_override=None, p=0):
     """Coherent state |alpha>, or with p photons added, (a^dag)^p |alpha> normalized.
 
-    The input is truncated at the cutoff _gaussian_cutoff picks, or at
-    cutoff_override, and the returned state at that cutoff + p; its
-    tail_bound certifies the returned state's own discarded mass.  A
-    cutoff_override that cannot certify TAIL_TARGET, or a cutoff past
-    _MAX_CUTOFF, raises CutoffError.  alpha = 0 is the vacuum, exact at
-    cutoff 0; with p photons added it is the number state |p>, built by
-    make_fock at cutoff + p, not by the photon-addition pass.
-    c_n = e^{i n theta} w_n, w_n = e^{-mu/2} mu^{n/2}/sqrt(n!), with
-    mu = |alpha|^2 and theta = arg alpha as doubles, as one vector: ln w is
-    _kernels.log_sqrt_poisson, anchored near n = mu, and n theta is split
-    so that its high part is exact.
+    The input is cut at the cutoff _gaussian_cutoff picks, or at
+    cutoff_override, the returned state at that cutoff + p, and its tail_bound
+    certifies its own discarded mass; an override that cannot certify
+    TAIL_TARGET, or a cutoff past _MAX_CUTOFF, raises CutoffError.  alpha = 0
+    is |p>, built by make_fock at cutoff + p.  Else c_n = w_n e^{i n theta},
+    mu = |alpha|^2 and theta = arg alpha as doubles, ln w_n = ln(e^{-mu/2}
+    mu^{n/2}/sqrt(n!)) from _kernels.log_sqrt_poisson.
     """
     alpha, p = complex(alpha), analytic._integer("p", p)
     mu = analytic._alpha_sq(alpha)
-    cutoff, tail_in, tail = _gaussian_cutoff(
-        mu, 0.0, p, cutoff_override, alpha == 0, f"|alpha|^2={mu:.6g}"
-    )
+    cutoff, log_moment, tail = _gaussian_cutoff(mu, 0.0, p, cutoff_override, alpha == 0, f"|alpha|^2={mu:.6g}")
     if alpha == 0:  # (a^dag)^p |0> is |p>
         return make_fock(p, cutoff + p)
-    theta, n = math.atan2(alpha.imag, alpha.real), np.arange(cutoff + 1)
-    t_hi = float(np.float32(theta))  # n t_hi is exact
-    w = np.exp(_kernels.log_sqrt_poisson(abs(alpha), cutoff + 1))
-    amps = w * np.exp(1j * n * t_hi) * np.exp(1j * n * (theta - t_hi))
-    return _photon_added(FockState(amps, tail_in), p, tail)
+    log_w = _kernels.log_sqrt_poisson(abs(alpha), cutoff + 1)
+    return _gaussian_state(log_w, 1j * math.atan2(alpha.imag, alpha.real), 1, cutoff, p, log_moment, tail)
 
 
 def make_squeezed_vacuum(r, phi, cutoff_override=None, p=0):
     """Squeezed vacuum with squeeze modulus r and angle phi, or with p photons added.
 
     Even amplitudes c_{2m} = (cosh r)^{-1/2} e^{i m phi} t^m sqrt((2m)!)/(m! 2^m),
-    t = tanh r, as one vector, so no rounding compounds over m: with z = ln t +
-    i phi (phi mod 2 pi past 2^100), (t e^{i phi})^m = e^{m hi} e^{m (z - hi)}, hi
-    z's parts rounded to 24 bits so that m hi is exact; ln t never comes from a
-    rounded t; the factorial ratio is a cumulative product of sqrt((2j-1)/(2j)).
+    t = tanh r, with no recurrence: c_{2m} = e^{l_m + m z}, z = ln t + i phi
+    (phi mod 2 pi past 2^100, ln t not from a rounded t), and l_m, ln of the
+    factorial ratio less ln(cosh r)/2, a split_cumsum of log1p(-1/(2j))/2.
     Cutoffs, tail_bound and r = 0 are as in make_coherent.
     """
     analytic._finite("phi", float(phi))
     sigma, p = _squeeze_sigma(r), analytic._integer("p", p)
-    cutoff, tail_in, tail = _gaussian_cutoff(0.0, sigma, p, cutoff_override, r == 0.0, f"r={r}")
+    cutoff, log_moment, tail = _gaussian_cutoff(0.0, sigma, p, cutoff_override, r == 0.0, f"r={r}")
     if r == 0.0:  # the vacuum, as in make_coherent; t = 0 has no logarithm
         return make_fock(p, cutoff + p)
     log_t = math.log(math.tanh(r)) if r < 0.5 else math.log1p(-2.0 / (math.exp(2.0 * r) + 1.0))
+    log_c = np.zeros(cutoff // 2 + 1)
+    _kernels.split_cumsum(0.5 * np.log1p(-0.5 / np.arange(1.0, log_c.size)), log_c[1:])
+    log_c -= 0.5 * analytic._log_cosh(r)
     z = complex(log_t, phi if abs(phi) < 2.0**100 else math.fmod(phi, math.tau))
-    m, hi = np.arange(cutoff // 2 + 1), complex(np.complex64(z))  # m hi is exact
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[::2] = np.exp(m * hi) * np.exp(m * (z - hi)) * math.exp(-0.5 * analytic._log_cosh(r))
-    amps[2::2] *= np.cumprod(np.sqrt((2.0 * m[1:] - 1.0) / (2.0 * m[1:])))
-    return _photon_added(FockState(amps, tail_in), p, tail)
+    return _gaussian_state(log_c, z, 2, cutoff, p, log_moment, tail)
+
+
+def _gaussian_state(log_c, z, step, cutoff, p, log_moment, tail):
+    """(a^dag)^p sum_k c_k |step k>, normalized, c_k = e^{log_c[k] + k z} the
+    Gaussian input whose ln M_p and tail _gaussian_cutoff gave.
+
+    e^{k z} is e^{k hi} e^{k (z - hi)}, hi z with both parts rounded to 24
+    bits, so that k hi is exact; at p = 0 the amplitudes are e^{log_c} times
+    those.  (a^dag)^p puts c_k e^{L_n} on |n + p>, n = step k, so for p > 0
+    the moduli |b| are one exp of log_c + k Re z + L - ln(M_p)/2, normal where
+    the mass lies, and only i Im z stays in the factors.  Their exact sum of squares S is 1 less the discarded
+    mass: S must lie in [1 - tail - eps, 1 + eps], or AccuracyError names the
+    lost mass, and b is divided by sqrt(S).  eps bounds the rounding (u =
+    2^-53): where ln|b| >= -40 (the rest is under N e^-80 of S), ln|c| >=
+    -(L_N + 40), and ln|b| sums logs each within a few u relative (ln M_p,
+    ln(p!)/2, the one-signed steps of L and ln|c|), so within 10u (ln M_p +
+    L_N + 20); with 20u for exp, squares and sum, S is within eps = 2^-48
+    (ln M_p + L_N + 24).
+    """
+    k = np.arange(log_c.size)
+    if p == 0:
+        mod = np.exp(log_c)
+    else:
+        log_w = _log_addition_weights(p, cutoff + 1)
+        mod = np.exp(log_c + k * z.real + (log_w[::step] - 0.5 * log_moment))
+        total, eps = float(np.sum(mod * mod)), 2.0**-48 * (log_moment + log_w[-1] + 24.0)
+        if not 1.0 - tail - eps <= total <= 1.0 + eps:
+            raise AccuracyError(f"photon-added state lost mass {1.0 - total:.3e}, past its tail {tail:.3e}")
+        mod, z = mod / math.sqrt(total), 1j * z.imag
+    hi = complex(np.complex64(z))  # k hi is exact
+    amps = np.zeros(cutoff + p + 1, dtype=np.complex128)
+    amps[p::step] = mod * np.exp(k * hi) * np.exp(k * (z - hi))
+    return FockState(amps, tail)
 
 
 def svs_cutoff_for_moment(r, p):
-    """The input cutoff of make_squeezed_vacuum(r, phi, p=p).
-
-    With it the truncated moment <a^q a^dag^q>, q <= p, is within
-    TAIL_TARGET relative of the exact one: the relative error is the mass
-    the q-photon-added state discards, which is no more than the p-photon
-    one's, since (n+q+1)...(n+p) rises with n.
-    """
+    """The input cutoff of make_squeezed_vacuum(r, phi, p=p): there every
+    truncated <a^q a^dag^q>, q <= p, is within TAIL_TARGET relative of the
+    exact one, the mass the q-photon-added state discards, which is no more
+    than the p-photon one's, since (n+q+1)...(n+p) rises with n."""
     sigma, p = _squeeze_sigma(r), analytic._integer("p", p)
     return _gaussian_cutoff(0.0, sigma, p, None, r == 0.0, f"r={r}")[0]
 
@@ -138,26 +157,24 @@ def _squeeze_sigma(r):
 
 
 def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
-    """(N, input tail, tail) for p photons added to a coherent or squeezed input.
+    """(N, ln M_p, tail) for p photons added to a coherent or squeezed input.
 
-    The one cutoff rule for every non-Fock state.  The input is a
-    coherent state (mu = |alpha|^2, sigma = 0) or a squeezed vacuum
-    (mu = 0, sigma = sinh^2 r), truncated at N; the p-photon-added state
-    at N + p.  Its moments M_j = <a^j a^dag^j> are exact, from
-    analytic.log_moment_ratios, the recurrence the closed forms divide
-    by too.  For n >= N+1, (n+p+1)...(n+p+k) >=
-    (N+p+2)...(N+p+k+1), so the photon-added state discards at most
-    min over 1 <= k <= _MOMENT_ORDERS of
-    M_{p+k} / (M_p (N+p+2)...(N+p+k+1)), compared in logs.  N is the
-    least cutoff, or cutoff_override, at which that bound times
-    _ROUNDING_MARGIN is at most TAIL_TARGET; tail is that product, the same
-    bits whether N was searched or given, and input tail the same for p = 0
-    at N.  The margin covers rounding: the log ratios drift at most a few
-    ulps per recurrence step, under 3e-8 over the p + _MOMENT_ORDERS steps
-    for any p up to _MAX_CUTOFF.  The vacuum is exact at any cutoff; its N
-    is 0.  An input whose <n> = mu + sigma passes _MAX_CUTOFF gets the one
-    refusal, with or without cutoff_override, before any bound is formed; an
-    N + p past _MAX_CUTOFF raises CutoffError before anything that size is built.
+    The one cutoff rule for every non-Fock state.  The input is a coherent
+    state (mu = |alpha|^2, sigma = 0) or a squeezed vacuum (mu = 0, sigma =
+    sinh^2 r), truncated at N; the p-photon-added state at N + p.  Its
+    moments M_j = <a^j a^dag^j> are exact, from analytic.log_moment_ratios,
+    which the closed forms divide by too; ln M_p is the math.fsum of the first
+    p.  For n >= N+1, (n+p+1)...(n+p+k) >= (N+p+2)...(N+p+k+1), so the
+    photon-added state discards at most min over 1 <= k <= _MOMENT_ORDERS of
+    M_{p+k} / (M_p (N+p+2)...(N+p+k+1)), compared in logs.  N is the least
+    cutoff, or cutoff_override, at which that bound times _ROUNDING_MARGIN is
+    at most TAIL_TARGET; tail is that product, the same bits whether N was
+    searched or given.  The margin covers rounding: the log ratios drift a
+    few ulps per step, under 3e-8 over p + _MOMENT_ORDERS steps up to
+    _MAX_CUTOFF.  The vacuum is exact at any cutoff; its N is 0.  An input
+    whose <n> = mu + sigma passes _MAX_CUTOFF gets the one refusal, with or
+    without cutoff_override, before any bound is formed; an N + p past
+    _MAX_CUTOFF raises CutoffError before anything that size is built.
     """
     cutoff = 0 if cutoff_override is None else analytic._integer("cutoff_override", cutoff_override)
     _check_cutoff(cutoff + p)
@@ -189,24 +206,18 @@ def _gaussian_cutoff(mu, sigma, p, cutoff_override, vacuum, label):
         log_bound = bounds[passing[0]]
     else:
         log_bound = _log_tail_bounds(log_ratios, p, cutoff, cutoff)[0]
-    tail = _certificate(log_bound)
+    tail = max(math.exp(log_bound) * _ROUNDING_MARGIN, math.ulp(0.0))  # never rounded to 0
     if log_bound > log_target:
         raise CutoffError(f"cutoff {cutoff} certifies tail {tail:.3e} > 1e-12 for {label}, p={p}")
-    return cutoff, _certificate(_log_tail_bounds(log_ratios, 0, cutoff, cutoff)[0]), tail
-
-
-def _certificate(log_bound):
-    """The certified bound: e^log_bound times the margin, never rounded to 0."""
-    return max(math.exp(log_bound) * _ROUNDING_MARGIN, math.ulp(0.0))
+    return cutoff, math.fsum(log_ratios[:p]), tail
 
 
 def _log_tail_bounds(log_ratios, p, lo, hi):
     """ln of the tail bound of _gaussian_cutoff at each input cutoff N = lo..hi.
 
     Row N is the least over k of ln M_{p+k} - ln M_p - ln((N+p+2)...(N+p+k+1)),
-    each product row N's own cumulative sum of logs, so no row's bits depend
-    on lo or hi: a searched N certifies the tail that N gets as an override.
-    """
+    its products its own cumulative sum of logs, so its bits do not depend on
+    lo or hi: a searched N certifies the tail that N gets as an override."""
     moments = np.cumsum(log_ratios[p : p + _MOMENT_ORDERS])
     first = np.arange(lo + p + 2, hi + p + 3, dtype=np.float64)[:, None]
     products = np.cumsum(np.log(first + np.arange(_MOMENT_ORDERS)), axis=1)
@@ -215,10 +226,7 @@ def _log_tail_bounds(log_ratios, p, lo, hi):
 
 def make_fock(p, cutoff_override=None):
     """Fock state |p>; exact at cutoff p, or zero-padded to cutoff_override.
-
-    A cutoff_override below p raises DomainError, a cutoff past
-    _MAX_CUTOFF CutoffError.
-    """
+    A cutoff_override below p raises DomainError, one past _MAX_CUTOFF CutoffError."""
     p = analytic._integer("p", p)
     cutoff = p if cutoff_override is None else analytic._integer("cutoff_override", cutoff_override)
     if _check_cutoff(cutoff) < p:
@@ -228,55 +236,40 @@ def make_fock(p, cutoff_override=None):
     return FockState(amps, 0.0)
 
 
-def _raised_amplitudes(state, p):
-    """(b, shift) with b_n 2^shift = c_n sqrt((n+1)...(n+p)), n = 0..cutoff.
+def _log_addition_weights(p, n_amp):
+    """L_n = ln sqrt((n+1)...(n+p)), n < n_amp, the weight (a^dag)^p puts on
+    c_n: ln(p!)/2, then a split_cumsum of the steps log1p(p/j)/2, whose sum
+    stays below 2^21 up to _MAX_CUTOFF."""
+    log_w = np.full(n_amp, 0.5 * math.lgamma(p + 1.0))
+    log_w[1:] += _kernels.split_cumsum(0.5 * np.log1p(p / np.arange(1.0, n_amp)), np.empty(n_amp - 1))
+    return log_w
 
-    (a^dag)^p puts b_n 2^shift on |n+p>.  The factors sqrt(n+k) multiply in
-    one k at a time under a running bound on max |b_n| (a FockState's
-    amplitudes are below 2 in modulus); past 2^450 the true maximum replaces
-    it, and b is scaled by 2^-300 if that passes too.  So |b|^2 sums without
-    overflow, and b is scaled by its largest entry, not by the largest weight,
-    which may sit where c_n is 0: a Gaussian input's mass stays normal.
-    Power-of-two scaling commutes with rounding: an entry that stays normal is
-    the unscaled product times 2^-shift bit for bit.
-    """
-    b, shift, bound = state.amplitudes.copy(), 0, 2.0
-    for k in range(1, p + 1):
-        b *= np.sqrt(np.arange(k, state.cutoff + k + 1.0))  # sqrt(n + k)
-        bound *= math.sqrt(state.cutoff + k)
-        if bound > 2.0**450:
-            bound = float(np.max(np.abs(b)))
-        if bound > 2.0**450:
-            b, bound, shift = b * 2.0**-300, bound * 2.0**-300, shift + 300
-    return b, shift
+
+def _raised(state, p):
+    """(n, b, s): (a^dag)^p puts b e^s on |n+p>, n where c_n != 0, b = c_n e^{L_n - s},
+    s the largest ln|c_n| + L_n, so |b| <= 1 is one exp of ln|c_n| + L_n - s."""
+    n = np.flatnonzero(state.amplitudes)
+    c, mod = state.amplitudes[n], np.abs(state.amplitudes[n])
+    log_b = np.log(mod) + _log_addition_weights(p, state.cutoff + 1)[n]
+    s = float(np.max(log_b)) if n.size else 0.0
+    return n, np.exp(log_b - s) * (c / mod), s
 
 
 def add_photons(state, p):
-    """Apply (a^dag)^p and renormalize; returns the raised state.
+    """Apply (a^dag)^p and renormalize: c_n goes to |n+p> as _raised's b / |b|.
 
-    Amplitudes map as c_{n+p} = c_n sqrt((n+p)!/n!) / sqrt(S) with
-    S = antinormal_correlation(state, p) computed on the truncated input.
-    An exact input (tail_bound 0) stays exact.  Any other input certifies
-    math.inf: no finite bound is true without the input's moments, so
-    build coherent and squeezed inputs with their constructors' p instead.
-    An output cutoff past _MAX_CUTOFF raises CutoffError.  A photon-added
-    number state is |n+p>: make_fock(n + p) builds it exactly, where this
-    pass may round its lone amplitude to 1 - 2^-53.
+    An exact input (tail_bound 0) stays exact; |n> gives |n+p> exactly.  Any
+    other input certifies math.inf, as no finite bound is true without its
+    moments: build coherent and squeezed inputs with their constructors' p.
+    An output cutoff past _MAX_CUTOFF raises CutoffError.
     """
     p = analytic._integer("p", p)
-    return _photon_added(state, p, 0.0 if state.tail_bound == 0.0 else math.inf)
-
-
-def _photon_added(state, p, tail_bound):
-    """add_photons' amplitude map, with the tail_bound the caller certifies;
-    p = 0 returns state itself."""
     if p == 0:
         return state
-    _check_cutoff(state.cutoff + p)
-    b, _ = _raised_amplitudes(state, p)
-    out = np.zeros(state.cutoff + p + 1, dtype=np.complex128)
-    out[p:] = b / math.sqrt(float(np.sum(b.real**2 + b.imag**2)))
-    return FockState(out, tail_bound)
+    out = np.zeros(_check_cutoff(state.cutoff + p) + 1, dtype=np.complex128)
+    n, b, _ = _raised(state, p)
+    out[n + p] = b / math.sqrt(float(np.sum(b.real**2 + b.imag**2)))
+    return FockState(out, 0.0 if state.tail_bound == 0.0 else math.inf)
 
 
 def displace(state, lam):
@@ -333,10 +326,11 @@ def rotate(state, theta):
 
 
 def antinormal_correlation(state, p):
-    """<a^p (a^dag)^p> = sum_n |c_n|^2 (n+1)...(n+p) on the truncated state."""
-    b, shift = _raised_amplitudes(state, analytic._integer("p", p))
-    with np.errstate(over="ignore"):  # a moment past the double range is inf
-        return float(np.ldexp(np.sum(b.real**2 + b.imag**2), 2 * shift))
+    """<a^p (a^dag)^p> = sum_n |c_n|^2 (n+1)...(n+p) on the truncated state,
+    as e^{2s} sum |b|^2 from _raised; inf past the double range."""
+    _, b, s = _raised(state, analytic._integer("p", p))
+    with np.errstate(over="ignore"):
+        return float(np.exp(2.0 * s) * np.sum(b.real**2 + b.imag**2))
 
 
 def mean_photon(state):

@@ -395,24 +395,26 @@ def test_every_spec_on_the_domain_lattice_exits_zero(capsys):
     ("svs:r=0.5,phi=0+add=800", lambda: pasv_qmax(800, 0.5).qmax),
 ])
 def test_many_photons_added_to_a_gaussian_input(capsys, text, q_ref):
-    # the addition pass scales the raised amplitudes by their own largest
-    # entry, so the low-n mass of a Gaussian input survives a large p;
-    # measured within 1.2e-12 relative of the closed form
+    # the raised amplitudes are one log-domain vector, so the low-n mass of a
+    # Gaussian input survives a large p; measured within 1.2e-12 relative of
+    # the closed form
     assert cli.main(["dq", "--state", text, "--json"]) == 0
     q_max = json.loads(capsys.readouterr().out)["q_max"]
     assert abs(q_max - q_ref()) <= 1e-10 * q_ref()
 
 
-def test_input_underflow_past_the_p_bound_fails_loudly(capsys):
-    # past the squeezed-vacuum p bound: the input's amplitudes are subnormal
-    # from n = 1832 and 0 past n = 1924, inside the raised mass, which
-    # centres near n = 1719; the agreement check refuses the wrong q_max
-    assert cli.main(["dq", "--state", "svs:r=0.5,phi=0+add=2000"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: numeric and closed form disagree for svs:r=0.5,phi=0.0+add=2000"
-    )
+@pytest.mark.parametrize("text, r, p", [
+    ("svs:r=0.5,phi=0+add=2000", 0.5, 2000),
+    ("svs:r=1,phi=0+add=3000", 1.0, 3000),
+    ("svs:r=0.1,phi=0+add=5000", 0.1, 5000),
+])
+def test_squeezed_input_past_the_former_p_bound(capsys, text, r, p):
+    # the former build lost the input's underflowed tail here and exited 2 on
+    # the agreement check; raised in the log domain, q_max measured within
+    # 8.9e-12 relative of the closed form
+    assert cli.main(["dq", "--state", text, "--json"]) == 0
+    q_max = json.loads(capsys.readouterr().out)["q_max"]
+    assert abs(q_max - pasv_qmax(p, r).qmax) <= 1e-10 * q_max
 
 
 class TestGridCommand:

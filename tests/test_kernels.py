@@ -255,6 +255,27 @@ def _log_sqrt_poisson_errors(rho, n_amp, samples=120):
     return live, dead
 
 
+def _row_by_stacked_sums(rho, n_amp):
+    """ln w_n as log_sqrt_poisson built it before split_cumsum: the same
+    anchor and steps, their high and low parts stacked in one array, and one
+    cumulative sum of each part per direction from the anchor."""
+    mu, j = rho**2, np.arange(1.0, n_amp)
+    near = j[: int(2.0 * mu)]
+    steps = np.concatenate((0.5 * np.log1p((mu - near) / near),
+                            math.log(rho) - 0.5 * np.log(j[near.size:])))
+    m = min(math.floor(mu), n_amp - 1)
+    log_w = np.empty(n_amp)
+    if m >= 32:
+        rem = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * m * m)) / (m * m)) / (m * m)) / m
+        log_w[m] = 0.5 * (m * math.log1p((mu - m) / m) + (m - mu) - 0.5 * math.log(math.tau * m) - rem)
+    else:
+        m, log_w[0] = 0, -0.5 * mu
+    split = np.stack((hi := np.round(steps * 2.0**32) * 2.0**-32, steps - hi))
+    log_w[m + 1:] = log_w[m] + np.cumsum(split[:, m:], axis=1).sum(axis=0)
+    log_w[:m] = log_w[m] - np.cumsum(split[:, :m][:, ::-1], axis=1).sum(axis=0)[::-1]
+    return log_w
+
+
 class TestLogSqrtPoisson:
     # (rho, n_amp): mu = rho^2 from 9.8e-4 to 1.6e5 at the largest cutoff,
     # 250,000; mu = 30.25 just below the Stirling anchor, 33.06 just above;
@@ -272,6 +293,13 @@ class TestLogSqrtPoisson:
         live, dead = _log_sqrt_poisson_errors(rho, n_amp)
         assert live <= 1e-15
         assert dead <= 1e-13
+
+    @pytest.mark.parametrize("rho, n_amp", [(1.0, 40), (0.3, 7), (5.5, 200), (38.0, 2_000),
+                                            (300.0, 138_675), (400.0, 250_001)])
+    def test_rows_bit_identical_to_stacked_sums(self, rho, n_amp):
+        # split_cumsum's in-place sums keep every bit of the stacked ones,
+        # anchored at 0 and by Stirling's series, up to the largest cutoff
+        assert log_sqrt_poisson(rho, n_amp).tobytes() == _row_by_stacked_sums(rho, n_amp).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.3, 5.5, 5.75, 38.0, 301.0, 400.0])
     def test_coherent_moduli_are_its_exp(self, alpha):

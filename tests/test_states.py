@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from fractions import Fraction
 
 import hypothesis.strategies as hs
 import mpmath
@@ -181,12 +180,17 @@ class TestFockAndAddition:
     @pytest.mark.parametrize("p", [1, 2, 5, 10])
     def test_addition_to_built_states(self, p):
         # add_photons on a state already built: a squeezed vacuum cut at
-        # svs_cutoff_for_moment(r, p) gives the constructor's amplitudes bit
-        # for bit (its tail left uncertified); a coherent state cut for p = 0
-        # loses tail, yet its q_max is within 1e-6 relative of the closed form
+        # svs_cutoff_for_moment(r, p) gives the constructor's amplitudes
+        # within 2e-14 relative, entry by entry (measured 5.6e-15: the
+        # constructor raises the exact ln|c_n|, add_photons the rounded c_n),
+        # its tail left uncertified; a coherent state cut for p = 0 loses
+        # tail, yet its q_max is within 1e-6 relative of the closed form
         for r, phi in ((0.3, 0.6), (0.55, 0.6), (1.0, 0.0), (1.0, 0.4), (1.0, 0.6), (2.0, 0.6)):
             st = add_photons(make_squeezed_vacuum(r, phi, cutoff_override=svs_cutoff_for_moment(r, p)), p)
-            assert st.amplitudes.tobytes() == make_squeezed_vacuum(r, phi, p=p).amplitudes.tobytes()
+            built = make_squeezed_vacuum(r, phi, p=p).amplitudes
+            held = built != 0.0
+            assert np.array_equal(st.amplitudes != 0.0, held)
+            assert np.max(np.abs(st.amplitudes[held] / built[held] - 1.0)) <= 2e-14
             assert st.tail_bound == math.inf
         for u in (0.1, 0.9, 1.0, 1.5, 3.0):
             got = optimizer.maximize_q(add_photons(make_coherent(math.sqrt(u)), p)).q_max
@@ -491,6 +495,137 @@ class TestCutoffRule:
         assert np.max(np.abs(got - want)) <= (2.0 * math.sqrt(tau) + tau) / math.pi + 1e-15
 
 
+def _log_moment(family, param, p):
+    """ln M_p of the input to 40 digits: p! L_p(-mu), mu = |alpha|^2 as the
+    double the constructor takes, or p! c^p P_p(c), c = cosh r."""
+    with mpmath.workdps(40):
+        if family == "coherent":
+            return mpmath.log(mpmath.factorial(p) * mpmath.laguerre(p, 0, -mpmath.mpf(abs(param) ** 2)))
+        c = mpmath.cosh(mpmath.mpf(param))
+        return mpmath.log(mpmath.factorial(p)) + p * mpmath.log(c) + mpmath.log(mpmath.legendre(p, c))
+
+
+def _raised_amplitude(family, param, phase, p, n, log_moment):
+    """Amplitude of |n> in the p-photon-added input, normalized by the exact
+    M_p, to 40 digits: c_{n-p} sqrt((n-p+1)...n / M_p), for |alpha> at
+    alpha = param (mu and arg alpha the doubles the constructor takes) or the
+    squeezed vacuum at r = param, phi = phase."""
+    k = n - p
+    with mpmath.workdps(40):
+        if family == "coherent":
+            mu = mpmath.mpf(abs(param) ** 2)
+            log_c = (k * mpmath.log(mu) - mu - mpmath.loggamma(k + 1)) / 2
+            turn = k * mpmath.mpf(math.atan2(param.imag, param.real))
+        elif k % 2:
+            return mpmath.mpc(0)
+        else:
+            m, r = k // 2, mpmath.mpf(param)
+            log_c = (m * mpmath.log(mpmath.tanh(r)) + mpmath.loggamma(2 * m + 1) / 2
+                     - mpmath.loggamma(m + 1) - m * mpmath.log(2) - mpmath.log(mpmath.cosh(r)) / 2)
+            turn = m * mpmath.mpf(phase)
+        log_b = log_c + (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - log_moment) / 2
+        return mpmath.expj(turn) * mpmath.exp(log_b)
+
+
+def _build(family, param, phase, p):
+    if family == "coherent":
+        return make_coherent(param, p=p)
+    return make_squeezed_vacuum(param, phase, p=p)
+
+
+def _raised_amplitude_errors(family, param, phase, p, samples=9):
+    """Relative errors of `samples` amplitudes of the p-photon-added state,
+    from the first to the last of those at 1e-8 of the largest or above,
+    against _raised_amplitude; the state divides by its own kept mass, not
+    by M_p, which moves each amplitude by at most its tail_bound."""
+    st = _build(family, param, phase, p)
+    mags = np.abs(st.amplitudes)
+    kept = np.flatnonzero(mags >= 1e-8 * np.max(mags))
+    log_moment = _log_moment(family, param, p)
+    errors = []
+    for n in sorted(set(np.linspace(kept[0], kept[-1], samples).astype(int).tolist())):
+        n += (n - p) % 2 if family == "svs" else 0
+        want = _raised_amplitude(family, param, phase, p, n, log_moment)
+        errors.append(float(abs(complex(st.amplitudes[n]) - want) / abs(want)))
+    return st, errors
+
+
+# item 20's rows: the input cutoffs of the former build that lost mass, and
+# the extremes it kept
+_FORMER_LOSS_ROWS = [("svs", 0.5, 0.0, 1600), ("svs", 0.5, 0.0, 2000), ("svs", 0.1, 0.0, 5000),
+                     ("svs", 1.0, 0.0, 3000), ("coherent", 1.0 + 0j, 0.0, 20000),
+                     ("coherent", 300.0 + 0j, 0.0, 3)]
+
+
+def _certificate_rows():
+    # seeded coherent |alpha| <= 20 and svs r <= 1, p log-uniform in [1, 5000]
+    rng = np.random.default_rng(38)
+    rows = list(_FORMER_LOSS_ROWS)
+    for _ in range(8):
+        p = int(round(10.0 ** rng.uniform(0.0, math.log10(5000.0))))
+        rows.append(("coherent", cmath.rect(20.0 * math.sqrt(rng.uniform()), rng.uniform(-math.pi, math.pi)),
+                     0.0, p))
+        p = int(round(10.0 ** rng.uniform(0.0, math.log10(5000.0))))
+        rows.append(("svs", rng.uniform(0.02, 1.0), rng.uniform(0.0, 2.0 * math.pi), p))
+    return rows
+
+
+class TestPhotonAddition:
+    def test_raised_norm_within_its_certificate(self):
+        # the constructor divides b by sqrt(S), S = sum |b|^2 before
+        # normalization, so S = |b_n|^2 / |amplitude_n|^2 at the largest
+        # amplitude, b_n from 40-digit mpmath; S lies in [1 - tail - eps,
+        # 1 + eps], eps = 2^-48 (ln M_p + L_N + 24).  Svs states with r <= 1
+        # also meet the closed form's q_max to 1e-10 relative
+        for family, param, phase, p in _certificate_rows():
+            st = _build(family, param, phase, p)
+            log_moment = _log_moment(family, param, p)
+            n = int(np.argmax(np.abs(st.amplitudes)))
+            want = _raised_amplitude(family, param, phase, p, n, log_moment)
+            total = float(abs(want) ** 2) / abs(complex(st.amplitudes[n])) ** 2
+            top = st.cutoff - p  # L_N = ln sqrt((N+1)...(N+p))
+            eps = 2.0**-48 * (float(log_moment) + 0.5 * float(mpmath.log(mpmath.rf(top + 1, p))) + 24.0)
+            assert 1.0 - st.tail_bound - eps <= total <= 1.0 + eps, (family, param, p, total - 1.0)
+            if family == "svs" and param <= 1.0:
+                q_max = optimizer.maximize_q(st).q_max
+                want_q = analytic.pasv_qmax(p, param).qmax
+                assert abs(q_max - want_q) <= 1e-10 * want_q, (param, p)
+
+    def test_lost_mass_is_refused(self, monkeypatch):
+        # an input that loses mass where the raised state holds it, as the
+        # former build's underflowed input did, fails the check by name
+        original = states._log_addition_weights
+
+        def lossy(p, n_amp):
+            log_w = original(p, n_amp)
+            log_w[n_amp // 2:] = -math.inf
+            return log_w
+
+        monkeypatch.setattr(states, "_log_addition_weights", lossy)
+        for build in (lambda: make_squeezed_vacuum(0.5, 0.0, p=2000), lambda: make_coherent(1.0, p=3)):
+            with pytest.raises(AccuracyError, match="lost mass"):
+                build()
+
+    @pytest.mark.parametrize("family, param, phase, p, bound", [
+        ("coherent", cmath.rect(300.0, 0.7), 0.0, 10, 1e-13),
+        ("svs", 4.4, 2.1, 10, 1e-13),
+    ] + [row + (5e-12,) for row in _FORMER_LOSS_ROWS[:4]])
+    def test_raised_amplitudes_match_mpmath(self, family, param, phase, p, bound):
+        # measured at most 4.1e-14 at p = 10 and 1.6e-12 at the large p
+        st, errors = _raised_amplitude_errors(family, param, phase, p)
+        assert max(errors) <= bound + st.tail_bound
+
+    @pytest.mark.parametrize("p", [1, 7, 160, 5000])
+    def test_addition_weights_are_exact(self, p):
+        # L_n = ln sqrt((n+1)...(n+p)) against 40-digit mpmath up to n =
+        # 250,000, within 4 ulps of L_n (measured 1)
+        n = np.unique(np.concatenate([np.arange(40), np.geomspace(40, 250_000, 60).astype(int)]))
+        got = states._log_addition_weights(p, 250_001)[n]
+        with mpmath.workdps(40):
+            want = [float((mpmath.loggamma(k + p + 1) - mpmath.loggamma(k + 1)) / 2) for k in n.tolist()]
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+
+
 class TestDisplace:
     # |lam|^2 is 0 below |lam| = 2.3e-162, where the chains' ln x cannot be taken
     @pytest.mark.parametrize("lam", [0.0, 3.3e-255, 1e-170j])
@@ -652,31 +787,19 @@ class TestAntinormalCorrelation:
             if p == 1:
                 assert got == pytest.approx(math.cosh(r) ** 2, rel=1e-12)
 
-    def test_raised_amplitudes_rescaled_bit_for_bit(self):
-        # c_n sqrt((n+1)...(n+200)) for n <= 38 peaks near 2^636: rescaled,
-        # yet every entry, a normal double, equals the unscaled running
-        # product times 2^-shift
-        st = make_coherent(1.0 + 0.5j, cutoff_override=38)
-        raised, shift = states._raised_amplitudes(st, 200)
-        assert shift == 300
-        n = np.arange(st.cutoff + 1, dtype=np.float64)
-        plain = st.amplitudes.copy()
-        for k in range(1, 201):
-            plain *= np.sqrt(n + k)
-        parts = np.abs(np.concatenate([raised.real, raised.imag]))
-        assert np.all(parts[parts != 0.0] >= np.finfo(np.float64).tiny)
-        assert (raised * 2.0**shift).tobytes() == plain.tobytes()
-
     def test_raised_amplitudes_past_double_range(self):
-        # c_n^2 (n+1)...(n+400) overflows a double; raised 2^shift keeps it
-        # to rounding, and the moment itself is reported as inf
+        # c_n^2 (n+1)...(n+400) overflows a double; add_photons raises it in
+        # the log domain to within 5e-13 relative of the exact map on the
+        # input's doubles (measured 1.2e-13), and the moment itself is inf
         st = make_coherent(1.0)
-        raised, shift = states._raised_amplitudes(st, 400)
-        assert np.abs(raised).max() <= 2.0**460
-        for n in (0, 10, st.cutoff):
-            sq = Fraction(raised[n].real) ** 2 * 4**shift
-            want_sq = Fraction(st.amplitudes[n].real) ** 2 * math.prod(range(n + 1, n + 401))
-            assert abs(math.sqrt(sq / want_sq) - 1.0) <= 400 * 2.0**-52
+        got = add_photons(st, 400).amplitudes
+        with mpmath.workdps(40):
+            raised = [mpmath.mpf(c) * mpmath.sqrt(mpmath.rf(n + 1, 400))
+                      for n, c in enumerate(st.amplitudes.real.tolist())]
+            norm = mpmath.sqrt(mpmath.fsum(b * b for b in raised))
+            want = np.array([float(b / norm) for b in raised])
+        assert not got[:400].any() and not got.imag.any()
+        assert np.max(np.abs(got.real[400:] / want - 1.0)) <= 5e-13
         assert antinormal_correlation(st, 400) == math.inf
 
 
