@@ -135,22 +135,23 @@ def bargmann_weights(log_w0, rho0, rho):
     radius below 0 raises ValueError; rho = 0 gives (w_0, 0, 0, ...).
     """
     n_amp = log_w0.shape[0]
-    if np.ndim(rho):
-        log_ratio = np.array([[_log_ratio(r, rho0)] for r in rho[:, 0]])
+    column = np.ndim(rho) > 0
+    radii = rho[:, 0].tolist() if column else [rho]
+    lo, hi = 0.5 * rho0, 2.0 * rho0
+    # one comprehension, not a call per radius; math's log1p, not numpy's,
+    # which can differ from it in the last bit
+    log_ratio = [math.log1p((r - rho0) / rho0) if lo <= r <= hi
+                 else math.log(r / rho0) if r != 0.0 else -math.inf for r in radii]
+    if column:
+        log_ratio = np.array(log_ratio)[:, None]
+        log_w = np.empty((len(radii), n_amp))
     else:
-        log_ratio = _log_ratio(rho, rho0)
-    log_w = np.empty(np.shape(rho)[:1] + (n_amp,))
+        log_ratio, log_w = log_ratio[0], np.empty(n_amp)
     log_w[..., 0] = 0.0
     np.multiply(np.arange(1.0, n_amp), log_ratio, out=log_w[..., 1:])
     log_w += log_w0
     log_w -= 0.5 * (rho - rho0) * (rho + rho0)
     return np.exp(log_w, out=log_w)
-
-
-def _log_ratio(rho, rho0):
-    if 0.5 * rho0 <= rho <= 2.0 * rho0:
-        return math.log1p((rho - rho0) / rho0)
-    return math.log(rho / rho0) if rho != 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ where w_n are the log-domain Bargmann weights of
 _kernels.bargmann_weights, so Q = |<beta|psi>|^2 / pi at any radius.
 A coarse search over _RINGS concentric rings of the search disk picks the
 start: on a ring of _ANGLES equally spaced angles the sum is one FFT of
-the terms c_n w_n folded by n mod _ANGLES.  Newton's method on ln Q in
-polar coordinates polishes it, one (3, N) product g = _ladder(amps) @ row
-per point: g[0] gives a trial's Q, an accepted trial's g the next step's
-derivatives.  Every weight shifts a _kernels.log_sqrt_poisson row, at
-radius 1 (rings) or the start ring's (Newton points).  Polar steps follow
-the ring-shaped ridge of a nearly Fock state, where Cartesian steps crawl.
+the terms c_n w_n folded by n mod _ANGLES; when N <= _ANGLES there is
+one fold, and the terms are written straight into the FFT's input.
+Newton's method on ln Q in polar coordinates polishes it, one (3, N)
+product g = _ladder(amps) @ row per point: g[0] gives a trial's Q, an
+accepted trial's g the next step's derivatives, whose 2x2 Hessian is
+split into eigenpairs in closed form, with no LAPACK call.  Every weight
+shifts a _kernels.log_sqrt_poisson row, at radius 1 (rings) or the start
+ring's (Newton points); the radius-1 row is built once, the longest so
+far kept read-only and sliced.  Polar steps follow the ring-shaped ridge
+of a nearly Fock state, where Cartesian steps crawl.
 """
 
 import cmath
@@ -22,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .analytic import dq_from_log_fidelity
 from .errors import AccuracyError, ConvergenceError, DomainError, WindowError
-from .states import mean_photon
+from .states import _MAX_CUTOFF, mean_photon
 
 # rings at R (j + 1/2) / (_RINGS - 1/2), j < _RINGS, are R / 49.5 apart,
 # the outermost at R; the arc 2 pi R / _ANGLES between angles on it is
@@ -46,9 +50,11 @@ _PI_Q_ROUNDING = 1e-12
 class NonclassReport:
     """Result of a Q maximization.
 
-    beta_max is where the Newton polish stopped, q_max the Husimi density
-    there, dq = analytic.dq_from_log_fidelity(ln(pi q_max)), the closed
-    forms' dq rule too (0 where rounding puts pi q_max above 1 by at most
+    beta_max is where the Newton polish stopped, or the mirror point of
+    that stop where Q is mirror-symmetric (see maximize_q), q_max the
+    Husimi density at the stop,
+    dq = analytic.dq_from_log_fidelity(ln(pi q_max)), the closed forms'
+    dq rule too (0 where rounding puts pi q_max above 1 by at most
     1e-12), and final_step (at most target_step) the length of the last
     accepted Newton step, or of the shortest trial when none raised Q.
     analytic.reference_dq gives the closed form, where a family has one.
@@ -62,10 +68,12 @@ class NonclassReport:
 
 def _ladder(amps):
     """Rows: amplitudes of psi, a psi and a^2 psi; (a psi)_n = sqrt(n+1) c_{n+1}."""
-    c = np.concatenate([amps, np.zeros(2)])
-    root = np.sqrt(np.arange(1.0, c.size))
-    a1 = root * c[1:]
-    return np.stack([amps, a1[:-1], root[:-1] * a1[1:]])
+    rows = np.zeros((3, amps.shape[0]), np.complex128)
+    root = np.sqrt(np.arange(1.0, amps.shape[0]))
+    rows[0] = amps
+    np.multiply(root, amps[1:], out=rows[1, :-1])
+    np.multiply(root[:-1], rows[1, 1:-1], out=rows[2, :-2])
+    return rows
 
 
 def _bargmann_row(log_w0, rho0, rho, theta):
@@ -86,18 +94,56 @@ def _polar_newton_step(g, rho, theta):
     The powers of rho are divided out of w and v by hand, so rho = 0 is
     an ordinary point.  The step is Newton's along each concave
     eigendirection of the Hessian and the gradient along the others.
+    The eigenpairs come in closed form, in Python floats: a diagonal
+    Hessian (cross == 0, as at the vacuum) keeps the coordinate axes
+    exactly, where an angle from atan2 would leave cos(pi/2) ~ 6e-17.
     """
     g0, g1, g2 = g
-    h = g1 / g0
+    # numpy divides, as Python's complex division rounds differently; the
+    # products and sums round alike in Python complex, at less cost
+    h = complex(g1 / g0)
     e = cmath.exp(-1j * theta)
     w1 = h * e  # w / rho
-    v2 = (g2 / g0 - h * h) * e * e  # v / rho^2
-    cross = 2.0 * (v2 * rho + w1).imag
-    grad = np.array([-2.0 * rho + 2.0 * w1.real, 2.0 * rho * w1.imag])
-    hess = np.array([[-2.0 + 2.0 * v2.real, cross],
-                     [cross, -2.0 * rho * (v2 * rho + w1).real]])
-    lam, vec = np.linalg.eigh(hess)
-    return vec @ [c / -l if l < 0.0 else c for c, l in zip(vec.T @ grad, lam)]
+    v2 = (complex(g2 / g0) - h * h) * e * e  # v / rho^2
+    u = v2 * rho + w1
+    grad_rho, grad_theta = -2.0 * rho + 2.0 * w1.real, 2.0 * rho * w1.imag
+    a, c, cross = -2.0 + 2.0 * v2.real, -2.0 * rho * u.real, 2.0 * u.imag
+    # eigenpairs (l1, (x, y)) and (l2, (-y, x))
+    if cross == 0.0:
+        l1, l2, x, y = a, c, 1.0, 0.0
+    else:
+        # (x, y) along l1, the larger, from a sum that cannot cancel
+        half, mid = 0.5 * (a - c), 0.5 * (a + c)
+        radius = math.hypot(half, cross)
+        t = abs(half) + radius
+        norm = math.hypot(t, cross)
+        x, y = (t / norm, cross / norm) if half >= 0.0 else (cross / norm, t / norm)
+        l1, l2 = mid + radius, mid - radius
+    s1 = x * grad_rho + y * grad_theta
+    s2 = x * grad_theta - y * grad_rho
+    if l1 < 0.0:
+        s1 /= -l1
+    if l2 < 0.0:
+        s2 /= -l2
+    return s1 * x - s2 * y, s1 * y + s2 * x
+
+
+# the longest radius-1 row built so far, read-only; its split cumulative
+# sums run in order, so each prefix is bit-identical to a shorter fresh row
+_row_at_one = np.empty(0)
+
+
+def _radius_one_row(n_amp):
+    """ln w_n(1) for n < n_amp: a slice of the longest row built so far,
+    grown on demand up to _MAX_CUTOFF + 1 amplitudes (2 MB), never past."""
+    global _row_at_one
+    row = _row_at_one
+    if n_amp > row.shape[0]:
+        row = _kernels.log_sqrt_poisson(1.0, n_amp)
+        row.flags.writeable = False
+        if n_amp <= _MAX_CUTOFF + 1:
+            _row_at_one = row
+    return row[:n_amp]
 
 
 def _ring_values(amps, rings):
@@ -105,19 +151,25 @@ def _ring_values(amps, rings):
 
     The weights, shifted from one row at radius 1, come at most
     _BLOCK_TERMS terms per block of rings (one ring when N alone exceeds it).
+    When N fits one fold (N <= _ANGLES) the terms are written straight into
+    the folded rows, whose tails stay 0.
     """
     n_amp = amps.shape[0]
-    log_w1 = _kernels.log_sqrt_poisson(1.0, n_amp)
+    log_w1 = _radius_one_row(n_amp)
     width = math.ceil(n_amp / _ANGLES) * _ANGLES
+    one_fold = width == _ANGLES
     block = max(1, _BLOCK_TERMS // n_amp)
-    folded = np.empty((rings.size, _ANGLES), np.complex128)
+    folded = (np.zeros if one_fold else np.empty)((rings.size, _ANGLES), np.complex128)
     for j in range(0, rings.size, block):
         column = rings[j:j + block, None]
-        terms = np.zeros((column.shape[0], width), np.complex128)
+        terms = folded[j:j + block] if one_fold else np.zeros((column.shape[0], width), np.complex128)
         np.multiply(amps, _kernels.bargmann_weights(log_w1, 1.0, column), out=terms[:, :n_amp])
-        terms.reshape(column.shape[0], -1, _ANGLES).sum(axis=1, out=folded[j:j + block])
+        if not one_fold:
+            terms.reshape(column.shape[0], -1, _ANGLES).sum(axis=1, out=folded[j:j + block])
     ov = np.fft.fft(folded, axis=1)
-    return ov.real**2 + ov.imag**2
+    parts = ov.view(np.float64)
+    np.square(parts, out=parts)
+    return np.add(parts[:, 0::2], parts[:, 1::2])
 
 
 def _search_radius(state):
@@ -143,10 +195,20 @@ def maximize_q(state, target_step=TARGET_STEP):
     Newton polish has not stopped after _MAX_NEWTON_STEPS steps, and
     AccuracyError when pi q_max exceeds 1 by more than the rounding
     bound _PI_Q_ROUNDING = 1e-12.
+
+    Where Q has symmetries, rounding does not pick beta_max among the
+    peaks they make.  With one non-zero amplitude, Q is the same at every
+    angle: the polish moves the radius alone, from angle 0.  When every
+    non-zero amplitude index has one parity (squeezed vacua, photons added
+    or not; number states), Q(-beta) = Q(beta), and beta_max is the peak
+    with Re beta > 0, or Re beta = 0 and Im beta >= 0.
     """
     check_target_step(target_step)
     radius = _search_radius(state)
     amps = state.amplitudes
+    nz = np.flatnonzero(amps)
+    # a step along the ring of a rotation-invariant Q would follow rounding alone
+    rotation_invariant = nz.size == 1
     rings = radius * (np.arange(_RINGS) + 0.5) / (_RINGS - 0.5)
     values = _ring_values(amps, rings)
     j, m = divmod(int(np.argmax(values)), _ANGLES)  # first occurrence
@@ -155,6 +217,8 @@ def maximize_q(state, target_step=TARGET_STEP):
             f"Q optimum sits on the search boundary at radius {radius:.4g}: "
             "the search disk does not hold the peak"
         )
+    if rotation_invariant:
+        m = 0
     q = float(values[j, m]) / math.pi
     if q == 0.0:
         raise WindowError(_COARSE_WINDOW.format(radius))
@@ -165,6 +229,8 @@ def maximize_q(state, target_step=TARGET_STEP):
     g = ladder @ _bargmann_row(log_w0, rho0, rho, theta)
     for _ in range(_MAX_NEWTON_STEPS):
         d_rho, d_theta = _polar_newton_step(g, rho, theta)
+        if rotation_invariant:
+            d_theta = 0.0
         length = math.hypot(d_rho, rho * d_theta)
         if not math.isfinite(length):
             raise WindowError(_COARSE_WINDOW.format(radius))
@@ -192,4 +258,8 @@ def maximize_q(state, target_step=TARGET_STEP):
     if math.pi * q - 1.0 > _PI_Q_ROUNDING:
         raise AccuracyError(f"pi q_max = 1 + {math.pi * q - 1.0:.3e} exceeds 1 by more than rounding")
     dq = dq_from_log_fidelity(math.log(math.pi * q))
-    return NonclassReport(cmath.rect(rho, theta), q, dq, float(step))
+    beta = cmath.rect(rho, theta)
+    # one parity: <-beta|psi> = +-<beta|psi> term by term, so Q(-beta) = Q(beta)
+    if (nz % 2 == nz[0] % 2).all() and (beta.real < 0.0 or (beta.real == 0.0 and beta.imag < 0.0)):
+        beta = -beta
+    return NonclassReport(beta, q, dq, float(step))

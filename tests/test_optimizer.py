@@ -4,6 +4,9 @@ import cmath
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 
 import hypothesis.strategies as hs
 import numpy as np
@@ -200,6 +203,164 @@ class TestRingStage:
         dq_ref, _ = analytic.reference_dq(spec.family, spec.params, spec.added_photons)
         assert abs(payload["dq_numeric"] - dq_ref) <= 1e-6
         assert _rel_qmax_error(spec, payload["q_max"]) <= 1e-6
+
+
+# ring values of these (spec, cutoff) cases, digested, in a child process
+# that first grows the radius-1 row to the cap or not; N = 319, 320 and 321
+# sit at the edge of one fold
+_RING_CASES = [("coherent:re=1.2,im=0.4+add=5", None), ("svs:r=1,phi=0.6+add=2", None),
+               ("fock:n=7", None), ("svs:r=2.5,phi=0.2+add=10", None),
+               ("coherent:re=3,im=1", 318), ("coherent:re=3,im=1", 319), ("svs:r=0.8,phi=0.3", 320),
+               ("coherent:re=10,im=-2+add=3", None)]
+_RING_SCRIPT = """
+import dataclasses, hashlib, sys
+import numpy as np
+from nonclass import cli, optimizer
+if sys.argv[1] == "grown":
+    optimizer._radius_one_row(250_001)
+for text, cutoff in {cases!r}:
+    state = cli.build_state(dataclasses.replace(cli.parse_state_spec(text), cutoff_override=cutoff))
+    k = optimizer._RINGS
+    rings = optimizer._search_radius(state) * (np.arange(k) + 0.5) / (k - 0.5)
+    values = optimizer._ring_values(state.amplitudes, rings)
+    print(state.amplitudes.size, hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+class TestRadiusOneRow:
+    """The ring stage slices one read-only radius-1 row, the longest built so far."""
+
+    def test_slices_equal_fresh_rows(self):
+        # every N below 700 (each tail length of any SIMD width), powers of
+        # two and their neighbours, seeded draws and the cap, after the row
+        # has grown to the cap
+        rng = np.random.default_rng(39)
+        sizes = set(range(1, 700)) | {2**k + d for k in range(10, 18) for d in (-1, 0, 1)}
+        sizes |= set(rng.integers(700, 250_001, 40).tolist()) | {250_000, 250_001}
+        optimizer._radius_one_row(250_001)
+        for n in sorted(sizes):
+            assert optimizer._radius_one_row(n).tobytes() == _kernels.log_sqrt_poisson(1.0, n).tobytes()
+
+    def test_row_is_read_only(self):
+        row = optimizer._radius_one_row(40)
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_grows_no_further_than_the_cap(self):
+        optimizer._radius_one_row(250_001)
+        past = optimizer._radius_one_row(250_002)
+        assert past.tobytes() == _kernels.log_sqrt_poisson(1.0, 250_002).tobytes()
+        assert optimizer._row_at_one.shape == (250_001,)
+
+    def test_ring_values_independent_of_the_row_history(self):
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(optimizer.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = _RING_SCRIPT.format(cases=_RING_CASES)
+        fresh, grown = (subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
+                                       text=True, env=env, check=True).stdout
+                        for mode in ("fresh", "grown"))
+        sizes = [int(line.split()[0]) for line in fresh.splitlines()]
+        assert {319, 320, 321} <= set(sizes) and len(sizes) == len(_RING_CASES)
+        assert fresh == grown
+
+
+def _reference_newton_step(g, rho, theta):
+    # reference: the step from LAPACK's eigenpairs of the Hessian, which
+    # the closed form in _polar_newton_step replaced
+    g0, g1, g2 = g
+    h = g1 / g0
+    e = cmath.exp(-1j * theta)
+    w1 = h * e
+    v2 = (g2 / g0 - h * h) * e * e
+    cross = 2.0 * (v2 * rho + w1).imag
+    grad = np.array([-2.0 * rho + 2.0 * w1.real, 2.0 * rho * w1.imag])
+    hess = np.array([[-2.0 + 2.0 * v2.real, cross],
+                     [cross, -2.0 * rho * (v2 * rho + w1).real]])
+    lam, vec = np.linalg.eigh(hess)
+    return vec @ [c / -l if l < 0.0 else c for c, l in zip(vec.T @ grad, lam)]
+
+
+class TestNewtonStep:
+    """The closed-form eigenpairs of the 2x2 Hessian against LAPACK's."""
+
+    # measured at most 1.4e-8 relative over 2,000,000 draws like these (two
+    # seeds), the largest gaps at nearly singular Hessians
+    BOUND = 1e-7
+
+    def test_matches_eigh_reference(self):
+        rng = np.random.default_rng(39)
+        for _ in range(20_000):
+            g = (rng.normal(size=3) + 1j * rng.normal(size=3)) * np.exp(rng.uniform(-5.0, 5.0, 3))
+            rho, theta = rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0 * math.pi)
+            got = np.array(optimizer._polar_newton_step(g, rho, theta))
+            want = _reference_newton_step(g, rho, theta)
+            assert np.linalg.norm(got - want) <= self.BOUND * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "g, rho, theta",
+        [
+            # real g at theta = 0: a diagonal Hessian, with each order of its entries
+            ([1.0, 0.7, -0.3], 1.3, 0.0),
+            ([1.0, 2.5, 4.0], 0.8, 0.0),
+            ([-2.0, 0.1, 3.0], 2.0, 0.0),
+            # the vacuum's g, at rho = 0.05 and at rho = 0
+            ([1.0, 0.0, 0.0], 0.05, 0.7),
+            ([1.0, 0.0, 0.0], 0.0, 0.7),
+            # zero gradient (g1 = rho g0 at theta = 0) with a Hessian that is not diagonal
+            ([1.0, 1.5, 0.4 + 0.9j], 1.5, 0.0),
+        ],
+        ids=["diagonal", "diagonal-convex", "diagonal-mixed", "vacuum", "vacuum-origin",
+             "zero-gradient"],
+    )
+    def test_exact_cases(self, g, rho, theta):
+        g = np.array(g, dtype=np.complex128)
+        assert optimizer._polar_newton_step(g, rho, theta) == tuple(_reference_newton_step(g, rho, theta))
+
+
+def _canonical(beta):
+    return beta.real > 0.0 or (beta.real == 0.0 and beta.imag >= 0.0)
+
+
+class TestSymmetricPeaks:
+    """Where Q's symmetries make several peaks, rounding does not pick the one reported."""
+
+    @pytest.mark.parametrize("text", ["svs:r=1,phi=0.6+add=2", "svs:r=2.2,phi=4.1",
+                                      "svs:r=3,phi=0+add=10", "svs:r=0.5,phi=2.9+add=1"])
+    def test_mirror_peak_keeps_its_sign(self, text):
+        # every non-zero index even, or every one odd: Q(-beta) = Q(beta);
+        # an amplitude moved by 1 ulp moves which peak rounding finds, not
+        # the one reported
+        state = cli.build_state(cli.parse_state_spec(text))
+        base = maximize_q(state).beta_max
+        assert _canonical(base)
+        rng = np.random.default_rng(39)
+        nz = np.flatnonzero(state.amplitudes)
+        for n in rng.choice(nz[: max(nz.size // 4, 8)], size=8):
+            amps = state.amplitudes.copy()
+            amps[n] = complex(np.nextafter(amps[n].real, math.inf), amps[n].imag)
+            beta = maximize_q(states.FockState(amps, state.tail_bound)).beta_max
+            assert _canonical(beta)
+            assert abs(beta - base) <= 1e-6 * (1.0 + abs(base))
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 13, 20])
+    def test_number_state_radius_alone(self, monkeypatch, n):
+        # Q of |n> is the same at every angle: every Newton point sits at
+        # angle 0, and the peak is reported on the positive real axis
+        points = []
+        original = optimizer._bargmann_row
+
+        def recording(log_w0, rho0, rho, theta):
+            points.append(theta)
+            return original(log_w0, rho0, rho, theta)
+
+        monkeypatch.setattr(optimizer, "_bargmann_row", recording)
+        for state in (make_fock(n), states.rotate(make_fock(n, n + 5), 1.1)):
+            points.clear()
+            rep = maximize_q(state)
+            assert set(points) == {0.0}
+            assert rep.beta_max.imag == 0.0 and rep.beta_max.real >= 0.0
+            assert rep.beta_max.real == pytest.approx(math.sqrt(n), abs=1e-6)
 
 
 def test_kernel_calls_go_through_module_attribute(monkeypatch):
