@@ -306,18 +306,19 @@ def wigner_values(amps, betas):
     Wigner function of |N>, since no |<m|D(2b)|n>| with m, n <= N exceeds
     |N>'s (checked up to N = 5,000); 50-digit mpmath puts W_N at the cut
     at e^-72.5 (N = 0), e^-325 (1,000), e^-669 (20,000) and e^-1249
-    (250,000, the largest cutoff), values the tests pin.
+    (250,000, the largest cutoff), values the tests pin.  The points
+    inside go to one _wigner_diagonals call, so one call here makes one
+    kernel call, or none when no point is inside.
     """
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
     betas = np.ascontiguousarray(betas, dtype=np.complex128)
     if betas.size == 0:
         return np.empty(0, np.float64)
-    abs_b = np.abs(betas)
     support = math.sqrt(max(amps.shape[0] - 1, 0)) + 6.0
-    inside = abs_b <= support
-    if not inside.all():
-        out = np.zeros(betas.shape[0], np.float64)
-        if inside.any():
-            out[inside] = wigner_values(amps, betas[inside])
-        return out
-    return _wigner_diagonals(amps, betas)
+    inside = np.abs(betas) <= support
+    if inside.all():
+        return _wigner_diagonals(amps, betas)
+    out = np.zeros(betas.shape[0], np.float64)
+    if inside.any():
+        out[inside] = _wigner_diagonals(amps, betas[inside])
+    return out

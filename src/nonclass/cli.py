@@ -275,6 +275,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+# kept because it pays: one build costs about 1.1 ms, the p50 of a light dq request
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process.

@@ -99,7 +99,7 @@ def display_window(state):
 
     A square about the origin of half-width 2 sqrt(<n>) + 5.
     """
-    radius = 2.0 * math.sqrt(max(mean_photon(state), 0.0)) + 5.0
+    radius = 2.0 * math.sqrt(mean_photon(state)) + 5.0
     return (-radius, radius, -radius, radius)
 
 

@@ -2,9 +2,10 @@
 
 Each check returns a CheckResult.  The checks are the one definition
 of every acceptance criterion, so each carries its inputs, tolerances
-and wall-clock gates inline; tests/test_acceptance.py asserts each one
-from a single `verify` run.  All randomness is seeded, so repeated runs
-are identical.
+and wall-clock gates inline.  Each check runs its own searches and
+keeps nothing: no check reads another's results, so the time a check
+reports is its own work.  tests/test_acceptance.py asserts each one from a single `verify` run.
+All randomness is seeded, so repeated runs are identical.
 """
 
 import math
@@ -21,16 +22,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-_REPORTS = {}
-
-
-def _pasv_report(p, r, phi=0.6):
-    key = ("pasv", p, r, phi)
-    if key not in _REPORTS:
-        _REPORTS[key] = optimizer.maximize_q(states.make_squeezed_vacuum(r, phi, p=p))
-    return _REPORTS[key]
 
 
 def _angle_dist_mod_pi(a, b):
@@ -153,7 +144,7 @@ def check_pasv_numeric():
     worst = 0.0
     for p in _PASV_GRID_P:
         for r in _PASV_GRID_R:
-            rep = _pasv_report(p, r)
+            rep = optimizer.maximize_q(states.make_squeezed_vacuum(r, 0.6, p=p))
             ana = analytic.pasv_qmax(p, r).qmax
             worst = max(worst, abs(rep.q_max - ana) / ana)
     elapsed = time.perf_counter() - start
@@ -169,7 +160,7 @@ def check_pasv_maximizer():
     worst_arg = 0.0
     for p in _PASV_GRID_P:
         for r in _PASV_GRID_R:
-            rep = _pasv_report(p, r)
+            rep = optimizer.maximize_q(states.make_squeezed_vacuum(r, 0.6, p=p))
             b = rep.beta_max
             target = analytic.pasv_qmax(p, r).beta_max_modulus_sq
             worst_mod = max(worst_mod, abs(abs(b) ** 2 - target) / target)
@@ -433,5 +424,4 @@ ALL_CHECKS = (
 def run_all():
     """Run every check after a kernel warm-up; returns CheckResults."""
     warm_up()
-    _REPORTS.clear()
     return [fn() for fn in ALL_CHECKS]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from nonclass import quasiprob, states
+from nonclass import _kernels, quasiprob, states
 from nonclass._kernels import (
     _wigner_diagonals,
     bargmann_weights,
@@ -470,6 +470,62 @@ class TestWignerKernels:
         first = wigner_values(st.amplitudes, betas)
         second = wigner_values(st.amplitudes, betas)
         assert np.array_equal(first, second)
+
+    def test_no_points(self):
+        got = wigner_values(states.make_fock(2).amplitudes, np.empty(0, np.complex128))
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("radii, diagonal_calls", [
+        ((0.5, 2.0), [2]), ((0.5, 20.0, 2.0), [2]), ((20.0, 30.0), []),
+    ], ids=["inside", "mixed", "outside"])
+    def test_one_kernel_call_per_call(self, monkeypatch, radii, diagonal_calls):
+        # the points inside the support radius (sqrt(2) + 6 for |2>) go to
+        # one _wigner_diagonals call, and wigner_values does not call itself
+        seen = {"wigner_values": 0, "diagonals": []}
+        values, diagonals = _kernels.wigner_values, _kernels._wigner_diagonals
+
+        def counted_values(amps, betas):
+            seen["wigner_values"] += 1
+            return values(amps, betas)
+
+        def counted_diagonals(amps, betas):
+            seen["diagonals"].append(betas.size)
+            return diagonals(amps, betas)
+
+        monkeypatch.setattr(_kernels, "wigner_values", counted_values)
+        monkeypatch.setattr(_kernels, "_wigner_diagonals", counted_diagonals)
+        betas = np.array(radii, np.complex128) * np.exp(0.3j)
+        got = _kernels.wigner_values(states.make_fock(2).amplitudes, betas)
+        assert seen == {"wigner_values": 1, "diagonals": diagonal_calls}
+        assert np.all(got[np.abs(betas) > math.sqrt(2.0) + 6.0] == 0.0)
+
+    def test_diagonal_without_a_nonzero_pair(self, monkeypatch):
+        # amplitudes at n = 0, 3 and 5 only: gcd 1 and span 5 let every
+        # diagonal through the filter, but 1 and 4 hold no non-zero pair
+        # and run no chain.  Seeded points inside the support radius match
+        # the reference bit for bit; those outside are exact zeros
+        rng = np.random.default_rng(40)
+        amps = np.zeros(6, np.complex128)
+        amps[[0, 3, 5]] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        amps /= np.linalg.norm(amps)
+        chains_run = []
+        chains = _kernels.laguerre_chains
+
+        def counted_chains(k, *args):
+            chains_run.append(k)
+            return chains(k, *args)
+
+        monkeypatch.setattr(_kernels, "laguerre_chains", counted_chains)
+        support = math.sqrt(5.0) + 6.0
+        betas = rng.uniform(0.0, 1.5 * support, 200) * np.exp(2j * math.pi * rng.uniform(size=200))
+        inside = np.abs(betas) <= support
+        assert 0 < np.count_nonzero(inside) < betas.size
+        got = wigner_values(amps, betas)
+        assert chains_run == [0, 2, 3, 5]
+        want = _reference_wigner_diagonals(amps, betas[inside])
+        assert np.array_equal(got[inside], want)
+        assert np.array_equal(np.signbit(got[inside]), np.signbit(want))
+        assert not np.any(got[~inside]) and not np.any(np.signbit(got[~inside]))
 
 
 def _bit_identity_cases():
