@@ -4,8 +4,9 @@ Each check returns a CheckResult.  The checks are the one definition
 of every acceptance criterion, so each carries its inputs, tolerances
 and wall-clock gates inline.  Each check runs its own searches and
 keeps nothing: no check reads another's results, so the time a check
-reports is its own work.  tests/test_acceptance.py asserts each one from a single `verify` run.
-All randomness is seeded, so repeated runs are identical.
+reports is its own work.  tests/test_acceptance.py asserts each one
+from a single `verify` run.  All randomness is seeded, so repeated runs
+are identical.
 """
 
 import math
