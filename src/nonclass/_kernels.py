@@ -1,4 +1,4 @@
-"""Hot numeric kernels: coherent overlaps, Bargmann weights, displaced-parity Wigner.
+"""Hot numeric kernels: Fock support, coherent overlaps, Bargmann weights, displaced-parity Wigner.
 
 Each kernel has one vectorized numpy implementation.  All are
 deterministic: the same inputs give bit-identical outputs.
@@ -30,6 +30,28 @@ def _scale_counts(seed, steps):
         return None
     count = np.minimum((_SEED_FLOOR - seed) // _SCALE_LOG, float(steps))
     return np.where(low, count.astype(np.int64) + 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Fock support, which the Q search's symmetries and the Wigner diagonals read
+# ---------------------------------------------------------------------------
+
+def support(amps):
+    """(first, last, gap) of the non-zero entries of an amplitude vector.
+
+    first and last are the least and greatest non-zero indices, and gap
+    is the gcd of the differences between non-zero indices: 0 for one
+    non-zero amplitude, and (0, -1, 0) for none.  It certifies two facts,
+    which the Wigner diagonals and the Q search read:
+    - every non-zero pair conj(c_{n+k}) c_n has k a multiple of gap and
+      k <= last - first;
+    - an even gap (0 included) puts every non-zero index at one parity,
+      so <-beta|psi> = +-<beta|psi> term by term and Q(-beta) = Q(beta).
+    """
+    nz = np.flatnonzero(amps)
+    if nz.size == 0:
+        return 0, -1, 0
+    return int(nz[0]), int(nz[-1]), int(np.gcd.reduce(np.diff(nz)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +254,9 @@ def laguerre_chains(k, x, lx, last):
 # adding +-0 never changes it):
 # - a diagonal whose pair products (-1)^n conj(c_{n+k}) c_n are all exactly
 #   zero (odd k of a squeezed vacuum, photons added or not; k > 0 of a
-#   Fock state) is skipped.  A non-zero pair needs c_n and c_{n+k} both
-#   non-zero, so k is a difference of two non-zero indices: a multiple of
-#   their gcd and at most their span.  Every other diagonal is skipped
-#   before its pair list is built, so those examples build none;
+#   Fock state) is skipped.  By support(amps), a non-zero pair has k a
+#   multiple of the gap and at most last - first.  Every other diagonal is
+#   skipped before its pair list is built, so those examples build none;
 # - a zero pair adds nothing (every other n of a squeezed vacuum, n < p
 #   after adding p photons to a coherent state), and a chain stops at its
 #   last non-zero pair;
@@ -257,9 +278,8 @@ def _wigner_diagonals(amps, betas):
     n_x = x.shape[0]
     lx = np.log(np.where(x > 0.0, x, 1.0))
     c = amps.tolist()
-    nz = np.flatnonzero(amps)
-    span = int(nz[-1] - nz[0]) if nz.size else -1
-    step = max(int(np.gcd.reduce(np.diff(nz))), 1)
+    first, last, gap = support(amps)
+    span, gap = last - first, max(gap, 1)  # gap is 0 only at span 0, where k = 0 runs alone
     total = np.zeros(n_pt, np.float64)
     ph = np.ones(n_pt, np.complex128)
     at_pt = np.empty(n_pt, np.complex128)
@@ -270,7 +290,7 @@ def _wigner_diagonals(amps, betas):
     for k in range(span + 1):
         if k > 0:
             ph = ph * u
-        if k % step:
+        if k % gap:
             continue  # the diagonal adds exact zeros
         pairs = [c[n + k].conjugate() * c[n] for n in range(n_amp - k)]
         pairs[1::2] = [-pair for pair in pairs[1::2]]
@@ -314,8 +334,8 @@ def wigner_values(amps, betas):
     betas = np.ascontiguousarray(betas, dtype=np.complex128)
     if betas.size == 0:
         return np.empty(0, np.float64)
-    support = math.sqrt(max(amps.shape[0] - 1, 0)) + 6.0
-    inside = np.abs(betas) <= support
+    radius = math.sqrt(max(amps.shape[0] - 1, 0)) + 6.0
+    inside = np.abs(betas) <= radius
     if inside.all():
         return _wigner_diagonals(amps, betas)
     out = np.zeros(betas.shape[0], np.float64)

@@ -13,7 +13,8 @@ log_moment_ratios, the one moment path of the package; the cutoff rule
 of `states` reads the same ratios.  Measured against 40-digit mpmath
 (|alpha|^2 in [1e-3, 1e3], r in [0, 21]), the pac and pasv peak densities
 stay within 1.2e-13 relative for p <= 20 and 6e-12 for p up to 1000, and
-the pasv one within 8e-11 for p up to 20000.
+the pasv one within 8e-11 for p up to 20000.  A p past _MAX_CUTOFF raises
+CutoffError before any ratio is walked.
 
 Each closed form computes ln F, F = pi qmax, and its qmax is e^{ln F}/pi.
 Every degree, closed form or numeric, is dq_from_log_fidelity(ln F), which
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CutoffError, DomainError
 
 # The pac closed form divides by alpha_sq, so its Fock limit stands in
 # below this threshold.  The peak density has square-root behavior in
@@ -34,6 +35,10 @@ from .errors import DomainError
 # relative at the switch, below rounding here, while the closed form
 # stays accurate to ~1e-13 down to it.
 PAC_FOCK_THRESHOLD = 1e-200
+# the one cap on sizes: the largest cutoff a state constructor builds
+# (states._MAX_CUTOFF, checked before anything is allocated) and the largest
+# p whose moment ratios a closed form walks, one Python step per order
+_MAX_CUTOFF = 250_000
 
 
 def _integer(name, x, least=0):
@@ -55,6 +60,12 @@ def _finite(name, x):
     if not cmath.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x
+
+
+def _check_moment_walk(p):
+    """CutoffError for a p past _MAX_CUTOFF, before its p moment ratios are walked."""
+    if p > _MAX_CUTOFF:
+        raise CutoffError(f"p={p} exceeds the limit {_MAX_CUTOFF} of the closed forms")
 
 
 def _alpha_sq(alpha):
@@ -140,6 +151,7 @@ def fock_nonclassicality(p):
 def _log_pac_fidelity(p, alpha_sq):
     """ln F of a p-photon-added coherent state; see qmax_pac."""
     p, u = _integer("p", p), _nonnegative("alpha_sq", alpha_sq)
+    _check_moment_walk(p)
     if p == 0:
         return 0.0
     if u < PAC_FOCK_THRESHOLD:
@@ -177,6 +189,7 @@ def svs_antinormal(p, r):
     path; math.inf past the double range.
     """
     p, r = _integer("p", p), _nonnegative("r", r)
+    _check_moment_walk(p)
     if p == 0:
         return 1.0
     log_moment = _log_svs_moment_scaled(p, r) + 2.0 * p * _log_cosh(r)
@@ -189,6 +202,7 @@ def svs_antinormal(p, r):
 def _log_pasv_fidelity(p, r):
     """ln F of a p-photon-added squeezed vacuum; at p = 0 the squeezed vacuum's -ln cosh r."""
     p, r = _integer("p", p), _nonnegative("r", r)
+    _check_moment_walk(p)
     if p == 0:
         return -_log_cosh(r)
     return p * (math.log(p) + r - 1.0 - _log_cosh(r)) - _log_svs_moment_scaled(p, r) - _log_cosh(r)

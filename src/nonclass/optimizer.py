@@ -198,18 +198,19 @@ def maximize_q(state, target_step=TARGET_STEP):
     bound _PI_Q_ROUNDING = 1e-12.
 
     Where Q has symmetries, rounding does not pick beta_max among the
-    peaks they make.  With one non-zero amplitude, Q is the same at every
+    peaks they make; both are read from _kernels.support(amplitudes).
+    With one non-zero amplitude (first == last), Q is the same at every
     angle: the polish moves the radius alone, from angle 0.  When every
-    non-zero amplitude index has one parity (squeezed vacua, photons added
-    or not; number states), Q(-beta) = Q(beta), and beta_max is the peak
-    with Re beta > 0, or Re beta = 0 and Im beta >= 0.
+    non-zero amplitude index has one parity (an even gap: squeezed vacua,
+    photons added or not; number states), Q(-beta) = Q(beta), and
+    beta_max is the peak with Re beta > 0, or Re beta = 0 and Im beta >= 0.
     """
     check_target_step(target_step)
     radius = _search_radius(state)
     amps = state.amplitudes
-    nz = np.flatnonzero(amps)
+    first, last, gap = _kernels.support(amps)
     # a step along the ring of a rotation-invariant Q would follow rounding alone
-    rotation_invariant = nz.size == 1
+    rotation_invariant = first == last
     rings = radius * (np.arange(_RINGS) + 0.5) / (_RINGS - 0.5)
     values = _ring_values(amps, rings)
     j, m = divmod(int(np.argmax(values)), _ANGLES)  # first occurrence
@@ -260,7 +261,7 @@ def maximize_q(state, target_step=TARGET_STEP):
         raise AccuracyError(f"pi q_max = 1 + {math.pi * q - 1.0:.3e} exceeds 1 by more than rounding")
     dq = dq_from_log_fidelity(math.log(math.pi * q))
     beta = cmath.rect(rho, theta)
-    # one parity: <-beta|psi> = +-<beta|psi> term by term, so Q(-beta) = Q(beta)
-    if (nz % 2 == nz[0] % 2).all() and (beta.real < 0.0 or (beta.real == 0.0 and beta.imag < 0.0)):
+    # an even gap: <-beta|psi> = +-<beta|psi> term by term, so Q(-beta) = Q(beta)
+    if gap % 2 == 0 and (beta.real < 0.0 or (beta.real == 0.0 and beta.imag < 0.0)):
         beta = -beta
     return NonclassReport(beta, q, dq, float(step))

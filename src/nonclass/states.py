@@ -19,7 +19,7 @@ from .errors import AccuracyError, CutoffError, DomainError
 
 TAIL_TARGET = 1e-12
 # largest cutoff any constructor builds, checked before anything is allocated
-_MAX_CUTOFF = 250_000
+_MAX_CUTOFF = analytic._MAX_CUTOFF
 # moment orders k the tail bound of _gaussian_cutoff tries
 _MOMENT_ORDERS = 64
 # the certified tail is the computed bound times this; see _gaussian_cutoff

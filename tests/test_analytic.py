@@ -2,6 +2,7 @@
 and their special functions against frozen values, mpmath and scipy."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from nonclass.analytic import (
     svs_antinormal,
     svs_qmax,
 )
-from nonclass.errors import DomainError
+from nonclass.errors import CutoffError, DomainError
 
 
 class TestFock:
@@ -505,6 +506,15 @@ class TestMomentRange:
         # values of the former series evaluation, p = 1, 3, 10, 1000
         for p, value in zip((1, 3, 10, 1000), want):
             assert pasv_qmax(p=p, r=r).qmax == pytest.approx(value, rel=1e-11)
+
+    @pytest.mark.parametrize("form", [dq_pac, pasv_dq])
+    def test_photon_count_past_the_cap(self, form):
+        # p moment ratios are walked one Python step each: a p past the cap
+        # of 250,000 is refused before the walk, so the call returns at once
+        start = time.perf_counter()
+        with pytest.raises(CutoffError, match="exceeds the limit 250000"):
+            form(10**13, 1.0)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("r", [400.0, 711.0, 1e4])
     def test_past_the_double_range_is_inf(self, r):

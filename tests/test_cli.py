@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import sys
+import time
 
 import hypothesis.strategies as hs
 import numpy as np
@@ -702,6 +703,14 @@ class TestSweepCommand:
         code = cli.main(["sweep", "--family", "pac", "--x-min", "0", "--x-max", "1",
                          "--steps", "1000000000000", "--out", str(out)])
         assert code == 64
+        # a photon count no closed form walks: refused before its moments are
+        # walked, with dq's exit code for a state past the cap
+        start = time.perf_counter()
+        code = cli.main(["sweep", "--family", "pac", "--p-list", "10000000000000", "--x-min", "1",
+                         "--x-max", "2", "--steps", "2", "--out", str(out)])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.endswith("exceeds the limit 250000 of the closed forms\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -2,9 +2,11 @@
 
 import math
 
+import hypothesis.strategies as hs
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.special import eval_laguerre
 
 from nonclass import _kernels, quasiprob, states
@@ -14,6 +16,7 @@ from nonclass._kernels import (
     coherent_overlaps,
     laguerre_chains,
     log_sqrt_poisson,
+    support,
     wigner_values,
 )
 
@@ -346,6 +349,68 @@ class TestBargmannWeights:
         assert np.array_equal(bargmann_weights(log_w1, 1.0, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             bargmann_weights(log_w1, 1.0, -1.0)
+
+
+def _brute_support(amps):
+    # every pair of non-zero indices, not just neighbours; -0.0 is zero
+    nz = [n for n, c in enumerate(amps.tolist()) if c != 0]
+    gap = 0
+    for a in nz:
+        for b in nz:
+            gap = math.gcd(gap, b - a)
+    return (nz[0], nz[-1], gap) if nz else (0, -1, 0)
+
+
+class TestSupport:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(n_amp=hs.integers(1, 90), offset=hs.integers(0, 20), spacing=hs.integers(1, 7),
+           count=hs.integers(0, 8), stray=hs.booleans(), seed=hs.integers(0, 2**32 - 1))
+    @example(n_amp=5, offset=0, spacing=1, count=0, stray=False, seed=0)  # none
+    @example(n_amp=5, offset=3, spacing=2, count=1, stray=False, seed=0)  # one, at 3
+    def test_matches_brute_force(self, n_amp, offset, spacing, count, stray, seed):
+        # seeded sparse vectors on a lattice offset + spacing j, so gaps
+        # above 1 are common, with at most one stray index off it; values
+        # real, imaginary, tiny and signed zeros
+        rng = np.random.default_rng(seed)
+        on = [int(n) for n in offset + spacing * rng.permutation(n_amp)[:count] if n < n_amp]
+        if stray:
+            on.append(int(rng.integers(n_amp)))
+        amps = np.full(n_amp, complex(-0.0, -0.0) if seed % 2 else 0j)
+        values = [1.0, -0.5j, 1e-320 + 0.0j, 3.0 - 2.0j]
+        for n in on:
+            amps[n] = values[int(rng.integers(len(values)))]
+        got = support(amps)
+        assert got == _brute_support(amps)
+        assert all(type(v) is int for v in got)
+
+    def test_lone_and_empty(self):
+        assert support(np.zeros(4, np.complex128)) == (0, -1, 0)
+        assert support(states.make_fock(7).amplitudes) == (7, 7, 0)
+        assert support(states.make_squeezed_vacuum(0.8, 0.3, p=3).amplitudes)[::2] == (3, 2)
+
+    def test_chains_run_on_the_gap_alone(self, monkeypatch):
+        # amplitudes at n = 1, 4 and 7 only: gap 3, span 6, so chains run
+        # for k = 0, 3 and 6 and no other diagonal builds a pair list; the
+        # values match the reference bit for bit
+        rng = np.random.default_rng(42)
+        amps = np.zeros(9, np.complex128)
+        amps[[1, 4, 7]] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        amps /= np.linalg.norm(amps)
+        assert support(amps) == (1, 7, 3)
+        chains_run = []
+        chains = _kernels.laguerre_chains
+
+        def counted_chains(k, *args):
+            chains_run.append(k)
+            return chains(k, *args)
+
+        monkeypatch.setattr(_kernels, "laguerre_chains", counted_chains)
+        betas = rng.normal(0.0, 2.0, 150) + 1j * rng.normal(0.0, 2.0, 150)
+        got = _wigner_diagonals(amps, betas)
+        assert chains_run == [0, 3, 6]
+        want = _reference_wigner_diagonals(amps, betas)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestWignerKernels:

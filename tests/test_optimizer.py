@@ -343,6 +343,19 @@ class TestSymmetricPeaks:
             assert _canonical(beta)
             assert abs(beta - base) <= 1e-6 * (1.0 + abs(base))
 
+    def test_hand_built_even_gap_peak_is_canonical(self):
+        # non-zero only at n = 0, 4 and 8: support's gap is 4, even, so
+        # Q(-beta) = Q(beta).  Read as gap 1, 6 of these 9 rotations would
+        # report the peak with Re beta < 0
+        rng = np.random.default_rng(42)
+        amps = np.zeros(9, np.complex128)
+        amps[[0, 4, 8]] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        amps /= np.linalg.norm(amps)
+        assert _kernels.support(amps) == (0, 8, 4)
+        state = states.FockState(amps, 0.0)
+        for theta in np.linspace(0.0, 2.0 * math.pi, 9):
+            assert _canonical(maximize_q(states.rotate(state, theta)).beta_max)
+
     @pytest.mark.parametrize("n", [0, 1, 4, 13, 20])
     def test_number_state_radius_alone(self, monkeypatch, n):
         # Q of |n> is the same at every angle: every Newton point sits at
@@ -527,10 +540,12 @@ class TestInvariants:
 
     @_INVARIANT
     @given(spec=_SPECS, theta=hs.floats(-2.0 * math.pi, 2.0 * math.pi))
+    @example(spec=StateSpec("fock", {"n": 16}, 1), theta=1.6342832427034821)
     def test_rotation(self, spec, theta):
-        # measured at most 3.6e-15 over 1500 draws of this domain; one more,
-        # fock:n=16+add=1 rotated by 1.6342832427034821, raised
-        # ConvergenceError (the polish wanders along the flat ring)
+        # measured at most 3.6e-15 over 1500 draws of this domain.  The
+        # example once raised ConvergenceError, the polish wandering along
+        # the flat ring of a number state; the polish now moves the radius
+        # alone there, and both searches give the same dq exactly
         state = cli.build_state(spec)
         assert abs(maximize_q(states.rotate(state, theta)).dq - maximize_q(state).dq) <= 1e-13
 

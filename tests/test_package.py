@@ -1,10 +1,15 @@
-"""The package surface: every exported name resolves."""
+"""The package surface: every exported name resolves, and so does every
+name the benchmark's tracer wraps."""
 
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import nonclass
+import nonclass.cli  # noqa: F401  (the tracer wraps cli.main)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_export_resolves():
@@ -31,3 +36,23 @@ def test_readme_api_section_names_every_exported_function():
         if inspect.isfunction(getattr(nonclass, name))
     }
     assert named == exported
+
+
+def test_benchmark_tracer_wraps_and_restores_every_name():
+    # perfbench/tracer.py replaces functions of nonclass's modules by name,
+    # so a renamed one fails its install here, not only in a traced run;
+    # the tracer is imported as it is, from the benchmark's directory
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    t = tracer.Tracer()
+    try:
+        t.install(nonclass)
+        wrapped = list(t._saved)
+        assert wrapped
+        assert [(m.__name__, a) for m, a, f in wrapped if getattr(m, a) is f] == []
+    finally:
+        t.remove()
+    assert [(m.__name__, a) for m, a, f in wrapped if getattr(m, a) is not f] == []
