@@ -18,7 +18,8 @@ from . import _kernels, analytic
 from .errors import AccuracyError, CutoffError, DomainError
 
 TAIL_TARGET = 1e-12
-# largest cutoff any constructor builds, checked before anything is allocated
+# the one size cap (see analytic): the largest cutoff any constructor builds,
+# checked before anything is allocated
 _MAX_CUTOFF = analytic._MAX_CUTOFF
 # moment orders k the tail bound of _gaussian_cutoff tries
 _MOMENT_ORDERS = 64

@@ -366,7 +366,7 @@ class TestSupport:
     @given(n_amp=hs.integers(1, 90), offset=hs.integers(0, 20), spacing=hs.integers(1, 7),
            count=hs.integers(0, 8), stray=hs.booleans(), seed=hs.integers(0, 2**32 - 1))
     @example(n_amp=5, offset=0, spacing=1, count=0, stray=False, seed=0)  # none
-    @example(n_amp=5, offset=3, spacing=2, count=1, stray=False, seed=0)  # one, at 3
+    @example(n_amp=5, offset=3, spacing=2, count=5, stray=False, seed=0)  # one, at 3
     def test_matches_brute_force(self, n_amp, offset, spacing, count, stray, seed):
         # seeded sparse vectors on a lattice offset + spacing j, so gaps
         # above 1 are common, with at most one stray index off it; values
@@ -390,8 +390,8 @@ class TestSupport:
 
     def test_chains_run_on_the_gap_alone(self, monkeypatch):
         # amplitudes at n = 1, 4 and 7 only: gap 3, span 6, so chains run
-        # for k = 0, 3 and 6 and no other diagonal builds a pair list; the
-        # values match the reference bit for bit
+        # for k = 0, 3 and 6 alone, and the values match the reference bit
+        # for bit
         rng = np.random.default_rng(42)
         amps = np.zeros(9, np.complex128)
         amps[[1, 4, 7]] = rng.normal(size=3) + 1j * rng.normal(size=3)
