@@ -11,7 +11,11 @@ half = (hi - lo)/2 (_cell_centers, the one definition behind every grid
 and CSV): on a window symmetric about 0 they are mirror-exact,
 c_{res-1-j} = -c_j bit for bit, so the points of one symmetry orbit of
 a square symmetric window share one radius and the Wigner kernel runs
-each of its chains once per orbit.
+each of its chains once per orbit.  A state whose Fock support has one
+parity (Fock states, squeezed vacua with photons added or not) has
+Q(-beta) = Q(beta) and W(-beta) = W(beta) bit for bit, so on a
+symmetric window q_grid and wigner_grid evaluate half the cells and
+mirror the rest (_mirrored_cells), and their output keeps its bytes.
 """
 
 import math
@@ -131,29 +135,66 @@ def check_window(window, resolution):
     return x_min, x_max, y_min, y_max, check_resolution(resolution)
 
 
+def _mirrored_cells(state, x_min, x_max, y_min, y_max, res):
+    """Row-major cells a grid evaluates: ceil(res^2/2) when the rest are mirror images, else res^2.
+
+    The rest mirror when the window is exactly symmetric about 0 and the
+    state's support gap (_kernels.support) is even, 0 included, so that
+    every non-zero amplitude has one parity.  Cell n-1-i of the n = res^2
+    then has the bits of cell i, so flat[n-1-i] = flat[i] gives what the
+    kernel gives:
+    - the centers are mirror-exact (_cell_centers), so cell n-1-i sits
+      at -beta_i, up to the sign of a zero coordinate, and a zero part
+      changes no non-zero bit of either kernel;
+    - Q: coherent_overlaps negates each term exactly at -beta (a sign
+      flip commutes with rounding) and skips zero amplitudes, so the
+      overlap at -beta is +-1 times the one at beta, and |.|^2 is equal;
+    - W: only even k pass the gcd filter of _wigner_diagonals, where
+      (-u)^k = u^k exactly, and -beta has the same radius, so the same
+      chain values;
+    - both: a point's bits do not depend on its batch, so the first half
+      has the bits it has in the whole lattice.
+    """
+    if x_min == -x_max and y_min == -y_max and _kernels.support(state.amplitudes)[2] % 2 == 0:
+        return (res * res + 1) // 2
+    return res * res
+
+
 def q_grid(state, window, resolution):
     """Husimi density on the cell-center lattice of a window.
 
     window is (x_min, x_max, y_min, y_max).  The values are filled a
     block of whole rows, about _BLOCK_POINTS points, at a time; a block's
     points have the bits of the same rows of the whole lattice, and each
-    cell equals q_value at its center.
+    cell equals q_value at its center.  The blocks stop at the last cell
+    _mirrored_cells asks for, and the cells past it are mirror copies.
     """
     x_min, x_max, y_min, y_max, res = check_window(window, resolution)
     xs, ys = _cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res)
     vals = np.empty((res, res))
+    flat = vals.reshape(-1)  # a view: the rows are contiguous
+    cells = _mirrored_cells(state, x_min, x_max, y_min, y_max, res)
     rows = max(1, _BLOCK_POINTS // res)
-    for start in range(0, res, rows):
-        out = vals[start : start + rows].reshape(-1)  # a view: whole rows are contiguous
-        _husimi(state.amplitudes, _row_major(xs, ys[start : start + rows]), out)
+    for start in range(0, -(-cells // res), rows):
+        lo, hi = start * res, min((start + rows) * res, cells)
+        _husimi(state.amplitudes, _row_major(xs, ys[start : start + rows])[: hi - lo], flat[lo:hi])
+    flat[cells:] = flat[: flat.size - cells][::-1]
     return QGrid(x_min, x_max, y_min, y_max, vals)
 
 
 def wigner_grid(state, window, resolution):
-    """Wigner function on the cell-center lattice of a window."""
+    """Wigner function on the cell-center lattice of a window.
+
+    Only the cells _mirrored_cells asks for are evaluated, in one kernel
+    call; the cells past them are mirror copies.
+    """
     x_min, x_max, y_min, y_max, res = check_window(window, resolution)
-    betas = _row_major(_cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res))
-    vals = _kernels.wigner_values(state.amplitudes, betas)
+    cells = _mirrored_cells(state, x_min, x_max, y_min, y_max, res)
+    ys = _cell_centers(y_min, y_max, res)[: -(-cells // res)]  # the rows the cells reach
+    betas = _row_major(_cell_centers(x_min, x_max, res), ys)[:cells]
+    vals = np.empty(res * res)
+    vals[:cells] = _kernels.wigner_values(state.amplitudes, betas)
+    vals[cells:] = vals[: vals.size - cells][::-1]
     return QGrid(x_min, x_max, y_min, y_max, vals.reshape(res, res))
 
 

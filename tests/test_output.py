@@ -142,6 +142,67 @@ class TestGridEncoding:
         assert out.read_bytes() == _grid_csv_oracle(grid)
         assert b",0\n" in out.read_bytes() and b",-0\n" in out.read_bytes()
 
+    @staticmethod
+    def _write_counting(monkeypatch, tmp_path, values):
+        """write_grid on a square grid of values: the bytes, and the values _g17_rows encoded."""
+        encoded = []
+        original = output._g17_rows
+
+        def counting(block):
+            encoded.append(np.size(block))
+            return original(block)
+
+        monkeypatch.setattr(output, "_g17_rows", counting)
+        res = math.isqrt(values.size)
+        grid = quasiprob.QGrid(-1.0, 1.0, -2.0, 2.0, values.reshape(res, res))
+        out = tmp_path / "p.csv"
+        output.write_grid(str(out), grid)
+        assert out.read_bytes() == _grid_csv_oracle(grid)
+        return out.read_bytes(), sum(encoded)
+
+    @staticmethod
+    def _palindrome(n, seed):
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal((n + 1) // 2) * 10.0 ** rng.uniform(-9.0, -1.0, (n + 1) // 2)
+        return np.concatenate([half, half[: n // 2][::-1]])
+
+    @pytest.mark.parametrize("block_points", [output._BLOCK_POINTS, 7])
+    @pytest.mark.parametrize("res", [1, 2, 3, 6, 7, 40])
+    def test_palindromes_encode_half(self, monkeypatch, tmp_path, res, block_points):
+        # at 7 points a block, a block straddles the middle: one-row blocks
+        # of an odd res, and two-row blocks of res 3
+        monkeypatch.setattr(output, "_BLOCK_POINTS", block_points)
+        values = self._palindrome(res * res, res)
+        _, encoded = self._write_counting(monkeypatch, tmp_path, values)
+        assert encoded == (res * res + 1) // 2
+
+    @pytest.mark.parametrize("block_points", [output._BLOCK_POINTS, 7])
+    def test_palindrome_of_slow_path_values(self, monkeypatch, tmp_path, block_points):
+        monkeypatch.setattr(output, "_BLOCK_POINTS", block_points)
+        values = self._palindrome(49, 3)
+        for i, v in enumerate([1.5, math.nan, 5e-324, -math.inf, 0.0, -0.0]):
+            values[2 * i] = values[48 - 2 * i] = v
+        values[24] = math.nan  # the middle value is its own mirror
+        data, encoded = self._write_counting(monkeypatch, tmp_path, values)
+        assert encoded == 25
+        assert data.count(b",nan\n") == 3 and data.count(b",1.5\n") == 2
+
+    @pytest.mark.parametrize("flip", ["signed zero", "one ulp"])
+    def test_near_palindromes_encode_every_value(self, monkeypatch, tmp_path, flip):
+        # bits, not floats, decide: a mirrored (0.0, -0.0) pair compares
+        # equal as floats, yet each value needs its own text
+        values = self._palindrome(36, 4)
+        values[5] = values[30] = 0.0
+        values[7] = values[28] = -0.0
+        if flip == "signed zero":
+            values[30] = -0.0
+        else:
+            values[11] = np.nextafter(values[24], math.inf)
+        assert np.array_equal(values, values[::-1]) == (flip == "signed zero")
+        data, encoded = self._write_counting(monkeypatch, tmp_path, values)
+        assert encoded == 36
+        assert b",0\n" in data and b",-0\n" in data
+
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "s.csv"
         output.write_sweep(str(out), [(0.1, 1, 1.0 / 3.0, None), (2.0, 3, 0.5, 0.25)])

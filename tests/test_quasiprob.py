@@ -127,6 +127,53 @@ def test_grid_matches_single_point():
             assert abs(grid.values[iy][ix] - single) <= 1e-15
 
 
+# States whose non-zero amplitudes share one parity, so Q and W are even
+# in beta; on a symmetric window a grid evaluates ceil(res^2/2) cells and
+# copies the rest from their mirror images
+_ONE_PARITY = ["svs:r=0.7,phi=0.4", "svs:r=0.7,phi=0.4+add=3", "fock:n=0", "fock:n=5"]
+_MIXED_PARITY = ["coherent:re=1.2,im=0.4", "coherent:re=1.2,im=0.4+add=2"]
+_WINDOWS = {
+    "display": None,
+    "oblong": (-4.5, 4.5, -2.75, 2.75),  # symmetric, x half-width != y half-width
+    "x only": (-4.5, 4.5, -2.0, 3.0),  # symmetric in x alone
+}
+_HALF_CASES = (
+    [(spec, window, True) for spec in _ONE_PARITY for window in ("display", "oblong")]
+    + [(spec, "display", False) for spec in _MIXED_PARITY]
+    + [(spec, "x only", False) for spec in _ONE_PARITY[1::2]]
+)
+
+
+@pytest.mark.parametrize("block_points", [quasiprob._BLOCK_POINTS, 300])
+@pytest.mark.parametrize("res", [1, 2, 37, 38])
+@pytest.mark.parametrize("spec, window, mirrored", _HALF_CASES)
+def test_grids_match_one_kernel_call_on_the_whole_lattice(monkeypatch, spec, window, mirrored,
+                                                           res, block_points):
+    monkeypatch.setattr(quasiprob, "_BLOCK_POINTS", block_points)
+    st = cli.build_state(cli.parse_state_spec(spec))
+    window = _WINDOWS[window] or quasiprob.display_window(st)
+    lattice = quasiprob._row_major(quasiprob._cell_centers(window[0], window[1], res),
+                                   quasiprob._cell_centers(window[2], window[3], res))
+    ov = _kernels.coherent_overlaps(st.amplitudes, lattice)
+    want = {
+        q_grid: (ov.real**2 + ov.imag**2) / math.pi,  # the arithmetic of quasiprob._husimi
+        wigner_grid: _kernels.wigner_values(st.amplitudes, lattice),
+    }
+    for make, kernel in ((q_grid, "coherent_overlaps"), (wigner_grid, "wigner_values")):
+        points = []
+        original = getattr(_kernels, kernel)
+
+        def counting(amps, betas, original=original):
+            points.append(len(betas))
+            return original(amps, betas)
+
+        monkeypatch.setattr(_kernels, kernel, counting)
+        got = make(st, window, res).values
+        monkeypatch.setattr(_kernels, kernel, original)
+        assert got.tobytes() == want[make].tobytes()
+        assert sum(points) == ((res * res + 1) // 2 if mirrored else res * res)
+
+
 def test_fock1_wigner_origin():
     st = states.make_fock(1)
     got = _kernels.wigner_values(st.amplitudes, np.array([0.0 + 0.0j]))[0]
