@@ -126,9 +126,19 @@ def split_cumsum(steps, out):
     return np.add(np.add.accumulate(hi, out=hi), np.add.accumulate(lo, out=lo), out=out)
 
 
+def stirling_remainder(m):
+    """R(m) = ln m! - (m ln m - m + ln(2 pi m)/2), Stirling's series to m^-7: 2e-17 off from m = 32.
+
+    The one Stirling series of the package.  At mu = m the anchor of
+    log_sqrt_poisson is (-ln(2 pi m)/2 - R(m))/2, half the ln F of the
+    Fock state |m> (analytic._log_fock_fidelity).
+    """
+    return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * m * m)) / (m * m)) / (m * m)) / m
+
+
 def log_sqrt_poisson(rho, n_amp):
     """ln w_n(rho) for n < n_amp and rho > 0: with mu = rho**2, ln w_M at
-    M = min(floor(mu), n_amp - 1) from Stirling's series to M^-7 (2e-17 off),
+    M = min(floor(mu), n_amp - 1) from Stirling's series (stirling_remainder),
     or ln w_0 = -mu/2 when M < 32, then split_cumsum outward of ln(w_j/w_{j-1})."""
     mu, j = rho**2, np.arange(1.0, n_amp)
     near = j[: int(2.0 * mu)]  # past 2 mu, log1p((mu - j)/j) nears log1p(-1) and cancels
@@ -137,8 +147,8 @@ def log_sqrt_poisson(rho, n_amp):
     m = min(math.floor(mu), n_amp - 1)
     log_w = np.empty(n_amp)
     if m >= 32:  # sum (m - mu) as one term: it cancels against m log1p((mu - m)/m)
-        rem = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * m * m)) / (m * m)) / (m * m)) / m
-        log_w[m] = 0.5 * (m * math.log1p((mu - m) / m) + (m - mu) - 0.5 * math.log(math.tau * m) - rem)
+        log_w[m] = 0.5 * (m * math.log1p((mu - m) / m) + (m - mu) - 0.5 * math.log(math.tau * m)
+                          - stirling_remainder(m))
         np.subtract(log_w[m], split_cumsum(steps[m - 1 :: -1], log_w[m - 1 :: -1]), out=log_w[m - 1 :: -1])
     else:
         m, log_w[0] = 0, -0.5 * mu

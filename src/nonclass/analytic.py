@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import CutoffError, DomainError
 
 # The pac closed form divides by alpha_sq, so its Fock limit stands in
@@ -135,8 +136,16 @@ def _log_cosh(r):
 
 
 def _log_fock_fidelity(p):
-    """ln F of the Fock state |p>, p an int >= 1: p ln p - p - ln p!."""
-    return p * math.log(p) - p - math.lgamma(p + 1)
+    """ln F of the Fock state |p>, p an int >= 1: p ln p - p - ln p!.
+
+    From p = 32 on that is -ln(2 pi p)/2 - R(p), R the Stirling remainder
+    (_kernels.stirling_remainder): the three terms of the first form cancel
+    ever more as p grows (6e-12 of dq lost at p = 1e9, all of it at 1e16).
+    """
+    if p < 32:
+        return p * math.log(p) - p - math.lgamma(p + 1)
+    # as a float, p * p is inf past 1e154, not an int too large to divide by
+    return -0.5 * (math.log(math.tau) + math.log(p)) - _kernels.stirling_remainder(float(p))
 
 
 def fock_nonclassicality(p):

@@ -53,6 +53,11 @@ class StateSpec:
 # rows one sweep may hold (steps x p values); its points and rows are
 # built in memory before the CSV is written
 MAX_SWEEP_ROWS = 1_000_000
+# moment ratios one pac or pasv sweep may walk (steps x the sum of its p
+# values), one Python step each in analytic.log_moment_ratios.  On a 2-core
+# VM, 400 pasv rows of p = 250000 took 44 s and 1e5 rows of p = 100 took
+# 5.1 s, so the worst sweep inside both limits ends in about a minute
+MAX_SWEEP_MOMENTS = 100_000_000
 
 
 def _parse_number(text, pos, integer):
@@ -216,6 +221,12 @@ def _sweep_points(args):
     rows = args.steps * (1 if sweep.x_is_p else len(p_list))
     if rows > MAX_SWEEP_ROWS:
         raise DomainError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
+    if not sweep.x_is_p:  # a Fock row walks no moments
+        analytic._check_moment_walk(max(p_list, default=0))
+        walk = args.steps * sum(p_list)
+        if walk > MAX_SWEEP_MOMENTS:
+            raise DomainError(f"sweep walks {walk} moment ratios (steps x the sum of --p-list), "
+                              f"above the limit of {MAX_SWEEP_MOMENTS}")
     for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
         analytic._finite(flag, x)
     if args.x_min > args.x_max:
@@ -317,7 +328,8 @@ def _build_parser():
 
     p_sweep = sub.add_parser("sweep", help="degree curves over a parameter range")
     p_sweep.add_argument("--family", choices=tuple(families.sweeps()), required=True)
-    p_sweep.add_argument("--p-list", default="1", help="comma-separated added-photon counts")
+    p_sweep.add_argument("--p-list", default="1", help="comma-separated added-photon counts; "
+                         f"steps x their sum may not exceed {MAX_SWEEP_MOMENTS}")
     p_sweep.add_argument("--x-min", type=float, required=True)
     p_sweep.add_argument("--x-max", type=float, required=True)
     p_sweep.add_argument(

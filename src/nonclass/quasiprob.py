@@ -13,9 +13,10 @@ c_{res-1-j} = -c_j bit for bit, so the points of one symmetry orbit of
 a square symmetric window share one radius and the Wigner kernel runs
 each of its chains once per orbit.  A state whose Fock support has one
 parity (Fock states, squeezed vacua with photons added or not) has
-Q(-beta) = Q(beta) and W(-beta) = W(beta) bit for bit, so on a
-symmetric window q_grid and wigner_grid evaluate half the cells and
-mirror the rest (_mirrored_cells), and their output keeps its bytes.
+Q(-beta) = Q(beta) and W(-beta) = W(beta) bit for bit.  One lattice
+builder (_lattice) serves q_grid and wigner_grid: on a symmetric window
+it evaluates half the cells of such a state and mirrors the rest
+(_mirrored_cells), and the output keeps its bytes.
 """
 
 import math
@@ -90,12 +91,10 @@ def _row_major(xs, ys):
     return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
-def _husimi(amps, betas, out):
-    """Q = |<beta|psi>|^2 / pi at each of betas, written into out."""
+def _husimi(amps, betas):
+    """Q = |<beta|psi>|^2 / pi at each of betas."""
     ov = _kernels.coherent_overlaps(amps, betas)
-    np.square(ov.real, out=out)
-    out += ov.imag**2
-    out /= math.pi
+    return (ov.real**2 + ov.imag**2) / math.pi
 
 
 def display_window(state):
@@ -110,9 +109,7 @@ def display_window(state):
 def q_value(state, beta):
     """Husimi density at one complex point beta; a non-finite beta raises DomainError."""
     beta = analytic._finite("beta", complex(beta))
-    out = np.empty(1)
-    _husimi(state.amplitudes, np.array([beta]), out)
-    return float(out[0])
+    return float(_husimi(state.amplitudes, np.array([beta]))[0])
 
 
 def check_resolution(resolution):
@@ -160,42 +157,34 @@ def _mirrored_cells(state, x_min, x_max, y_min, y_max, res):
     return res * res
 
 
-def q_grid(state, window, resolution):
-    """Husimi density on the cell-center lattice of a window.
+def _lattice(state, window, resolution, values, block):
+    """values(amplitudes, points) at the cell centers of a window, as a QGrid.
 
-    window is (x_min, x_max, y_min, y_max).  The values are filled a
-    block of whole rows, about _BLOCK_POINTS points, at a time; a block's
-    points have the bits of the same rows of the whole lattice, and each
-    cell equals q_value at its center.  The blocks stop at the last cell
-    _mirrored_cells asks for, and the cells past it are mirror copies.
+    Row-major blocks of whole rows, about block points each, up to the last
+    cell _mirrored_cells asks for; the cells past it are mirror copies.
     """
     x_min, x_max, y_min, y_max, res = check_window(window, resolution)
-    xs, ys = _cell_centers(x_min, x_max, res), _cell_centers(y_min, y_max, res)
+    cells = _mirrored_cells(state, x_min, x_max, y_min, y_max, res)
+    xs = _cell_centers(x_min, x_max, res)
+    ys = _cell_centers(y_min, y_max, res)[: -(-cells // res)]  # the rows the cells reach
     vals = np.empty((res, res))
     flat = vals.reshape(-1)  # a view: the rows are contiguous
-    cells = _mirrored_cells(state, x_min, x_max, y_min, y_max, res)
-    rows = max(1, _BLOCK_POINTS // res)
-    for start in range(0, -(-cells // res), rows):
+    rows = max(1, block // res)
+    for start in range(0, ys.size, rows):
         lo, hi = start * res, min((start + rows) * res, cells)
-        _husimi(state.amplitudes, _row_major(xs, ys[start : start + rows])[: hi - lo], flat[lo:hi])
+        flat[lo:hi] = values(state.amplitudes, _row_major(xs, ys[start : start + rows])[: hi - lo])
     flat[cells:] = flat[: flat.size - cells][::-1]
     return QGrid(x_min, x_max, y_min, y_max, vals)
 
 
-def wigner_grid(state, window, resolution):
-    """Wigner function on the cell-center lattice of a window.
+def q_grid(state, window, resolution):
+    """Husimi density at the cell centers of window (x_min, x_max, y_min, y_max), as q_value."""
+    return _lattice(state, window, resolution, _husimi, _BLOCK_POINTS)
 
-    Only the cells _mirrored_cells asks for are evaluated, in one kernel
-    call; the cells past them are mirror copies.
-    """
-    x_min, x_max, y_min, y_max, res = check_window(window, resolution)
-    cells = _mirrored_cells(state, x_min, x_max, y_min, y_max, res)
-    ys = _cell_centers(y_min, y_max, res)[: -(-cells // res)]  # the rows the cells reach
-    betas = _row_major(_cell_centers(x_min, x_max, res), ys)[:cells]
-    vals = np.empty(res * res)
-    vals[:cells] = _kernels.wigner_values(state.amplitudes, betas)
-    vals[cells:] = vals[: vals.size - cells][::-1]
-    return QGrid(x_min, x_max, y_min, y_max, vals.reshape(res, res))
+
+def wigner_grid(state, window, resolution):
+    """Wigner function at the cell centers of a window; one block, so one kernel call."""
+    return _lattice(state, window, resolution, _kernels.wigner_values, MAX_GRID_CELLS)
 
 
 def grid_quadrature(grid):

@@ -712,6 +712,43 @@ class TestSweepCommand:
         assert capsys.readouterr().err.endswith("exceeds the limit 250000 of the closed forms\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_moment_walk_limit(self, tmp_path, capsys, monkeypatch):
+        # each pac or pasv row walks p moment ratios in a Python loop; a
+        # sweep whose rows walk more than the limit in all is refused
+        # before any row is computed
+        out = tmp_path / "s.csv"
+        start = time.perf_counter()
+        code = cli.main(["sweep", "--family", "pac", "--p-list", "250000", "--x-min", "1",
+                         "--x-max", "2", "--steps", "401", "--out", str(out)])
+        assert code == 64 and time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: sweep walks 100250000 moment ratios (steps x the sum of --p-list), "
+            f"above the limit of {cli.MAX_SWEEP_MOMENTS}\n")
+        assert list(tmp_path.iterdir()) == []
+        # the limit itself is accepted, and a Fock sweep walks no moments
+        monkeypatch.setattr(cli, "MAX_SWEEP_MOMENTS", 12)
+        for family, p_list, want in (("pasv", "1,2,3", 0), ("pac", "1,2,4", 64), ("fock", "7", 0)):
+            code = cli.main(["sweep", "--family", family, "--p-list", p_list, "--x-min", "0",
+                             "--x-max", "1", "--steps", "2", "--out", str(out)])
+            assert code == want, family
+            assert out.exists() == (want == 0)
+            out.unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("x_min, x_max", [("9999999999999998", "1e16"), ("1e307", "1.7e308")])
+    def test_far_fock_sweep(self, tmp_path, capsys, x_min, x_max):
+        # p ln p - p - ln p! read dq 1 and 0 at the first pair and let an
+        # OverflowError escape at the second; dq is 1 - 1/sqrt(2 pi n) to
+        # 1e-17 relative this far out
+        out = tmp_path / "f.csv"
+        code = cli.main(["sweep", "--family", "fock", "--x-min", x_min, "--x-max", x_max,
+                         "--steps", "2", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows] == [float(x_min), float(x_max)]
+        for _, n, dq, numeric in rows:
+            want = 1.0 - 1.0 / math.sqrt(2.0 * math.pi * float(n))
+            assert float(dq) == pytest.approx(want, rel=1e-15) and numeric == ""
+
 
 class TestVerifyCommand:
     def test_subset_passes(self, monkeypatch, capsys):

@@ -172,6 +172,8 @@ def test_grids_match_one_kernel_call_on_the_whole_lattice(monkeypatch, spec, win
         monkeypatch.setattr(_kernels, kernel, original)
         assert got.tobytes() == want[make].tobytes()
         assert sum(points) == ((res * res + 1) // 2 if mirrored else res * res)
+        if make is wigner_grid:
+            assert len(points) == 1
 
 
 def test_fock1_wigner_origin():
