@@ -222,7 +222,7 @@ def _sweep_points(args):
     if rows > MAX_SWEEP_ROWS:
         raise DomainError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
     if not sweep.x_is_p:  # a Fock row walks no moments
-        analytic._check_moment_walk(max(p_list, default=0))
+        analytic._check_moment_walk(max(p_list, default=0))  # exit 2, as its row would
         walk = args.steps * sum(p_list)
         if walk > MAX_SWEEP_MOMENTS:
             raise DomainError(f"sweep walks {walk} moment ratios (steps x the sum of --p-list), "
