@@ -43,9 +43,11 @@ _MAX_CUTOFF = 250_000
 
 
 def _integer(name, x, least=0):
-    """x as an int; DomainError unless x is an integer >= least."""
+    """x as an int; DomainError unless x is an integer >= least that a double holds."""
     if not (x >= least and x % 1 == 0):  # nan fails the first test, inf % 1 is nan
         raise DomainError(f"{name} must be an integer >= {least}, got {x}")
+    if x > 1.7976931348623157e308:  # sys.float_info.max, past which float(x) overflows
+        raise DomainError(f"{name} must not exceed the double range, got {x}")
     return int(x)
 
 

@@ -50,8 +50,7 @@ class StateSpec:
     cutoff_override: Optional[int] = None
 
 
-# rows one sweep may hold (steps x p values); its points and rows are
-# built in memory before the CSV is written
+# rows one sweep may compute (steps x p values)
 MAX_SWEEP_ROWS = 1_000_000
 # moment ratios one pac or pasv sweep may walk (steps x the sum of its p
 # values), one Python step each in analytic.log_moment_ratios.  On a 2-core
@@ -207,7 +206,7 @@ def cmd_grid(args):
 
 
 def _sweep_points(args):
-    """The sweep's rows as (x, p, StateSpec), checked against its domain."""
+    """The sweep's rows as a generator of (x, p, StateSpec), checked against its domain first."""
     p_list, pos = [], 0
     for tok in args.p_list.split(","):
         if tok:
@@ -233,22 +232,22 @@ def _sweep_points(args):
         raise DomainError("x_min must not exceed x_max")
     if not (sweep.x_is_p or p_list):
         raise DomainError(f"p_list must be non-empty for {sweep.name} sweeps")
-    xs = [float(x) for x in np.linspace(args.x_min, args.x_max, args.steps)]
+    xs = np.linspace(args.x_min, args.x_max, args.steps)
     if not sweep.x_is_p:
         analytic._nonnegative(sweep.x_name, args.x_min)
-        return [(x, p, StateSpec(record.name, sweep.params(x), p)) for p in p_list for x in xs]
-    ns = [int(round(x)) for x in xs]
-    if any(abs(x - n) > 1e-9 or n < 0 for x, n in zip(xs, ns)):
+        return ((x, p, StateSpec(record.name, sweep.params(x), p))
+                for p in p_list for x in map(float, xs))
+    if np.any(np.abs(xs - np.rint(xs)) > 1e-9) or np.any(np.rint(xs) < 0):
         raise DomainError(f"{sweep.name} sweeps need a non-negative integer x grid")
-    return [(x, n, StateSpec(record.name, sweep.params(n))) for x, n in zip(xs, ns)]
+    return ((x, n, StateSpec(record.name, sweep.params(n)))
+            for x in map(float, xs) for n in [round(x)])
 
 
 def cmd_sweep(args):
-    rows = []
-    for x, p, spec in _sweep_points(args):
-        ana, _, report = _checked_dq(spec, args.numeric)
-        rows.append((x, p, ana, None if report is None else report.dq))
-    output.write_sweep(args.out, rows)
+    points = _sweep_points(args)  # every check, before the file is opened
+    rows = ((x, p, *_checked_dq(spec, args.numeric)) for x, p, spec in points)
+    output.write_sweep(args.out, ((x, p, ana, None if report is None else report.dq)
+                                  for x, p, ana, _, report in rows))
     return 0
 
 

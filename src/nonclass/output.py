@@ -228,9 +228,12 @@ def write_grid(path, grid):
 
 
 def write_sweep(path, rows):
-    """Write sweep rows (x, p, dq_analytic, dq_numeric) as CSV; a None dq_numeric is empty."""
-    lines = ["x,p,dq_analytic,dq_numeric"]
-    for x, p, analytic_dq, numeric_dq in rows:
-        tail = _g17(numeric_dq) if numeric_dq is not None else ""
-        lines.append(f"{_g17(x)},{p},{_g17(analytic_dq)},{tail}")
-    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
+    """Write sweep rows (x, p, dq_analytic, dq_numeric) as CSV; a None dq_numeric is empty.
+
+    Each row is written as it is taken, so rows may be a generator."""
+    def lines():
+        yield b"x,p,dq_analytic,dq_numeric\n"
+        for x, p, analytic_dq, numeric_dq in rows:
+            tail = _g17(numeric_dq) if numeric_dq is not None else ""
+            yield f"{_g17(x)},{p},{_g17(analytic_dq)},{tail}\n".encode()
+    _atomic_write(path, lines())

@@ -148,7 +148,8 @@ def svs_cutoff_for_moment(r, p):
 
 def _check_cutoff(cutoff):
     if cutoff > _MAX_CUTOFF:
-        raise CutoffError(f"cutoff {cutoff:.6g} exceeds the limit {_MAX_CUTOFF}")
+        # as given, not ':.6g', which takes float() of an int and overflows past 1.8e308
+        raise CutoffError(f"cutoff {cutoff} exceeds the limit {_MAX_CUTOFF}")
     return cutoff
 
 

@@ -2,6 +2,7 @@
 and their special functions against frozen values, mpmath and scipy."""
 
 import math
+import sys
 import time
 
 import mpmath
@@ -288,6 +289,17 @@ class TestReferenceDq:
         # make_coherent refuses the same input with the same message
         with pytest.raises(DomainError, match="overflows a double"):
             reference_dq("coherent", {"re": 1e200, "im": 0.0}, 1)
+
+
+def test_integers_past_the_double_range_are_domain_errors():
+    # float(p) of such a p raised OverflowError; the largest double still runs
+    big = int(sys.float_info.max)
+    assert fock_nonclassicality(big).dq == 1.0
+    for n in (big + 1, 10**400):
+        with pytest.raises(DomainError, match="must not exceed the double range"):
+            fock_nonclassicality(n)
+        with pytest.raises(DomainError, match="must not exceed the double range"):
+            reference_dq("fock", {"n": n}, 0)
 
 
 def test_dq_from_log_fidelity():

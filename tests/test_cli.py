@@ -266,16 +266,27 @@ class TestDqCommand:
             (["--state", "coherent:re=1,im=0+add=10000000000000"], 2),
             (["--state", "svs:r=1,phi=0+add=10000000000000"], 2),
             (["--state", "coherent:re=1e200,im=0"], 64),
+            # integers past the double range, once an OverflowError from float()
+            (["--state", f"fock:n={10**400}"], 64),
+            (["--state", f"coherent:re=1,im=0+add={10**400}"], 64),
+            (["--state", "svs:r=1,phi=0", "--cutoff", str(10**400)], 64),
+            (["grid", "--state", f"fock:n={10**400}", "--what", "wigner"], 64),
+            # each fits a double, their sum does not
+            (["--state", f"coherent:re=1,im=0+add={10**308}", "--cutoff", str(10**308)], 2),
         ],
         ids=["fock-override", "coherent-override", "svs-override", "fock-index",
              "coherent-auto", "added-photons", "coherent-added-photons",
-             "svs-added-photons", "alpha-overflow"],
+             "svs-added-photons", "alpha-overflow", "fock-index-past-double",
+             "added-photons-past-double", "override-past-double", "grid-fock-index-past-double",
+             "cutoff-sum-past-double"],
     )
-    def test_oversized_state_exit_code(self, capsys, argv, code):
-        assert cli.main(["dq", *argv]) == code
+    def test_oversized_state_exit_code(self, capsys, tmp_path, argv, code):
+        argv = [*argv, "--out", str(tmp_path / "g.csv")] if argv[0] == "grid" else ["dq", *argv]
+        assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, p",
@@ -681,6 +692,38 @@ class TestSweepCommand:
         code = cli.main(["sweep", "--family", "pac", *flags, "--out", str(tmp_path / "s.csv")])
         assert code == 64
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_are_computed_while_the_file_is_open(self, tmp_path, capsys, monkeypatch):
+        # each row goes from its closed form to the file as it is computed:
+        # the writer's temporary file exists at every row
+        seen = []
+
+        def checked_dq(*args):
+            seen.append(any(tmp_path.glob(".nonclass-*.tmp")))
+            return checked(*args)
+
+        checked = cli._checked_dq
+        monkeypatch.setattr(cli, "_checked_dq", checked_dq)
+        out = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--family", "pac", "--p-list", "1,2", "--x-min", "0",
+                         "--x-max", "1", "--steps", "3", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert seen == [True] * 6
+        _, rows = read_csv(out)
+        assert len(rows) == 6
+
+    def test_checks_come_before_the_file_opens(self, tmp_path, capsys):
+        # a bad argument is a usage error even when --out could not be opened
+        code = cli.main(["sweep", "--family", "pac", "--p-list", "1", "--x-min", "2",
+                         "--x-max", "1", "--steps", "3", "--out", str(tmp_path / "no" / "s.csv")])
+        assert code == 64
+        assert capsys.readouterr().err == "error: x_min must not exceed x_max\n"
+        # with good arguments, the missing directory is an I/O error before any row
+        code = cli.main(["sweep", "--family", "pac", "--p-list", "1", "--x-min", "1",
+                         "--x-max", "2", "--steps", "3", "--out", str(tmp_path / "no" / "s.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_p_list_token(self, tmp_path, capsys):
