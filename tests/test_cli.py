@@ -719,7 +719,7 @@ class TestSweepCommand:
                          "--x-max", "1", "--steps", "3", "--out", str(tmp_path / "no" / "s.csv")])
         assert code == 64
         assert capsys.readouterr().err == "error: x_min must not exceed x_max\n"
-        # with good arguments, the missing directory is an I/O error before any row
+        # with good arguments, the missing directory is an I/O error
         code = cli.main(["sweep", "--family", "pac", "--p-list", "1", "--x-min", "1",
                          "--x-max", "2", "--steps", "3", "--out", str(tmp_path / "no" / "s.csv")])
         assert code == 3
