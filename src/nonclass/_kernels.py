@@ -4,6 +4,7 @@ Each kernel has one vectorized numpy implementation.  All are
 deterministic: the same inputs give bit-identical outputs.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -157,33 +158,73 @@ def log_sqrt_poisson(rho, n_amp):
     return log_w
 
 
-def bargmann_weights(log_w0, rho0, rho):
-    """w_n(rho) for n < len(log_w0), shifted from log_w0 = log_sqrt_poisson(rho0, ...):
+def _log_ratios(rho0, radii):
+    """ln(rho/rho0) for a list of radii, as log1p of the exact rho - rho0
+    within a factor 2 of rho0, -inf at rho = 0.  One comprehension, not a
+    call per radius; math's log1p, not numpy's, which can differ from it
+    in the last bit."""
+    lo, hi = 0.5 * rho0, 2.0 * rho0
+    return [math.log1p((r - rho0) / rho0) if lo <= r <= hi
+            else math.log(r / rho0) if r != 0.0 else -math.inf for r in radii]
+
+
+def bargmann_weights(log_w0, rho0, rho, first=0):
+    """w_n(rho) for first <= n < first + len(log_w0), shifted from
+    log_w0 = log_sqrt_poisson(rho0, ...)[first:]:
 
     ln w_n(rho) = ln w_n(rho0) + n ln(rho/rho0) - (rho - rho0)(rho + rho0)/2,
-    the log as log1p of the exact rho - rho0 within a factor 2 of rho0.
-    rho is one radius, giving one row, or a column of radii (shape (k, 1)),
-    giving k rows, each bit-identical to the call on its radius alone.  A
-    radius below 0 raises ValueError; rho = 0 gives (w_0, 0, 0, ...).
+    the log as _log_ratios forms it.  rho is one radius, giving one row,
+    or a column of radii (shape (k, 1)), giving k rows, each bit-identical
+    to the call on its radius alone, and each weight to a call with any
+    other first.  A radius below 0 raises ValueError; rho = 0 gives
+    (w_0, 0, 0, ...).
     """
     n_amp = log_w0.shape[0]
     column = np.ndim(rho) > 0
     radii = rho[:, 0].tolist() if column else [rho]
-    lo, hi = 0.5 * rho0, 2.0 * rho0
-    # one comprehension, not a call per radius; math's log1p, not numpy's,
-    # which can differ from it in the last bit
-    log_ratio = [math.log1p((r - rho0) / rho0) if lo <= r <= hi
-                 else math.log(r / rho0) if r != 0.0 else -math.inf for r in radii]
+    log_ratio = _log_ratios(rho0, radii)
     if column:
         log_ratio = np.array(log_ratio)[:, None]
         log_w = np.empty((len(radii), n_amp))
     else:
         log_ratio, log_w = log_ratio[0], np.empty(n_amp)
-    log_w[..., 0] = 0.0
-    np.multiply(np.arange(1.0, n_amp), log_ratio, out=log_w[..., 1:])
+    skip = int(first == 0)  # n = 0 contributes 0, whatever the ratio (-inf at rho = 0)
+    log_w[..., :skip] = 0.0
+    np.multiply(np.arange(float(first + skip), first + n_amp), log_ratio, out=log_w[..., skip:])
     log_w += log_w0
     log_w -= 0.5 * (rho - rho0) * (rho + rho0)
     return np.exp(log_w, out=log_w)
+
+
+# how far below a row's largest ln w_n a live window ends: N^2 e^-LIVE_DEPTH is
+# below 4e-33 up to the cutoff cap, far under half an ulp of the search's overlaps
+LIVE_DEPTH = 100.0
+_WINDOW_STRIDE = 32
+
+
+def live_window(log_w0, rho0, rho):
+    """[lo, hi) holding every n < N with ln w_n(rho) at least the row's largest
+    minus LIVE_DEPTH, for rho > 0 and log_w0 = log_sqrt_poisson(rho0, N).
+
+    n -> ln w_n(rho) = n ln rho - ln(n!)/2 - rho^2/2 is concave: it rises to
+    the mode M = min(floor(rho^2), N - 1) and falls after it.  So a sample,
+    read every _WINDOW_STRIDE-th n as bargmann_weights forms it, more than
+    LIVE_DEPTH below the value at M bounds every n past it, away from M:
+    lo is the last such sample before M (or 0), hi the first after (or N).
+    Both grow with rho, as ln(w_n/w_m) does for n > m.
+    """
+    n_amp = log_w0.shape[0]
+    (log_ratio,) = _log_ratios(rho0, [rho])
+    shift = 0.5 * (rho - rho0) * (rho + rho0)
+    mode = min(math.floor(rho * rho), n_amp - 1)
+    floor = mode * log_ratio + float(log_w0[mode]) - shift - LIVE_DEPTH
+    row = np.arange(0.0, n_amp, _WINDOW_STRIDE) * log_ratio
+    row += log_w0[::_WINDOW_STRIDE]
+    row -= shift
+    dead = np.flatnonzero(row < floor).tolist()  # sample numbers, ascending
+    split = bisect.bisect(dead, mode // _WINDOW_STRIDE)
+    return (dead[split - 1] * _WINDOW_STRIDE if split else 0,
+            dead[split] * _WINDOW_STRIDE if split < len(dead) else n_amp)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,22 @@ PAC_FOCK_THRESHOLD = 1e-200
 _MAX_CUTOFF = 250_000
 
 
+def _shown(x):
+    """x as text; an int past the double range by its digit count, as str()
+    refuses an int of more than sys.get_int_max_str_digits() digits."""
+    if not isinstance(x, int) or abs(x) <= 1.7976931348623157e308:
+        return str(x)
+    digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1  # those of 2^(bits-1)
+    digits += abs(x) >= 10**digits
+    return f"{'a negative' if x < 0 else 'an'} integer of {digits} digits"
+
+
 def _integer(name, x, least=0):
     """x as an int; DomainError unless x is an integer >= least that a double holds."""
     if not (x >= least and x % 1 == 0):  # nan fails the first test, inf % 1 is nan
-        raise DomainError(f"{name} must be an integer >= {least}, got {x}")
+        raise DomainError(f"{name} must be an integer >= {least}, got {_shown(x)}")
     if x > 1.7976931348623157e308:  # sys.float_info.max, past which float(x) overflows
-        raise DomainError(f"{name} must not exceed the double range, got {x}")
+        raise DomainError(f"{name} must not exceed the double range, got {_shown(x)}")
     return int(x)
 
 

@@ -63,7 +63,11 @@ def _parse_number(text, pos, integer):
     if not (_INT_RE if integer else _FLOAT_RE).fullmatch(text):
         kind = "an integer" if integer else "a number"
         raise SpecParseError(f"expected {kind}, got {text!r}", position=pos)
-    return int(text) if integer else float(text)
+    try:
+        return int(text) if integer else float(text)
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise SpecParseError(f"expected an integer Python can convert, got {len(text)} digits",
+                             position=pos) from None
 
 
 def parse_state_spec(text):

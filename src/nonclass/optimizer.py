@@ -13,8 +13,11 @@ accepted trial's g the next step's derivatives, whose 2x2 Hessian is
 split into eigenpairs in closed form, with no LAPACK call.  Every weight
 shifts a _kernels.log_sqrt_poisson row, at radius 1 (rings) or the start
 ring's (Newton points); the radius-1 row is built once, the longest so
-far kept read-only and sliced.  Polar steps follow the ring-shaped ridge
-of a nearly Fock state, where Cartesian steps crawl.
+far kept read-only and sliced.  Past one fold, rows are built only on
+their live windows (_kernels.live_window) and are 0 elsewhere; the rings
+that may hold the best coarse point are built again from full rows, so
+the polish starts where full rows put it.  Polar steps follow the
+ring-shaped ridge of a nearly Fock state, where Cartesian steps crawl.
 """
 
 import cmath
@@ -40,6 +43,9 @@ _COARSE_WINDOW = ("search rings out to radius {:.4g} are too far apart for this 
                   "ring point is not finite")
 # terms of ring weights built at once, so peak working memory does not grow with N
 _BLOCK_TERMS = 2**15
+# past one fold, rings are built on live windows only when these keep at most
+# this share of the terms; full rows cost less than windows that keep more
+_TRIMMED_SHARE = 0.8
 # how far rounding may put pi q_max above 1, the bound of any normalized
 # state: measured at most 2.6e-13 (and dq 3.5e-13 off its closed form) over
 # 330 seeded coherent inputs up to |alpha| = 400, p <= 10 (N up to 2.5e5)
@@ -77,9 +83,18 @@ def _ladder(amps):
 
 
 def _bargmann_row(log_w0, rho0, rho, theta):
-    """w_n(rho) e^{-i n theta}, so that <beta|psi> = (ladder @ row)[0] at rho e^{i theta}."""
-    n = np.arange(log_w0.shape[0])
-    return _kernels.bargmann_weights(log_w0, rho0, rho) * np.exp(-1j * theta * n)
+    """w_n(rho) e^{-i n theta}, so that <beta|psi> = (ladder @ row)[0] at rho e^{i theta};
+    past one fold (N > _ANGLES), 0 outside the live window (_kernels.live_window)."""
+    n_amp = log_w0.shape[0]
+    if n_amp <= _ANGLES or rho == 0.0:
+        n = np.arange(n_amp)
+        return _kernels.bargmann_weights(log_w0, rho0, rho) * np.exp(-1j * theta * n)
+    lo, hi = _kernels.live_window(log_w0, rho0, rho)
+    n = np.arange(lo, hi)
+    row = np.zeros(n_amp, np.complex128)
+    np.multiply(_kernels.bargmann_weights(log_w0[lo:hi], rho0, rho, lo), np.exp(-1j * theta * n),
+                out=row[lo:hi])
+    return row
 
 
 def _polar_newton_step(g, rho, theta):
@@ -147,30 +162,68 @@ def _radius_one_row(n_amp):
     return row[:n_amp]
 
 
+def _fold(amps, log_w1, column, lo, hi, out):
+    """Fold c_n w_n(rho), lo <= n < hi, by n mod _ANGLES into out, a row per radius of column."""
+    start = lo - lo % _ANGLES
+    terms = np.zeros((column.shape[0], math.ceil((hi - start) / _ANGLES) * _ANGLES), np.complex128)
+    np.multiply(amps[lo:hi], _kernels.bargmann_weights(log_w1[lo:hi], 1.0, column, lo),
+                out=terms[:, lo - start:hi - start])
+    terms.reshape(column.shape[0], -1, _ANGLES).sum(axis=1, out=out)
+
+
+def _power(folded):
+    """|FFT|^2 of each folded row: pi Q on the ring's _ANGLES angles."""
+    ov = np.fft.fft(folded, axis=1)
+    parts = ov.view(np.float64)
+    np.square(parts, out=parts)
+    return np.add(parts[:, 0::2], parts[:, 1::2])
+
+
 def _ring_values(amps, rings):
     """pi Q on _ANGLES equally spaced angles of each ring, one row per ring.
 
     The weights, shifted from one row at radius 1, come at most
     _BLOCK_TERMS terms per block of rings (one ring when N alone exceeds it).
     When N fits one fold (N <= _ANGLES) the terms are written straight into
-    the folded rows, whose tails stay 0.
+    the folded rows, whose tails stay 0.  Past one fold, when the blocks'
+    live windows keep at most _TRIMMED_SHARE of the terms, each block is
+    built on the union of its rings' windows.  A trimmed overlap misses at
+    most N e^-LIVE_DEPTH (|c_n|, w_n <= 1); it rounds apart from the full
+    one by at most F u in the folds of F = ceil(N / _ANGLES) terms and far
+    less than 64 u in the FFT's < 9 stages, u = 2^-53, as sum |c_n w_n| <= 1
+    (Cauchy-Schwarz).  With both rounding and overlaps at most 1, no value
+    moves by more than E = 4 (N e^-LIVE_DEPTH + (F + 64) u), so the rings
+    within 2 E of the best, built again from full rows, hold the
+    first-occurrence argmax, and the value there, of full rows.
     """
     n_amp = amps.shape[0]
     log_w1 = _radius_one_row(n_amp)
-    width = math.ceil(n_amp / _ANGLES) * _ANGLES
-    one_fold = width == _ANGLES
     block = max(1, _BLOCK_TERMS // n_amp)
-    folded = (np.zeros if one_fold else np.empty)((rings.size, _ANGLES), np.complex128)
-    for j in range(0, rings.size, block):
-        column = rings[j:j + block, None]
-        terms = folded[j:j + block] if one_fold else np.zeros((column.shape[0], width), np.complex128)
-        np.multiply(amps, _kernels.bargmann_weights(log_w1, 1.0, column), out=terms[:, :n_amp])
-        if not one_fold:
-            terms.reshape(column.shape[0], -1, _ANGLES).sum(axis=1, out=folded[j:j + block])
-    ov = np.fft.fft(folded, axis=1)
-    parts = ov.view(np.float64)
-    np.square(parts, out=parts)
-    return np.add(parts[:, 0::2], parts[:, 1::2])
+    starts = range(0, rings.size, block)
+    if n_amp <= _ANGLES:
+        folded = np.zeros((rings.size, _ANGLES), np.complex128)
+        for j in starts:
+            column = rings[j:j + block, None]
+            np.multiply(amps, _kernels.bargmann_weights(log_w1, 1.0, column), out=folded[j:j + block, :n_amp])
+        return _power(folded)
+    # windows grow with the radius: a block's union runs from its first ring's lo to its last ring's hi
+    spans = [(_kernels.live_window(log_w1, 1.0, rings[j])[0],
+              _kernels.live_window(log_w1, 1.0, rings[min(j + block, rings.size) - 1])[1]) for j in starts]
+    kept = sum(min(block, rings.size - j) * (hi - lo) for j, (lo, hi) in zip(starts, spans))
+    trimmed = kept <= _TRIMMED_SHARE * rings.size * n_amp
+    if not trimmed:
+        spans = [(0, n_amp)] * len(spans)
+    folded = np.empty((rings.size, _ANGLES), np.complex128)
+    for j, (lo, hi) in zip(starts, spans):
+        _fold(amps, log_w1, rings[j:j + block, None], lo, hi, folded[j:j + block])
+    values = _power(folded)
+    if trimmed:
+        error = 4.0 * (n_amp * math.exp(-_kernels.LIVE_DEPTH) + (math.ceil(n_amp / _ANGLES) + 64) * 2.0**-53)
+        near = np.flatnonzero(values.max(axis=1) >= values.max() - 2.0 * error)
+        for j in near.tolist():
+            _fold(amps, log_w1, rings[j:j + 1, None], 0, n_amp, folded[j:j + 1])
+        values[near] = _power(folded[near])
+    return values
 
 
 def _search_radius(state):

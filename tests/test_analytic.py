@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_laguerre, gammaln
 
+from nonclass import analytic
 from nonclass.analytic import (
     PAC_FOCK_THRESHOLD,
     _log_cosh,
@@ -300,6 +301,20 @@ def test_integers_past_the_double_range_are_domain_errors():
             fock_nonclassicality(n)
         with pytest.raises(DomainError, match="must not exceed the double range"):
             reference_dq("fock", {"n": n}, 0)
+
+
+def test_integers_past_the_digit_limit_are_domain_errors():
+    # str() of an int of more than 4,300 digits raises ValueError, so the
+    # message names such a value by its digit count; 10^k - 1 has k digits
+    for n, digits in ((10**5000 - 1) // 9, 5000), (10**4300, 4301), (10**400, 401):
+        with pytest.raises(DomainError, match=f"double range, got an integer of {digits} digits"):
+            fock_nonclassicality(n)
+        with pytest.raises(DomainError, match=f"got an integer of {digits} digits"):
+            reference_dq("fock", {"n": n}, 0)
+        with pytest.raises(DomainError, match=f">= 0, got a negative integer of {digits} digits"):
+            analytic._integer("n", -n)
+    assert analytic._shown(10**4000 - 1) == "an integer of 4000 digits"
+    assert analytic._shown(-12) == "-12"
 
 
 def test_dq_from_log_fidelity():

@@ -273,15 +273,21 @@ class TestDqCommand:
             (["grid", "--state", f"fock:n={10**400}", "--what", "wigner"], 64),
             # each fits a double, their sum does not
             (["--state", f"coherent:re=1,im=0+add={10**308}", "--cutoff", str(10**308)], 2),
+            # integers of more digits than Python's int() converts, once a ValueError from it
+            (["--state", "fock:n=" + "1" * 5000], 64),
+            (["--state", "coherent:re=1,im=0+add=" + "1" * 5000], 64),
+            (["sweep", "--family", "pac", "--p-list", "1" * 5000, "--x-min", "0", "--x-max", "1",
+              "--steps", "2"], 64),
         ],
         ids=["fock-override", "coherent-override", "svs-override", "fock-index",
              "coherent-auto", "added-photons", "coherent-added-photons",
              "svs-added-photons", "alpha-overflow", "fock-index-past-double",
              "added-photons-past-double", "override-past-double", "grid-fock-index-past-double",
-             "cutoff-sum-past-double"],
+             "cutoff-sum-past-double", "fock-index-past-digit-limit",
+             "added-photons-past-digit-limit", "sweep-p-list-past-digit-limit"],
     )
     def test_oversized_state_exit_code(self, capsys, tmp_path, argv, code):
-        argv = [*argv, "--out", str(tmp_path / "g.csv")] if argv[0] == "grid" else ["dq", *argv]
+        argv = [*argv, "--out", str(tmp_path / "g.csv")] if argv[0] in ("grid", "sweep") else ["dq", *argv]
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -12,9 +12,11 @@ from scipy.special import eval_laguerre
 from nonclass import _kernels, quasiprob, states
 from nonclass._kernels import (
     _wigner_diagonals,
+    LIVE_DEPTH,
     bargmann_weights,
     coherent_overlaps,
     laguerre_chains,
+    live_window,
     log_sqrt_poisson,
     support,
     wigner_values,
@@ -349,6 +351,78 @@ class TestBargmannWeights:
         assert np.array_equal(bargmann_weights(log_w1, 1.0, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             bargmann_weights(log_w1, 1.0, -1.0)
+
+    def test_any_first_gives_the_same_bits(self):
+        # a window's weights, built from a slice of the row and its first
+        # index, are the full row's weights bit for bit, one radius or a column
+        rng = np.random.default_rng(47)
+        for n_amp, rho0 in ((2026, 1.0), (3443, 23.7), (321, 1.0)):
+            log_w0 = log_sqrt_poisson(rho0, n_amp)
+            radii = np.concatenate(([0.0], rho0 * rng.uniform(0.1, 3.0, 6)))
+            full = bargmann_weights(log_w0, rho0, radii[:, None])
+            for _ in range(10):
+                lo, hi = sorted(rng.integers(0, n_amp + 1, 2).tolist())
+                if lo == hi:
+                    continue
+                part = bargmann_weights(log_w0[lo:hi], rho0, radii[:, None], lo)
+                assert part.tobytes() == np.ascontiguousarray(full[:, lo:hi]).tobytes()
+                for row, rho in zip(full, radii.tolist()):
+                    alone = bargmann_weights(log_w0[lo:hi], rho0, rho, lo)
+                    assert alone.tobytes() == np.ascontiguousarray(row[lo:hi]).tobytes()
+
+
+def _log_row(log_w0, rho0, rho):
+    # reference: ln w_n(rho) at every n, as bargmann_weights forms it before its exp
+    if 0.5 * rho0 <= rho <= 2.0 * rho0:
+        log_ratio = math.log1p((rho - rho0) / rho0)
+    else:
+        log_ratio = math.log(rho / rho0)
+    return np.arange(log_w0.shape[0]) * log_ratio + log_w0 - 0.5 * (rho - rho0) * (rho + rho0)
+
+
+def _window_cases():
+    # (N, rho0, rho): radii below 1 and past sqrt(N) from the radius-1 row,
+    # radii within a factor 2 of their anchor (the log1p branch) and past
+    # it, N = 321 (one term past one fold) up to 20,000; seeded draws
+    rng = np.random.default_rng(2025)
+    cases = []
+    for n_amp in (321, 322, 1000, 3443, 20_000):
+        cases += [(n_amp, 1.0, rho) for rho in rng.uniform(0.01, 1.0, 3).tolist()]
+        cases += [(n_amp, 1.0, rho) for rho in rng.uniform(1.0, 1.5 * math.sqrt(n_amp), 4).tolist()]
+        for rho0 in rng.uniform(0.5, 1.5 * math.sqrt(n_amp), 3).tolist():
+            cases += [(n_amp, rho0, rho0 * u) for u in rng.uniform(0.5, 2.0, 3).tolist()]
+            cases += [(n_amp, rho0, rho0 * u) for u in (0.2, 2.5)]
+    cases += [(321, 1.0, 17.92), (321, 1.0, 25.0), (321, 12.0, 30.0), (1000, 30.0, 33.0)]  # rho^2 > N
+    return cases
+
+
+class TestLiveWindow:
+    STRIDE = _kernels._WINDOW_STRIDE
+
+    @pytest.mark.parametrize("n_amp, rho0, rho", _window_cases())
+    def test_every_index_outside_is_dead(self, n_amp, rho0, rho):
+        # outside [lo, hi) every ln w_n is more than LIVE_DEPTH below the
+        # row's largest; inside, the live indices reach to within one
+        # stride of each end
+        log_w0 = log_sqrt_poisson(rho0, n_amp)
+        row = _log_row(log_w0, rho0, rho)
+        lo, hi = live_window(log_w0, rho0, rho)
+        top = row.max()
+        assert 0 <= lo <= int(np.argmax(row)) < hi <= n_amp
+        outside = np.concatenate((row[:lo], row[hi:]))
+        assert np.all(outside < top - LIVE_DEPTH)
+        live = np.flatnonzero(row >= top - LIVE_DEPTH)
+        assert lo >= live[0] - self.STRIDE and hi <= live[-1] + 1 + self.STRIDE
+
+    @pytest.mark.parametrize("n_amp", [321, 3443, 20_000])
+    def test_windows_grow_with_the_radius(self, n_amp):
+        # the ring stage builds a block of rings on its first ring's lo and
+        # its last ring's hi, which holds every ring's window between them
+        log_w1 = log_sqrt_poisson(1.0, n_amp)
+        windows = [live_window(log_w1, 1.0, rho) for rho in np.linspace(0.05, 2.0 * math.sqrt(n_amp), 400)]
+        lows, highs = zip(*windows)
+        assert list(lows) == sorted(lows) and list(highs) == sorted(highs)
+        assert lows[-1] > 0 and highs[0] < n_amp
 
 
 def _brute_support(amps):

@@ -1,6 +1,7 @@
 """Coarse rings plus polar Newton polish: accuracy, determinism, failure modes."""
 
 import cmath
+import dataclasses
 import inspect
 import json
 import math
@@ -203,6 +204,106 @@ class TestRingStage:
         dq_ref, _ = analytic.reference_dq(spec.family, spec.params, spec.added_photons)
         assert abs(payload["dq_numeric"] - dq_ref) <= 1e-6
         assert _rel_qmax_error(spec, payload["q_max"]) <= 1e-6
+
+
+def _full_ring_values(amps, rings):
+    # reference: the ring stage on full rows, as the search built it before
+    # live windows
+    n_amp = amps.shape[0]
+    log_w1 = _kernels.log_sqrt_poisson(1.0, n_amp)
+    width = math.ceil(n_amp / optimizer._ANGLES) * optimizer._ANGLES
+    block = max(1, optimizer._BLOCK_TERMS // n_amp)
+    folded = np.empty((rings.size, optimizer._ANGLES), np.complex128)
+    for j in range(0, rings.size, block):
+        column = rings[j:j + block, None]
+        terms = np.zeros((column.shape[0], width), np.complex128)
+        np.multiply(amps, _kernels.bargmann_weights(log_w1, 1.0, column), out=terms[:, :n_amp])
+        terms.reshape(column.shape[0], -1, optimizer._ANGLES).sum(axis=1, out=folded[j:j + block])
+    ov = np.fft.fft(folded, axis=1)
+    parts = ov.view(np.float64)
+    np.square(parts, out=parts)
+    return np.add(parts[:, 0::2], parts[:, 1::2])
+
+
+def _full_row(log_w0, rho0, rho, theta):
+    # reference: a Newton point's row on every n, as built before live windows
+    n = np.arange(log_w0.shape[0])
+    return _kernels.bargmann_weights(log_w0, rho0, rho) * np.exp(-1j * theta * n)
+
+
+def _multi_fold_cases():
+    # (spec, cutoff): seeded pasv r 2-3.5 with p <= 10 and coherent |alpha|
+    # 20-40, |2025>, N = 321 with windows that trim the rings and with ones
+    # that do not, and N = 323 without an override
+    rng = np.random.default_rng(47)
+    cases = [(f"svs:r={r:.6f},phi={phi:.6f}+add={p}", None)
+             for r, phi, p in zip(rng.uniform(2.0, 3.5, 5), rng.uniform(0.0, 2.0 * math.pi, 5),
+                                  rng.integers(0, 11, 5).tolist())]
+    cases += [(f"coherent:re={a * math.cos(t):.6f},im={a * math.sin(t):.6f}+add={p}", None)
+              for a, t, p in zip(rng.uniform(20.0, 40.0, 3), rng.uniform(0.0, 2.0 * math.pi, 3),
+                                 rng.integers(0, 11, 3).tolist())]
+    return cases + [("fock:n=2025", None), ("svs:r=0.5,phi=1", 320), ("coherent:re=1,im=0.5", 320),
+                    ("svs:r=1.500070,phi=4.905417+add=1", None)]
+
+
+class TestLiveWindows:
+    """Past one fold, rows are built on their live windows; the search starts where full rows put it."""
+
+    @pytest.fixture(scope="class")
+    def states_and_rings(self):
+        out = []
+        for text, cutoff in _multi_fold_cases():
+            state = cli.build_state(dataclasses.replace(cli.parse_state_spec(text), cutoff_override=cutoff))
+            k = optimizer._RINGS
+            out.append((state, optimizer._search_radius(state) * (np.arange(k) + 0.5) / (k - 0.5)))
+        return out
+
+    @pytest.mark.parametrize("depth", [_kernels.LIVE_DEPTH, 30.0])
+    def test_start_point_is_that_of_full_rows(self, monkeypatch, states_and_rings, depth):
+        # the first-occurrence argmax and the value there, bit for bit, and
+        # every other value within 1e-12 of the peak.  At LIVE_DEPTH the
+        # trimmed values seldom move; windows 30 deep move them by up to
+        # 6e-15 of the peak, and the rings built again from full rows must
+        # still give the start point
+        monkeypatch.setattr(_kernels, "LIVE_DEPTH", depth)
+        trimmed = 0
+        original = _kernels.bargmann_weights
+        for state, rings in states_and_rings:
+            amps = state.amplitudes
+            assert amps.size > optimizer._ANGLES
+            lengths = []
+            monkeypatch.setattr(_kernels, "bargmann_weights",
+                                lambda log_w0, *args: (lengths.append(log_w0.size), original(log_w0, *args))[1])
+            got = optimizer._ring_values(amps, rings)
+            monkeypatch.setattr(_kernels, "bargmann_weights", original)
+            want = _full_ring_values(amps, rings)
+            best = int(np.argmax(want))
+            assert int(np.argmax(got)) == best
+            assert got.flat[best].tobytes() == want.flat[best].tobytes()
+            assert np.max(np.abs(got - want)) <= 1e-12 * want.flat[best]
+            trimmed += min(lengths) < amps.size
+        assert trimmed >= len(states_and_rings) - 2
+
+    def test_newton_rows_match_full_rows(self, states_and_rings):
+        # the one (3, N) product of a windowed row equals that of the full
+        # row; array_equal, as signed zeros may differ
+        rng = np.random.default_rng(7)
+        windowed = 0
+        for state, _ in states_and_rings:
+            amps = state.amplitudes
+            ladder = optimizer._ladder(amps)
+            peak = maximize_q(state).beta_max
+            for _ in range(4):
+                rho0 = abs(peak) * rng.uniform(0.97, 1.03) + rng.uniform(0.0, 0.1)
+                log_w0 = _kernels.log_sqrt_poisson(rho0, amps.size)
+                for _ in range(3):
+                    rho = abs(rho0 + rng.normal(scale=0.05))  # a step through 0 flips the angle
+                    theta = cmath.phase(peak) + rng.normal(scale=0.05)
+                    got = ladder @ optimizer._bargmann_row(log_w0, rho0, rho, theta)
+                    assert np.array_equal(got, ladder @ _full_row(log_w0, rho0, rho, theta))
+                    lo, hi = _kernels.live_window(log_w0, rho0, rho)
+                    windowed += hi - lo < amps.size
+        assert windowed >= len(states_and_rings) * 6
 
 
 # ring values of these (spec, cutoff) cases, digested, in a child process
