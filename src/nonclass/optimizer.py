@@ -13,7 +13,7 @@ accepted trial's g the next step's derivatives, whose 2x2 Hessian is
 split into eigenpairs in closed form, with no LAPACK call.  Every weight
 shifts a _kernels.log_sqrt_poisson row, at radius 1 (rings) or the start
 ring's (Newton points); the radius-1 row is built once, the longest so
-far kept read-only and sliced.  Past one fold, rows are built only on
+far kept read-only and sliced.  Past two folds, rows are built only on
 their live windows (_kernels.live_window) and are 0 elsewhere; the rings
 that may hold the best coarse point are built again from full rows, so
 the polish starts where full rows put it.  Polar steps follow the
@@ -43,8 +43,12 @@ _COARSE_WINDOW = ("search rings out to radius {:.4g} are too far apart for this 
                   "ring point is not finite")
 # terms of ring weights built at once, so peak working memory does not grow with N
 _BLOCK_TERMS = 2**15
-# past one fold, rings are built on live windows only when these keep at most
-# this share of the terms; full rows cost less than windows that keep more
+# rows are built on live windows only past two folds: below, the one block of
+# rings keeps nearly every term, and a Newton row's window saves about what its
+# scan costs (windows from one fold on took 1.12x the time at N = 321-640)
+_WINDOWED_PAST = 2 * _ANGLES
+# and rings only when their windows keep at most this share of the terms;
+# full rows cost less than windows that keep more
 _TRIMMED_SHARE = 0.8
 # how far rounding may put pi q_max above 1, the bound of any normalized
 # state: measured at most 2.6e-13 (and dq 3.5e-13 off its closed form) over
@@ -84,9 +88,9 @@ def _ladder(amps):
 
 def _bargmann_row(log_w0, rho0, rho, theta):
     """w_n(rho) e^{-i n theta}, so that <beta|psi> = (ladder @ row)[0] at rho e^{i theta};
-    past one fold (N > _ANGLES), 0 outside the live window (_kernels.live_window)."""
+    for N > _WINDOWED_PAST, 0 outside the live window (_kernels.live_window)."""
     n_amp = log_w0.shape[0]
-    if n_amp <= _ANGLES or rho == 0.0:
+    if n_amp <= _WINDOWED_PAST or rho == 0.0:
         n = np.arange(n_amp)
         return _kernels.bargmann_weights(log_w0, rho0, rho) * np.exp(-1j * theta * n)
     lo, hi = _kernels.live_window(log_w0, rho0, rho)
@@ -185,16 +189,17 @@ def _ring_values(amps, rings):
     The weights, shifted from one row at radius 1, come at most
     _BLOCK_TERMS terms per block of rings (one ring when N alone exceeds it).
     When N fits one fold (N <= _ANGLES) the terms are written straight into
-    the folded rows, whose tails stay 0.  Past one fold, when the blocks'
-    live windows keep at most _TRIMMED_SHARE of the terms, each block is
-    built on the union of its rings' windows.  A trimmed overlap misses at
-    most N e^-LIVE_DEPTH (|c_n|, w_n <= 1); it rounds apart from the full
-    one by at most F u in the folds of F = ceil(N / _ANGLES) terms and far
-    less than 64 u in the FFT's < 9 stages, u = 2^-53, as sum |c_n w_n| <= 1
-    (Cauchy-Schwarz).  With both rounding and overlaps at most 1, no value
-    moves by more than E = 4 (N e^-LIVE_DEPTH + (F + 64) u), so the rings
-    within 2 E of the best, built again from full rows, hold the
-    first-occurrence argmax, and the value there, of full rows.
+    the folded rows, whose tails stay 0.  When N > _WINDOWED_PAST and the
+    blocks' live windows keep at most _TRIMMED_SHARE of the terms, each
+    block is built on the union of its rings' windows.  A trimmed overlap
+    misses at most N e^-LIVE_DEPTH (|c_n|, w_n <= 1); it rounds apart from
+    the full one by at most F u in the folds of F = ceil(N / _ANGLES)
+    terms and far less than 64 u in the FFT's < 9 stages, u = 2^-53, as
+    sum |c_n w_n| <= 1 (Cauchy-Schwarz).  With both rounding and overlaps
+    at most 1, no value moves by more than E = 4 (N e^-LIVE_DEPTH +
+    (F + 64) u), so the rings within 2 E of the best, built again from
+    full rows, hold the first-occurrence argmax, and the value there, of
+    full rows.
     """
     n_amp = amps.shape[0]
     log_w1 = _radius_one_row(n_amp)
@@ -206,13 +211,15 @@ def _ring_values(amps, rings):
             column = rings[j:j + block, None]
             np.multiply(amps, _kernels.bargmann_weights(log_w1, 1.0, column), out=folded[j:j + block, :n_amp])
         return _power(folded)
-    # windows grow with the radius: a block's union runs from its first ring's lo to its last ring's hi
-    spans = [(_kernels.live_window(log_w1, 1.0, rings[j])[0],
-              _kernels.live_window(log_w1, 1.0, rings[min(j + block, rings.size) - 1])[1]) for j in starts]
-    kept = sum(min(block, rings.size - j) * (hi - lo) for j, (lo, hi) in zip(starts, spans))
-    trimmed = kept <= _TRIMMED_SHARE * rings.size * n_amp
-    if not trimmed:
-        spans = [(0, n_amp)] * len(spans)
+    trimmed = False
+    if n_amp > _WINDOWED_PAST:
+        # windows grow with the radius: a block's union runs from its first ring's lo to its last ring's hi
+        windows = [(_kernels.live_window(log_w1, 1.0, rings[j])[0],
+                    _kernels.live_window(log_w1, 1.0, rings[min(j + block, rings.size) - 1])[1])
+                   for j in starts]
+        kept = sum(min(block, rings.size - j) * (hi - lo) for j, (lo, hi) in zip(starts, windows))
+        trimmed = kept <= _TRIMMED_SHARE * rings.size * n_amp
+    spans = windows if trimmed else [(0, n_amp)] * len(starts)
     folded = np.empty((rings.size, _ANGLES), np.complex128)
     for j, (lo, hi) in zip(starts, spans):
         _fold(amps, log_w1, rings[j:j + block, None], lo, hi, folded[j:j + block])
