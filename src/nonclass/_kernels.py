@@ -159,10 +159,8 @@ def log_sqrt_poisson(rho, n_amp):
 
 
 def _log_ratios(rho0, radii):
-    """ln(rho/rho0) for a list of radii, as log1p of the exact rho - rho0
-    within a factor 2 of rho0, -inf at rho = 0.  One comprehension, not a
-    call per radius; math's log1p, not numpy's, which can differ from it
-    in the last bit."""
+    """ln(rho/rho0) for a list of radii (log1p of the exact rho - rho0 within a factor 2
+    of rho0, -inf at rho = 0), with math's log1p, not numpy's, which can differ from it."""
     lo, hi = 0.5 * rho0, 2.0 * rho0
     return [math.log1p((r - rho0) / rho0) if lo <= r <= hi
             else math.log(r / rho0) if r != 0.0 else -math.inf for r in radii]
@@ -206,12 +204,12 @@ def live_window(log_w0, rho0, rho):
     """[lo, hi) holding every n < N with ln w_n(rho) at least the row's largest
     minus LIVE_DEPTH, for rho > 0 and log_w0 = log_sqrt_poisson(rho0, N).
 
-    n -> ln w_n(rho) = n ln rho - ln(n!)/2 - rho^2/2 is concave: it rises to
-    the mode M = min(floor(rho^2), N - 1) and falls after it.  So a sample,
-    read every _WINDOW_STRIDE-th n as bargmann_weights forms it, more than
-    LIVE_DEPTH below the value at M bounds every n past it, away from M:
-    lo is the last such sample before M (or 0), hi the first after (or N).
-    Both grow with rho, as ln(w_n/w_m) does for n > m.
+    n -> ln w_n(rho) = n ln rho - ln(n!)/2 - rho^2/2 is concave, largest at
+    M = min(floor(rho^2), N - 1): a sample (every _WINDOW_STRIDE-th n, as
+    bargmann_weights forms it) more than LIVE_DEPTH below the value at M
+    bounds every n beyond it, away from M.  lo is the last such sample before
+    M (or 0), hi the first after (or N); both grow with rho, as ln(w_n/w_m)
+    does for n > m.
     """
     n_amp = log_w0.shape[0]
     (log_ratio,) = _log_ratios(rho0, [rho])

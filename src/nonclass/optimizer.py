@@ -13,7 +13,7 @@ accepted trial's g the next step's derivatives, whose 2x2 Hessian is
 split into eigenpairs in closed form, with no LAPACK call.  Every weight
 shifts a _kernels.log_sqrt_poisson row, at radius 1 (rings) or the start
 ring's (Newton points); the radius-1 row is built once, the longest so
-far kept read-only and sliced.  Past two folds, rows are built only on
+far kept read-only and sliced.  Past three folds, rows are built only on
 their live windows (_kernels.live_window) and are 0 elsewhere; the rings
 that may hold the best coarse point are built again from full rows, so
 the polish starts where full rows put it.  Polar steps follow the
@@ -43,12 +43,10 @@ _COARSE_WINDOW = ("search rings out to radius {:.4g} are too far apart for this 
                   "ring point is not finite")
 # terms of ring weights built at once, so peak working memory does not grow with N
 _BLOCK_TERMS = 2**15
-# rows are built on live windows only past two folds: below, the one block of
-# rings keeps nearly every term, and a Newton row's window saves about what its
-# scan costs (windows from one fold on took 1.12x the time at N = 321-640)
-_WINDOWED_PAST = 2 * _ANGLES
-# and rings only when their windows keep at most this share of the terms;
-# full rows cost less than windows that keep more
+# live windows only past three folds, and for rings only when they keep at most
+# this share of the terms: below, a window saves about what its scan costs
+# (windows took 1.12x the full rows' time at N = 321-640, 1.02-1.06x at 641-960)
+_WINDOWED_PAST = 3 * _ANGLES
 _TRIMMED_SHARE = 0.8
 # how far rounding may put pi q_max above 1, the bound of any normalized
 # state: measured at most 2.6e-13 (and dq 3.5e-13 off its closed form) over
@@ -192,14 +190,12 @@ def _ring_values(amps, rings):
     the folded rows, whose tails stay 0.  When N > _WINDOWED_PAST and the
     blocks' live windows keep at most _TRIMMED_SHARE of the terms, each
     block is built on the union of its rings' windows.  A trimmed overlap
-    misses at most N e^-LIVE_DEPTH (|c_n|, w_n <= 1); it rounds apart from
-    the full one by at most F u in the folds of F = ceil(N / _ANGLES)
-    terms and far less than 64 u in the FFT's < 9 stages, u = 2^-53, as
-    sum |c_n w_n| <= 1 (Cauchy-Schwarz).  With both rounding and overlaps
-    at most 1, no value moves by more than E = 4 (N e^-LIVE_DEPTH +
-    (F + 64) u), so the rings within 2 E of the best, built again from
-    full rows, hold the first-occurrence argmax, and the value there, of
-    full rows.
+    misses at most N e^-LIVE_DEPTH (|c_n|, w_n <= 1) and rounds apart from
+    the full one by under F u in folds of F = ceil(N / _ANGLES) terms and
+    64 u in the FFT, u = 2^-53, as sum |c_n w_n| <= 1 (Cauchy-Schwarz);
+    so no value moves by more than E = 4 (N e^-LIVE_DEPTH + (F + 64) u),
+    and the rings within 2 E of the best, built again from full rows, hold
+    the first-occurrence argmax, and the value there, of full rows.
     """
     n_amp = amps.shape[0]
     log_w1 = _radius_one_row(n_amp)

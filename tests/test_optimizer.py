@@ -233,8 +233,8 @@ def _full_row(log_w0, rho0, rho, theta):
 
 def _multi_fold_cases():
     # (spec, cutoff): seeded pasv r 2-3.5 with p <= 10 and coherent |alpha|
-    # 20-40, |2025>, N = 321 and 323, just past one fold (full rows), and
-    # N = 641 and 645, just past two folds (live windows)
+    # 20-40, |2025>, N = 321 and 323, just past one fold, and 641, just
+    # past two (full rows), and N = 961 and 965, just past three (windows)
     rng = np.random.default_rng(47)
     cases = [(f"svs:r={r:.6f},phi={phi:.6f}+add={p}", None)
              for r, phi, p in zip(rng.uniform(2.0, 3.5, 5), rng.uniform(0.0, 2.0 * math.pi, 5),
@@ -244,11 +244,11 @@ def _multi_fold_cases():
                                  rng.integers(0, 11, 3).tolist())]
     return cases + [("fock:n=2025", None), ("svs:r=0.5,phi=1", 320),
                     ("svs:r=1.500070,phi=4.905417+add=1", None), ("svs:r=0.5,phi=1", 640),
-                    ("coherent:re=2,im=1+add=3", 641)]
+                    ("svs:r=0.5,phi=1", 960), ("coherent:re=2,im=1+add=3", 961)]
 
 
 class TestLiveWindows:
-    """Past two folds, rows are built on their live windows; the search starts where full rows put it."""
+    """Past three folds, rows are built on their live windows; the search starts where full rows put it."""
 
     @pytest.fixture(scope="class")
     def states_and_rings(self):
@@ -286,7 +286,7 @@ class TestLiveWindows:
             assert int(np.argmax(got)) == best
             assert got.flat[best].tobytes() == want.flat[best].tobytes()
             assert np.max(np.abs(got - want)) <= 1e-12 * want.flat[best]
-            # full rows up to two folds; the heavy states' windows trim their rings
+            # full rows up to three folds; the heavy states' windows trim their rings
             if amps.size <= optimizer._WINDOWED_PAST:
                 assert min(lengths) == amps.size
             elif amps.size > 1000:
