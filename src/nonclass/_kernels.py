@@ -186,9 +186,11 @@ def bargmann_weights(log_w0, rho0, rho, first=0):
         log_w = np.empty((len(radii), n_amp))
     else:
         log_ratio, log_w = log_ratio[0], np.empty(n_amp)
-    skip = int(first == 0)  # n = 0 contributes 0, whatever the ratio (-inf at rho = 0)
-    log_w[..., :skip] = 0.0
-    np.multiply(np.arange(float(first + skip), first + n_amp), log_ratio, out=log_w[..., skip:])
+    if first:
+        np.multiply(np.arange(float(first), first + n_amp), log_ratio, out=log_w)
+    else:  # n = 0 contributes 0, whatever the ratio (-inf at rho = 0)
+        log_w[..., 0] = 0.0
+        np.multiply(np.arange(1.0, n_amp), log_ratio, out=log_w[..., 1:])
     log_w += log_w0
     log_w -= 0.5 * (rho - rho0) * (rho + rho0)
     return np.exp(log_w, out=log_w)
