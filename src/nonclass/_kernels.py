@@ -4,7 +4,6 @@ Each kernel has one vectorized numpy implementation.  All are
 deterministic: the same inputs give bit-identical outputs.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -158,29 +157,25 @@ def log_sqrt_poisson(rho, n_amp):
     return log_w
 
 
-def _log_ratios(rho0, radii):
-    """ln(rho/rho0) for a list of radii (log1p of the exact rho - rho0 within a factor 2
-    of rho0, -inf at rho = 0), with math's log1p, not numpy's, which can differ from it."""
-    lo, hi = 0.5 * rho0, 2.0 * rho0
-    return [math.log1p((r - rho0) / rho0) if lo <= r <= hi
-            else math.log(r / rho0) if r != 0.0 else -math.inf for r in radii]
-
-
 def bargmann_weights(log_w0, rho0, rho, first=0):
     """w_n(rho) for first <= n < first + len(log_w0), shifted from
     log_w0 = log_sqrt_poisson(rho0, ...)[first:]:
 
     ln w_n(rho) = ln w_n(rho0) + n ln(rho/rho0) - (rho - rho0)(rho + rho0)/2,
-    the log as _log_ratios forms it.  rho is one radius, giving one row,
-    or a column of radii (shape (k, 1)), giving k rows, each bit-identical
-    to the call on its radius alone, and each weight to a call with any
-    other first.  A radius below 0 raises ValueError; rho = 0 gives
-    (w_0, 0, 0, ...).
+    the log as log1p of the exact rho - rho0 within a factor 2 of rho0.
+    rho is one radius, giving one row, or a column of radii (shape (k, 1)),
+    giving k rows, each bit-identical to the call on its radius alone and
+    to a call with another first.  A radius below 0 raises ValueError;
+    rho = 0 gives (w_0, 0, 0, ...).
     """
     n_amp = log_w0.shape[0]
     column = np.ndim(rho) > 0
     radii = rho[:, 0].tolist() if column else [rho]
-    log_ratio = _log_ratios(rho0, radii)
+    lo, hi = 0.5 * rho0, 2.0 * rho0
+    # one comprehension, not a call per radius; math's log1p, not numpy's,
+    # which can differ from it in the last bit
+    log_ratio = [math.log1p((r - rho0) / rho0) if lo <= r <= hi
+                 else math.log(r / rho0) if r != 0.0 else -math.inf for r in radii]
     if column:
         log_ratio = np.array(log_ratio)[:, None]
         log_w = np.empty((len(radii), n_amp))
@@ -204,27 +199,21 @@ _WINDOW_STRIDE = 32
 
 def live_window(log_w0, rho0, rho):
     """[lo, hi) holding every n < N with ln w_n(rho) at least the row's largest
-    minus LIVE_DEPTH, for rho > 0 and log_w0 = log_sqrt_poisson(rho0, N).
+    minus LIVE_DEPTH (to rounding), for rho > 0, log_w0 = log_sqrt_poisson(rho0, N).
 
     n -> ln w_n(rho) = n ln rho - ln(n!)/2 - rho^2/2 is concave, largest at
-    M = min(floor(rho^2), N - 1): a sample (every _WINDOW_STRIDE-th n, as
-    bargmann_weights forms it) more than LIVE_DEPTH below the value at M
-    bounds every n beyond it, away from M.  lo is the last such sample before
-    M (or 0), hi the first after (or N); both grow with rho, as ln(w_n/w_m)
-    does for n > m.
+    M = min(floor(rho^2), N - 1): a sample (every _WINDOW_STRIDE-th n) more
+    than LIVE_DEPTH below the value at M bounds every n beyond it, away from
+    M.  lo is the last such sample before M (or 0), hi the first after (or
+    N); both grow with rho, as ln(w_n/w_m) does for n > m.
     """
-    n_amp = log_w0.shape[0]
-    (log_ratio,) = _log_ratios(rho0, [rho])
-    shift = 0.5 * (rho - rho0) * (rho + rho0)
+    n_amp, log_ratio = log_w0.shape[0], math.log(rho / rho0)
     mode = min(math.floor(rho * rho), n_amp - 1)
-    floor = mode * log_ratio + float(log_w0[mode]) - shift - LIVE_DEPTH
-    row = np.arange(0.0, n_amp, _WINDOW_STRIDE) * log_ratio
-    row += log_w0[::_WINDOW_STRIDE]
-    row -= shift
-    dead = np.flatnonzero(row < floor).tolist()  # sample numbers, ascending
-    split = bisect.bisect(dead, mode // _WINDOW_STRIDE)
-    return (dead[split - 1] * _WINDOW_STRIDE if split else 0,
-            dead[split] * _WINDOW_STRIDE if split < len(dead) else n_amp)
+    # ln w_n(rho) less the shift (rho - rho0)(rho + rho0)/2, the same for every n
+    row = np.arange(0.0, n_amp, _WINDOW_STRIDE) * log_ratio + log_w0[::_WINDOW_STRIDE]
+    dead = np.flatnonzero(row < mode * log_ratio + log_w0[mode] - LIVE_DEPTH) * _WINDOW_STRIDE
+    split = int(np.searchsorted(dead, mode, side="right"))  # dead is ascending
+    return (int(dead[split - 1]) if split else 0, int(dead[split]) if split < dead.size else n_amp)
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,13 @@ def _parse_number(text, pos, integer):
     if not (_INT_RE if integer else _FLOAT_RE).fullmatch(text):
         kind = "an integer" if integer else "a number"
         raise SpecParseError(f"expected {kind}, got {text!r}", position=pos)
+    if not integer:
+        return float(text)
+    digits = text.lstrip("+-").lstrip("0") or "0"  # int()'s digit limit counts leading zeros
     try:
-        return int(text) if integer else float(text)
-    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
-        raise SpecParseError(f"expected an integer Python can convert, got {len(text)} digits",
+        return -int(digits) if text[0] == "-" else int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise SpecParseError(f"expected an integer int() can convert, got one of {len(digits)} digits",
                              position=pos) from None
 
 

@@ -13,11 +13,11 @@ accepted trial's g the next step's derivatives, whose 2x2 Hessian is
 split into eigenpairs in closed form, with no LAPACK call.  Every weight
 shifts a _kernels.log_sqrt_poisson row, at radius 1 (rings) or the start
 ring's (Newton points); the radius-1 row is built once, the longest so
-far kept read-only and sliced.  Past three folds, rows are built only on
-their live windows (_kernels.live_window) and are 0 elsewhere; the rings
-that may hold the best coarse point are built again from full rows, so
-the polish starts where full rows put it.  Polar steps follow the
-ring-shaped ridge of a nearly Fock state, where Cartesian steps crawl.
+far kept read-only and sliced.  Past three folds, rows are 0 outside
+their live windows (_kernels.live_window), and the rings that may hold the
+best coarse point are built again from full rows, so the polish starts
+where full rows put it.  Polar steps follow the ring-shaped ridge of a
+nearly Fock state, where Cartesian steps crawl.
 """
 
 import cmath
@@ -43,11 +43,9 @@ _COARSE_WINDOW = ("search rings out to radius {:.4g} are too far apart for this 
                   "ring point is not finite")
 # terms of ring weights built at once, so peak working memory does not grow with N
 _BLOCK_TERMS = 2**15
-# live windows only past three folds, and for rings only when they keep at most
-# this share of the terms: below, a window saves about what its scan costs
-# (windows took 1.12x the full rows' time at N = 321-640, 1.02-1.06x at 641-960)
+# live windows only past three folds: below, a window saves about what its scan
+# costs (windows took 1.12x the full rows' time at N = 321-640, 1.02-1.06x at 641-960)
 _WINDOWED_PAST = 3 * _ANGLES
-_TRIMMED_SHARE = 0.8
 # how far rounding may put pi q_max above 1, the bound of any normalized
 # state: measured at most 2.6e-13 (and dq 3.5e-13 off its closed form) over
 # 330 seeded coherent inputs up to |alpha| = 400, p <= 10 (N up to 2.5e5)
@@ -89,13 +87,11 @@ def _bargmann_row(log_w0, rho0, rho, theta):
     for N > _WINDOWED_PAST, 0 outside the live window (_kernels.live_window)."""
     n_amp = log_w0.shape[0]
     if n_amp <= _WINDOWED_PAST or rho == 0.0:
-        n = np.arange(n_amp)
-        return _kernels.bargmann_weights(log_w0, rho0, rho) * np.exp(-1j * theta * n)
+        return _kernels.bargmann_weights(log_w0, rho0, rho) * np.exp(-1j * theta * np.arange(n_amp))
     lo, hi = _kernels.live_window(log_w0, rho0, rho)
-    n = np.arange(lo, hi)
     row = np.zeros(n_amp, np.complex128)
-    np.multiply(_kernels.bargmann_weights(log_w0[lo:hi], rho0, rho, lo), np.exp(-1j * theta * n),
-                out=row[lo:hi])
+    n = np.arange(lo, hi)
+    row[lo:hi] = _kernels.bargmann_weights(log_w0[lo:hi], rho0, rho, lo) * np.exp(-1j * theta * n)
     return row
 
 
@@ -175,8 +171,7 @@ def _fold(amps, log_w1, column, lo, hi, out):
 
 def _power(folded):
     """|FFT|^2 of each folded row: pi Q on the ring's _ANGLES angles."""
-    ov = np.fft.fft(folded, axis=1)
-    parts = ov.view(np.float64)
+    parts = np.fft.fft(folded, axis=1).view(np.float64)
     np.square(parts, out=parts)
     return np.add(parts[:, 0::2], parts[:, 1::2])
 
@@ -187,9 +182,8 @@ def _ring_values(amps, rings):
     The weights, shifted from one row at radius 1, come at most
     _BLOCK_TERMS terms per block of rings (one ring when N alone exceeds it).
     When N fits one fold (N <= _ANGLES) the terms are written straight into
-    the folded rows, whose tails stay 0.  When N > _WINDOWED_PAST and the
-    blocks' live windows keep at most _TRIMMED_SHARE of the terms, each
-    block is built on the union of its rings' windows.  A trimmed overlap
+    the folded rows, whose tails stay 0.  When N > _WINDOWED_PAST, each
+    block is built on the union of its rings' live windows.  A trimmed overlap
     misses at most N e^-LIVE_DEPTH (|c_n|, w_n <= 1) and rounds apart from
     the full one by under F u in folds of F = ceil(N / _ANGLES) terms and
     64 u in the FFT, u = 2^-53, as sum |c_n w_n| <= 1 (Cauchy-Schwarz);
@@ -207,20 +201,16 @@ def _ring_values(amps, rings):
             column = rings[j:j + block, None]
             np.multiply(amps, _kernels.bargmann_weights(log_w1, 1.0, column), out=folded[j:j + block, :n_amp])
         return _power(folded)
-    trimmed = False
-    if n_amp > _WINDOWED_PAST:
-        # windows grow with the radius: a block's union runs from its first ring's lo to its last ring's hi
-        windows = [(_kernels.live_window(log_w1, 1.0, rings[j])[0],
-                    _kernels.live_window(log_w1, 1.0, rings[min(j + block, rings.size) - 1])[1])
-                   for j in starts]
-        kept = sum(min(block, rings.size - j) * (hi - lo) for j, (lo, hi) in zip(starts, windows))
-        trimmed = kept <= _TRIMMED_SHARE * rings.size * n_amp
-    spans = windows if trimmed else [(0, n_amp)] * len(starts)
+    windowed = n_amp > _WINDOWED_PAST
     folded = np.empty((rings.size, _ANGLES), np.complex128)
-    for j, (lo, hi) in zip(starts, spans):
-        _fold(amps, log_w1, rings[j:j + block, None], lo, hi, folded[j:j + block])
+    for j in starts:
+        column = rings[j:j + block, None]
+        # windows grow with the radius: a block's union runs from its first ring's lo to its last ring's hi
+        lo, hi = ((_kernels.live_window(log_w1, 1.0, column[0, 0])[0],
+                   _kernels.live_window(log_w1, 1.0, column[-1, 0])[1]) if windowed else (0, n_amp))
+        _fold(amps, log_w1, column, lo, hi, folded[j:j + block])
     values = _power(folded)
-    if trimmed:
+    if windowed:
         error = 4.0 * (n_amp * math.exp(-_kernels.LIVE_DEPTH) + (math.ceil(n_amp / _ANGLES) + 64) * 2.0**-53)
         near = np.flatnonzero(values.max(axis=1) >= values.max() - 2.0 * error)
         for j in near.tolist():

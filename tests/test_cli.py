@@ -276,6 +276,7 @@ class TestDqCommand:
             # integers of more digits than Python's int() converts, once a ValueError from it
             (["--state", "fock:n=" + "1" * 5000], 64),
             (["--state", "coherent:re=1,im=0+add=" + "1" * 5000], 64),
+            (["--state", "fock:n=-" + "1" * 5000], 64),
             (["sweep", "--family", "pac", "--p-list", "1" * 5000, "--x-min", "0", "--x-max", "1",
               "--steps", "2"], 64),
         ],
@@ -284,7 +285,8 @@ class TestDqCommand:
              "svs-added-photons", "alpha-overflow", "fock-index-past-double",
              "added-photons-past-double", "override-past-double", "grid-fock-index-past-double",
              "cutoff-sum-past-double", "fock-index-past-digit-limit",
-             "added-photons-past-digit-limit", "sweep-p-list-past-digit-limit"],
+             "added-photons-past-digit-limit", "signed-fock-index-past-digit-limit",
+             "sweep-p-list-past-digit-limit"],
     )
     def test_oversized_state_exit_code(self, capsys, tmp_path, argv, code):
         argv = [*argv, "--out", str(tmp_path / "g.csv")] if argv[0] in ("grid", "sweep") else ["dq", *argv]
@@ -293,6 +295,15 @@ class TestDqCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_digit_limit_counts_neither_sign_nor_leading_zeros(self, capsys):
+        # a sign is no digit, and int() counts leading zeros against its
+        # limit: the parser drops them, so a padded small value is that value
+        assert cli.main(["dq", "--state", "fock:n=-" + "1" * 5000]) == 64
+        assert "got one of 5000 digits" in capsys.readouterr().err
+        assert cli.parse_state_spec("fock:n=+" + "0" * 5000 + "3") == cli.parse_state_spec("fock:n=3")
+        assert cli.parse_state_spec("coherent:re=1,im=0+add=" + "0" * 5000) == cli.parse_state_spec(
+            "coherent:re=1,im=0+add=0")
 
     @pytest.mark.parametrize(
         "argv, p",
